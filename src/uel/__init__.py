@@ -12,24 +12,16 @@ R = [-1, 1]^2:
 
 A solver layer (direct, preconditioned CG, nonsymmetric Krylov, condition
 estimation), manufactured-solution error analysis, and a CLI experiment
-harness complete the package.
+harness complete the package.  The package root exports the names of the
+README library sketch; everything else is imported from its submodule
+(uel.geometry, uel.fd_scheme, uel.fem_scheme, uel.sparse_linalg,
+uel.analysis, uel.errors, uel.cli).
 """
 
-from .analysis import (ConvergenceReport, ManufacturedCase, ReportRow,
-                       fitted_order, make_case, observed_order, relative_error)
-from .errors import (AnalysisError, AssemblyError, ConfigurationError,
-                     GeometryError, SolverError, UelError)
-from .fd_scheme import (FdSystem, LagrangeWeights, assemble_fd, fd_gradient,
-                        ghost_row, interior_row, lagrange_weights,
-                        mitigate_ill_conditioning)
-from .fem_scheme import (FemMatrices, FemSystem, assemble_fem, basis_eval,
-                         boundary_terms, element_volume_terms, fem_gradient)
-from .geometry import (BCSpec, BoundaryProjection, CutCell, Grid,
-                       GridClassification, LevelSetDomain, Segment, classify,
-                       cut_cell_geometry, extract_cut_cells, make_bc_spec,
-                       make_domain, normal_at, project_to_boundary,
-                       snap_small_cells)
-from .sparse_linalg import (CondEstimate, SolveReport, estimate_cond2,
-                            solve_cg, solve_direct, solve_nonsymmetric)
+from .analysis import make_case, relative_error
+from .fd_scheme import assemble_fd
+from .fem_scheme import assemble_fem
+from .geometry import Grid, make_bc_spec, make_domain
+from .sparse_linalg import solve_cg, solve_direct
 
 __version__ = "0.1.0"

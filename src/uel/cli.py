@@ -13,7 +13,7 @@ import numpy as np
 
 from .analysis import (CASE_NAMES, ConvergenceReport, ReportRow, make_case,
                        relative_error)
-from .errors import ConfigurationError, UelError
+from .errors import ConfigurationError, SolverError, UelError
 from .fd_scheme import assemble_fd, fd_gradient
 from .fem_scheme import (assemble_fem, fem_gradient, nodal_interior_values,
                          solution_samples)
@@ -176,14 +176,22 @@ def parse_config(argv):
 
 
 def _solve(config, matrix, rhs):
+    """Solve with the configured solver; an unconverged solve raises, so its
+    errors never reach a report row."""
     if config.solver == "direct":
-        return solve_direct(matrix, rhs)
-    if config.solver == "cg":
-        return solve_cg(matrix, rhs, preconditioner=config.precond,
-                        tol=config.solver_tol, maxit=config.maxit,
-                        omega=config.omega)
-    return solve_nonsymmetric(matrix, rhs, tol=config.solver_tol,
-                              maxit=config.maxit)
+        u, report = solve_direct(matrix, rhs)
+    elif config.solver == "cg":
+        u, report = solve_cg(matrix, rhs, preconditioner=config.precond,
+                             tol=config.solver_tol, maxit=config.maxit,
+                             omega=config.omega)
+    else:
+        u, report = solve_nonsymmetric(matrix, rhs, tol=config.solver_tol,
+                                       maxit=config.maxit)
+    if not report.converged:
+        raise SolverError(
+            f"{report.method} did not converge: relative residual "
+            f"{report.final_residual:.3e} after {report.iterations} iterations")
+    return u, report
 
 
 def _want_cond(config, n):

@@ -21,7 +21,6 @@ class LagrangeWeights:
     stencil spacing); l_prime carry the 1/(spacing*h) factor.
     """
 
-    p: int
     l: tuple
     l_prime: tuple
 
@@ -40,7 +39,7 @@ def _weights(theta, p, h, spacing):
     else:
         raise ConfigurationError(f"stencil order p must be 1 or 2, got {p}")
     scale = 1.0 / (spacing * h)
-    return LagrangeWeights(p, l, tuple(v * scale for v in lp))
+    return LagrangeWeights(l, tuple(v * scale for v in lp))
 
 
 def lagrange_weights(theta, p, h, spacing=1):
@@ -53,24 +52,6 @@ def lagrange_weights(theta, p, h, spacing=1):
     if not 0.0 <= theta < 1.0:
         raise ConfigurationError(f"theta must be in [0, 1), got {theta}")
     return _weights(theta, p, h, spacing)
-
-
-def interior_row(node, grid, f=None):
-    """Row of -lap_h at an interior node: diagonal +4/h^2, axis neighbors
-    -1/h^2, right-hand side f(node).
-
-    Returns (nodes, coefficients, rhs).
-    """
-    i, j = node
-    n = grid.n
-    if not (0 < i < n and 0 < j < n):
-        raise AssemblyError(f"interior stencil leaves the grid at node ({i}, {j})")
-    inv_h2 = 1.0 / (grid.h * grid.h)
-    nodes = [(i, j), (i + 1, j), (i - 1, j), (i, j + 1), (i, j - 1)]
-    coeffs = [4.0 * inv_h2, -inv_h2, -inv_h2, -inv_h2, -inv_h2]
-    x, y = grid.node(i, j)
-    rhs = float(f(x, y)) if f is not None else 0.0
-    return nodes, coeffs, rhs
 
 
 def mitigate_ill_conditioning(projection, epsilon):
@@ -307,8 +288,7 @@ def _has_active_neighbor(active, i, j):
     return False
 
 
-def assemble_fd(grid, domain, case, bc, p=2, tol_factor=1e-4, epsilon=None,
-                equilibrate=False):
+def assemble_fd(grid, domain, case, bc, p=2, tol_factor=1e-4):
     """Assemble the ghost-point finite-difference system for a manufactured
     case and boundary-condition split.
 
@@ -323,18 +303,15 @@ def assemble_fd(grid, domain, case, bc, p=2, tol_factor=1e-4, epsilon=None,
         Interpolation stencil order for the ghost rows.
     tol_factor : float
         Boundary bisection tolerance, in units of h.
-    epsilon : float, optional
-        Trigger threshold of the stencil-enlargement mitigation; defaults
-        to h.
-    equilibrate : bool
-        Scale each row by its max-norm (conditioning studies only).
+
+    Dirichlet ghost rows with an offset |1 - theta| < h get the enlarged
+    stencil of mitigate_ill_conditioning.
     """
     if p not in (1, 2):
         raise ConfigurationError(f"stencil order p must be 1 or 2, got {p}")
     cls = classify(grid, domain, "four")
     n = grid.n
     h = grid.h
-    eps = h if epsilon is None else epsilon
     role = cls.node_role
 
     def g_dir(pt):
@@ -349,7 +326,7 @@ def assemble_fd(grid, domain, case, bc, p=2, tol_factor=1e-4, epsilon=None,
         kind = "dirichlet" if bc.is_dirichlet(proj.point) else "neumann"
         proj = replace(proj, bc_kind=kind)
         if kind == "dirichlet":
-            proj = mitigate_ill_conditioning(proj, eps)
+            proj = mitigate_ill_conditioning(proj, h)
         return proj
 
     projections = {}
@@ -454,15 +431,6 @@ def assemble_fd(grid, domain, case, bc, p=2, tol_factor=1e-4, epsilon=None,
         (np.concatenate(vals_parts),
          (np.concatenate(rows_parts), np.concatenate(cols_parts))),
         shape=(n_rows, n_rows)).tocsr()
-
-    if equilibrate:
-        row_max = np.asarray(abs(matrix).max(axis=1).todense()).ravel()
-        if np.any(row_max == 0.0):
-            raise AssemblyError("empty row encountered during equilibration")
-        d = sp.diags(1.0 / row_max)
-        matrix = (d @ matrix).tocsr()
-        rhs = rhs / row_max
-
     return FdSystem(matrix, rhs, nodes, index, projections, cls, grid, p)
 
 

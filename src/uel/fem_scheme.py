@@ -49,7 +49,7 @@ RULE = _default_rule()
 # definite on grazing cuts.
 PENALTY_SAFETY = 10.0
 
-# Closed-form element matrices of bilinear elements on a full square cell,
+# Closed-form stiffness matrix of bilinear elements on a full square cell,
 # node order SW, SE, NE, NW.
 S_FULL = np.array([
     [4.0, -1.0, -2.0, -1.0],
@@ -57,34 +57,13 @@ S_FULL = np.array([
     [-2.0, -1.0, 4.0, -1.0],
     [-1.0, -2.0, -1.0, 4.0],
 ]) / 6.0
-M_FULL = np.array([
-    [4.0, 2.0, 1.0, 2.0],
-    [2.0, 4.0, 2.0, 1.0],
-    [1.0, 2.0, 4.0, 2.0],
-    [2.0, 1.0, 2.0, 4.0],
-]) / 36.0
 
 
-def basis_eval(node, point, grid):
-    """Value and gradient of the tensor-product hat of one grid node.
-
-    The gradient is piecewise constant in one direction and undefined on cell
-    interfaces; this point evaluator returns 0 there (assembly always
-    evaluates per cell instead).
-    """
-    xi, yi = grid.node(*node)
-    h = grid.h
-    dx = (float(point[0]) - xi) / h
-    dy = (float(point[1]) - yi) / h
-    fx = max(1.0 - abs(dx), 0.0)
-    fy = max(1.0 - abs(dy), 0.0)
-    dfx = 0.0 if (abs(dx) >= 1.0 or dx == 0.0) else -math.copysign(1.0, dx) / h
-    dfy = 0.0 if (abs(dy) >= 1.0 or dy == 0.0) else -math.copysign(1.0, dy) / h
-    return fx * fy, np.array([dfx * fy, fx * dfy])
-
-
-def _cell_nodes(ci, cj):
-    return [(ci, cj), (ci + 1, cj), (ci + 1, cj + 1), (ci, cj + 1)]
+def _cell_rows(index, ci, cj):
+    """Row indices of the four corner nodes of cell (ci, cj), in the order
+    SW, SE, NE, NW along the last axis; ci, cj may be scalars or arrays."""
+    return np.stack([index[ci, cj], index[ci + 1, cj],
+                     index[ci + 1, cj + 1], index[ci, cj + 1]], axis=-1)
 
 
 def _local_basis(grid, ci, cj, pts):
@@ -109,24 +88,21 @@ def _tri_points(tri):
 
 
 def element_volume_terms(cut, grid):
-    """Local 4x4 stiffness and mass contributions of one cut cell.
+    """Local 4x4 stiffness contribution of one cut cell.
 
-    Full cells use the closed-form bilinear element matrices; cut polygons
+    Full cells use the closed-form bilinear element matrix; cut polygons
     are integrated with the triangle rule (exact for all products of bilinear
     functions).
     """
-    h = grid.h
-    if cut.area == h * h:
-        return S_FULL.copy(), (h * h) * M_FULL
+    if cut.area == grid.h * grid.h:
+        return S_FULL.copy()
     S = np.zeros((4, 4))
-    M = np.zeros((4, 4))
     ci, cj = cut.cell
     for tri in cut.triangles:
         pts, w = _tri_points(tri)
-        vals, gx, gy = _local_basis(grid, ci, cj, pts)
+        _, gx, gy = _local_basis(grid, ci, cj, pts)
         S += (gx * w[:, None]).T @ gx + (gy * w[:, None]).T @ gy
-        M += (vals * w[:, None]).T @ vals
-    return 0.5 * (S + S.T), 0.5 * (M + M.T)
+    return 0.5 * (S + S.T)
 
 
 def _split_segment(seg, bc):
@@ -142,12 +118,12 @@ def _split_segment(seg, bc):
     return [(seg.p0, seg.p1)]
 
 
-def boundary_terms(cut, grid, domain, bc, case, lam):
+def boundary_terms(cut, grid, bc, case, lam):
     """Local boundary contributions of one cut cell.
 
-    Returns (P, D, N, rhs): Dirichlet mass, Dirichlet consistency
-    (D[a, b] = int phi_b dphi_a/dn), Neumann mass, and the right-hand-side
-    pieces with g_D, g_N evaluated pointwise at the quadrature points.
+    Returns (P, D, rhs): Dirichlet mass, Dirichlet consistency
+    (D[a, b] = int phi_b dphi_a/dn), and the right-hand-side pieces with
+    g_D, g_N evaluated pointwise at the quadrature points.
     Neumann data samples the manufactured flux through the segment normal,
     so the discrete form sees the flux of the polygonal boundary it actually
     integrates over (snapped boundary pieces run along grid lines, where the
@@ -155,7 +131,6 @@ def boundary_terms(cut, grid, domain, bc, case, lam):
     """
     P = np.zeros((4, 4))
     D = np.zeros((4, 4))
-    N = np.zeros((4, 4))
     rhs = np.zeros(4)
     ci, cj = cut.cell
     h = grid.h
@@ -178,35 +153,20 @@ def boundary_terms(cut, grid, domain, bc, case, lam):
                     gd = float(case.u(pt[0], pt[1]))
                     rhs += w[k] * gd * (lam * vals[k] - dn[k])
                 else:
-                    N += w[k] * np.outer(vals[k], vals[k])
                     ux, uy = case.grad_u(pt[0], pt[1])
                     gn = float(ux) * seg.normal[0] + float(uy) * seg.normal[1]
                     rhs += w[k] * gn * vals[k]
-    return 0.5 * (P + P.T), D, 0.5 * (N + N.T), rhs
-
-
-@dataclass
-class FemMatrices:
-    """Building blocks of the discrete system A = S - S_T + lam * P and
-    F = volume/boundary data terms."""
-
-    stiffness: sp.csr_matrix
-    nitsche: sp.csr_matrix        # S_T = D + D^T
-    dirichlet_mass: sp.csr_matrix
-    volume_mass: sp.csr_matrix
-    neumann_mass: sp.csr_matrix
-    consistency: sp.csr_matrix    # D
-    lam: float
-    alpha: float
+    return 0.5 * (P + P.T), D, rhs
 
 
 @dataclass
 class FemSystem:
-    """Assembled penalized FEM system A u = F over the active nodes."""
+    """Assembled penalized FEM system A u = F over the active nodes, with
+    A = S - S_T + lam * P (stiffness, Nitsche terms S_T = D + D^T, and the
+    Dirichlet mass P)."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    matrices: FemMatrices
     nodes: np.ndarray
     index: np.ndarray
     classification: object
@@ -272,7 +232,7 @@ def assemble_fem(grid, domain, case, bc, alpha=2.0, classification=None):
     index = np.full((n + 1, n + 1), -1, dtype=np.int64)
     index[nodes[:, 0], nodes[:, 1]] = np.arange(n_rows)
 
-    coo = {name: ([], [], []) for name in ("S", "M", "P", "D", "N")}
+    coo = {name: ([], [], []) for name in ("S", "P", "D")}
 
     def scatter(name, gids, local):
         rows, cols, vals = coo[name]
@@ -287,8 +247,7 @@ def assemble_fem(grid, domain, case, bc, alpha=2.0, classification=None):
     inside = np.argwhere(cls.cell_role == CELL_INSIDE)
     if len(inside):
         ci, cj = inside[:, 0], inside[:, 1]
-        g = np.stack([index[ci, cj], index[ci + 1, cj],
-                      index[ci + 1, cj + 1], index[ci, cj + 1]], axis=1)
+        g = _cell_rows(index, ci, cj)
         if g.min() < 0:
             raise AssemblyError("inactive node on an inside cell")
         m = len(inside)
@@ -297,9 +256,6 @@ def assemble_fem(grid, domain, case, bc, alpha=2.0, classification=None):
         coo["S"][0].append(rows)
         coo["S"][1].append(cols)
         coo["S"][2].append(np.tile(S_FULL.ravel(), m))
-        coo["M"][0].append(rows)
-        coo["M"][1].append(cols)
-        coo["M"][2].append(np.tile((h * h) * M_FULL.ravel(), m))
         # volume data term, quadrature on the reference layout
         px = xs[ci][:, None] + REF_PTS[None, :, 0] * h
         py = xs[cj][:, None] + REF_PTS[None, :, 1] * h
@@ -315,23 +271,20 @@ def assemble_fem(grid, domain, case, bc, alpha=2.0, classification=None):
         is_inside = cls.cell_role[ci, cj] == CELL_INSIDE
         if is_inside and not cut.boundary_segments:
             continue
-        gids = np.array([index[a, b] for a, b in _cell_nodes(ci, cj)])
+        gids = _cell_rows(index, ci, cj)
         if gids.min() < 0:
             raise AssemblyError(f"inactive node on cut cell ({ci}, {cj})")
         if not is_inside:
-            S4, M4 = element_volume_terms(cut, grid)
-            scatter("S", gids, S4)
-            scatter("M", gids, M4)
+            scatter("S", gids, element_volume_terms(cut, grid))
             for tri in cut.triangles:
                 pts, w = _tri_points(tri)
                 vals, _, _ = _local_basis(grid, ci, cj, pts)
                 fv = np.array([float(case.f(x, y)) for x, y in pts])
                 rhs[gids] += (fv * w) @ vals
         if cut.boundary_segments:
-            P4, D4, N4, r4 = boundary_terms(cut, grid, domain, bc, case, lam)
+            P4, D4, r4 = boundary_terms(cut, grid, bc, case, lam)
             scatter("P", gids, P4)
             scatter("D", gids, D4)
-            scatter("N", gids, N4)
             rhs[gids] += r4
 
     def build(name):
@@ -344,18 +297,15 @@ def assemble_fem(grid, domain, case, bc, alpha=2.0, classification=None):
             shape=(n_rows, n_rows)).tocsr()
 
     S = build("S")
-    M = build("M")
     P = build("P")
     D = build("D")
-    N = build("N")
     if P.count_nonzero() == 0:
         raise ConfigurationError(
             "no Dirichlet boundary found: pure-Neumann problems need a "
             "compatibility condition and are not supported")
     S_T = (D + D.T).tocsr()
     A = (S - S_T + lam * P).tocsr()
-    mats = FemMatrices(S, S_T, P, M, N, D, lam, alpha)
-    return FemSystem(A, rhs, mats, nodes, index, cls, cells, grid)
+    return FemSystem(A, rhs, nodes, index, cls, cells, grid)
 
 
 def solution_samples(system, u):
@@ -372,9 +322,7 @@ def solution_samples(system, u):
     inside = np.argwhere(cls.cell_role == CELL_INSIDE)
     if len(inside):
         ci, cj = inside[:, 0], inside[:, 1]
-        g = np.stack([system.index[ci, cj], system.index[ci + 1, cj],
-                      system.index[ci + 1, cj + 1], system.index[ci, cj + 1]], axis=1)
-        uloc = u[g]
+        uloc = u[_cell_rows(system.index, ci, cj)]
         px = xs[ci][:, None] + REF_PTS[None, :, 0] * h
         py = xs[cj][:, None] + REF_PTS[None, :, 1] * h
         vals = uloc @ REF_VALS.T
@@ -385,8 +333,7 @@ def solution_samples(system, u):
     for (ci, cj), cut in system.cells.items():
         if cls.cell_role[ci, cj] == CELL_INSIDE:
             continue
-        gids = np.array([system.index[a, b] for a, b in _cell_nodes(ci, cj)])
-        uloc = u[gids]
+        uloc = u[_cell_rows(system.index, ci, cj)]
         for tri in cut.triangles:
             pts, w = _tri_points(tri)
             vals, _, _ = _local_basis(grid, ci, cj, pts)
@@ -415,10 +362,10 @@ def _eroded(mask, k):
     return out
 
 
-def fem_gradient(system, u, buffer_cells=2):
+def fem_gradient(system, u):
     """Discrete gradient of the solution at its volume sampling points:
-    the centers of interior cells whose neighborhood (buffer_cells rings) is
-    fully interior, where bilinear gradients superconverge.
+    the centers of interior cells whose two-ring neighborhood is fully
+    interior, where bilinear gradients superconverge.
 
     Cells within the buffer of the cut region carry the O(h) element-gradient
     error of the boundary strip, which would mask the interior gradient
@@ -433,12 +380,10 @@ def fem_gradient(system, u, buffer_cells=2):
     cls = system.classification
     xs = grid.xs
 
-    core = np.argwhere(_eroded(cls.cell_role == CELL_INSIDE, buffer_cells))
+    core = np.argwhere(_eroded(cls.cell_role == CELL_INSIDE, 2))
     if len(core):
         ci, cj = core[:, 0], core[:, 1]
-        g = np.stack([system.index[ci, cj], system.index[ci + 1, cj],
-                      system.index[ci + 1, cj + 1], system.index[ci, cj + 1]], axis=1)
-        uloc = u[g]
+        uloc = u[_cell_rows(system.index, ci, cj)]
         # gradients of the four hats at the cell center
         gx = np.array([-0.5, 0.5, 0.5, -0.5]) / h
         gy = np.array([-0.5, -0.5, 0.5, 0.5]) / h
@@ -447,8 +392,7 @@ def fem_gradient(system, u, buffer_cells=2):
 
     pts_out, w_out, g_out = [], [], []
     for (ci, cj), cut in system.cells.items():
-        gids = np.array([system.index[a, b] for a, b in _cell_nodes(ci, cj)])
-        uloc = u[gids]
+        uloc = u[_cell_rows(system.index, ci, cj)]
         for tri in cut.triangles:
             pts, w = _tri_points(tri)
             _, bx, by = _local_basis(grid, ci, cj, pts)

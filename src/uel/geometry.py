@@ -46,11 +46,7 @@ class LevelSetDomain:
     grad_phi : callable, optional
         Analytic gradient (x, y) -> (dphi_dx, dphi_dy).  When absent,
         gradients fall back to centered finite differences.
-    interior_seed : tuple
-        A point inside Omega used to fix the sign convention.
-    normalized_sign : bool
-        True once phi satisfies the positive-inside convention.
-    circle_center, circle_radius :
+    circle_center : tuple
         Set for circular domains only; enables exact normals.
     fd_step : float
         Default step for the finite-difference gradient fallback.
@@ -59,10 +55,7 @@ class LevelSetDomain:
     name: str
     phi: callable
     grad_phi: callable = None
-    interior_seed: tuple = (0.0, 0.0)
-    normalized_sign: bool = True
     circle_center: tuple = None
-    circle_radius: float = None
     fd_step: float = 1e-6
 
     @property
@@ -101,25 +94,6 @@ class LevelSetDomain:
         return np.array([-gx / norm, -gy / norm])
 
 
-def normal_at(p, domain):
-    """Unit vector grad(phi)/|grad(phi)| at point p; exact radial direction on
-    circular domains.
-
-    Note the orientation caveat: circles return the outward boundary normal,
-    while for generic sign-normalized domains the raw gradient direction
-    points into Omega.  Scheme internals always use
-    LevelSetDomain.outward_normal, which is consistently outward.
-    """
-    x, y = float(p[0]), float(p[1])
-    if domain.is_circle:
-        return domain.outward_normal(x, y)
-    gx, gy = domain.gradient(x, y)
-    norm = math.hypot(gx, gy)
-    if norm < 1e-14:
-        raise GeometryError(f"vanishing level-set gradient at ({x}, {y}) on domain {domain.name!r}")
-    return np.array([gx / norm, gy / norm])
-
-
 def _probe_sign(raw_phi, seed):
     """Majority sign of raw_phi over the seed and a small ring around it.
 
@@ -141,8 +115,8 @@ def _probe_sign(raw_phi, seed):
 
 
 def make_domain(name):
-    """Build one of the four reference domains, sign-normalized so that
-    phi(interior_seed) > 0.
+    """Build one of the four reference domains, sign-normalized so that phi
+    is positive near a seed point inside Omega.
 
     Supported names: circle, leaf, flower, hourglass.
     """
@@ -157,8 +131,7 @@ def make_domain(name):
             r = np.where(r == 0.0, 1.0, r)
             return -x / r, -y / r
 
-        return LevelSetDomain("circle", phi, grad, interior_seed=(0.0, 0.0),
-                              circle_center=(0.0, 0.0), circle_radius=r0)
+        return LevelSetDomain("circle", phi, grad, circle_center=(0.0, 0.0))
 
     if name == "leaf":
         # Two disks of radius 0.7 centered at (+-0.25 cos(pi/4), 0); Omega is
@@ -232,7 +205,7 @@ def make_domain(name):
             gy = np.where(flower_active, sign * gy, -Y / rs)
             return gx, gy
 
-        return LevelSetDomain("flower", phi, grad, interior_seed=seed)
+        return LevelSetDomain("flower", phi, grad)
 
     elif name == "hourglass":
         x0, y0 = 0.03 * math.sqrt(3.0), 0.04 * math.sqrt(2.0)
@@ -260,7 +233,7 @@ def make_domain(name):
         gx, gy = raw_grad(x, y)
         return sign * gx, sign * gy
 
-    return LevelSetDomain(name, phi, grad, interior_seed=seed)
+    return LevelSetDomain(name, phi, grad)
 
 
 # ----------------------------------------------------------------------
@@ -306,7 +279,6 @@ class GridClassification:
     phi_node: np.ndarray
     node_role: np.ndarray
     cell_role: np.ndarray
-    snap_alpha: float = None
 
     @property
     def n_interior(self):
@@ -319,10 +291,6 @@ class GridClassification:
     @property
     def n_inactive(self):
         return int(np.count_nonzero(self.node_role == NODE_INACTIVE))
-
-    @property
-    def n_active(self):
-        return self.n_interior + self.n_ghost
 
     def active_nodes(self):
         """Active node indices as an (M, 2) array in lexicographic order."""
@@ -379,7 +347,7 @@ def classify(grid, domain, neighborhood="four"):
     return GridClassification(grid, neighborhood, phi, role, _cell_roles(phi))
 
 
-def snap_small_cells(classification, grid, domain, alpha, area_floor=None):
+def snap_small_cells(classification, grid, domain, alpha):
     """Remove small-cut cells: vertices with |phi| < h^alpha are treated as
     lying on the boundary, cut cells whose remaining area fraction stays
     below the floor are disregarded (marked snapped), and nodes supported
@@ -387,7 +355,7 @@ def snap_small_cells(classification, grid, domain, alpha, area_floor=None):
 
     The band is symmetric: clamping barely-exterior vertices regularizes the
     geometry, while clamping barely-interior ones removes sliver supports.
-    The area floor (default h^(alpha-1) as a fraction of a full cell) drops
+    The area floor (h^(alpha-1) as a fraction of a full cell) drops
     the grazing-cut cells whose trace constant the penalty h^(-alpha) cannot
     control; boundary integrals then run along the exposed cell edges (see
     extract_cut_cells), keeping the polygonal domain boundary closed.
@@ -402,9 +370,7 @@ def snap_small_cells(classification, grid, domain, alpha, area_floor=None):
 
     n = grid.n
     roles = _cell_roles(phi)
-    if area_floor is None:
-        area_floor = h ** (alpha - 1.0)
-    area_tol = max(AREA_EPS, area_floor) * h * h
+    area_tol = max(AREA_EPS, h ** (alpha - 1.0)) * h * h
     # Cut candidates need an actual area check; cells the band touched but
     # that keep no positive vertex are snapped rather than outside.
     for ci, cj in np.argwhere(roles == CELL_CUT):
@@ -425,7 +391,7 @@ def snap_small_cells(classification, grid, domain, alpha, area_floor=None):
     node_role = np.where(~supported, NODE_INACTIVE,
                          np.where(phi > 0.0, NODE_INTERIOR, NODE_GHOST)).astype(np.int8)
     return GridClassification(grid, classification.neighborhood, phi, node_role,
-                              roles, snap_alpha=alpha)
+                              roles)
 
 
 # ----------------------------------------------------------------------

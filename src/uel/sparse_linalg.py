@@ -77,14 +77,14 @@ def _ssor_apply(A, omega):
     return apply
 
 
-def solve_cg(A, b, preconditioner="none", tol=1e-12, maxit=10000, omega=1.5,
-             x0=None):
+def solve_cg(A, b, preconditioner="none", tol=1e-12, maxit=10000, omega=1.5):
     """Preconditioned conjugate gradients for symmetric positive-definite
     systems.
 
     preconditioner is "none", "jacobi" or "sor" (applied as a symmetric
-    forward+backward sweep, so it stays SPD).  A non-converged run returns a
-    report with converged=False rather than raising.
+    forward+backward sweep, so it stays SPD).  Iterations start from zero.
+    A non-converged run returns a report with converged=False rather than
+    raising.
 
     Returns (x, SolveReport).
     """
@@ -105,7 +105,7 @@ def solve_cg(A, b, preconditioner="none", tol=1e-12, maxit=10000, omega=1.5,
     if b_norm == 0.0:
         return np.zeros(n), SolveReport(f"cg+{preconditioner}", 0, 0.0, True,
                                         time.perf_counter() - t0)
-    x = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float).copy()
+    x = np.zeros(n)
     r = b - A @ x
     z = apply_m(r)
     p = z.copy()
@@ -188,28 +188,21 @@ class CondEstimate:
     note: str = ""
 
 
-def estimate_cond2(A, solve=None, tol=1e-3, maxit=500, seed=0):
+def estimate_cond2(A, tol=1e-3, maxit=500, seed=0):
     """Estimate cond_2(A) = sigma_max / sigma_min.
 
     sigma_max comes from power iteration on A^T A; sigma_min from inverse
-    power iteration using a solve handle (built from a sparse LU of A when
-    not supplied).  solve(v, trans) must solve A x = v ("N") and
-    A^T x = v ("T").
+    power iteration on (A^T A)^-1 through one sparse LU of A.
     """
     A = sp.csr_matrix(A)
     n = A.shape[0]
     if n == 0:
         raise ConfigurationError("cannot estimate the condition of an empty matrix")
     At = A.T.tocsr()
-    if solve is None:
-        try:
-            lu = spla.splu(sp.csc_matrix(A))
-        except RuntimeError as exc:
-            raise SolverError(f"condition estimate needs a nonsingular matrix: {exc}") from exc
-
-        def solve(v, trans="N"):
-            return lu.solve(v, trans=trans)
-
+    try:
+        lu = spla.splu(sp.csc_matrix(A))
+    except RuntimeError as exc:
+        raise SolverError(f"condition estimate needs a nonsingular matrix: {exc}") from exc
     rng = np.random.default_rng(seed)
 
     def power(step):
@@ -232,7 +225,7 @@ def estimate_cond2(A, solve=None, tol=1e-3, maxit=500, seed=0):
 
     mu_max, ok_max = power(lambda v: At @ (A @ v))
     sigma_max = float(np.sqrt(mu_max))
-    mu_inv, ok_min = power(lambda v: solve(solve(v, "T"), "N"))
+    mu_inv, ok_min = power(lambda v: lu.solve(lu.solve(v, trans="T"), trans="N"))
     sigma_min = float(1.0 / np.sqrt(mu_inv))
     converged = ok_max and ok_min
     note = "" if converged else "iteration cap reached; value is a lower bound"

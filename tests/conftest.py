@@ -2,10 +2,18 @@
 
 import numpy as np
 
-from uel import (Grid, assemble_fd, assemble_fem, fd_gradient, make_bc_spec,
-                 make_case, make_domain, relative_error, solve_direct)
+from uel import (Grid, assemble_fd, assemble_fem, make_bc_spec, make_case,
+                 make_domain, relative_error, solve_direct)
+from uel.fd_scheme import fd_gradient
 from uel.fem_scheme import fem_gradient, nodal_interior_values, solution_samples
-from uel.geometry import NODE_INTERIOR
+from uel.geometry import NODE_INTERIOR, LevelSetDomain
+
+
+def full_square_domain():
+    """Omega = all of R (phi == 1)."""
+    return LevelSetDomain(
+        "full", lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
+        lambda x, y: (np.zeros_like(np.asarray(x, dtype=float)),) * 2)
 
 
 def run_fd(domain_name, case_name, bc_kind, n, p=2, tol_factor=1e-4):

@@ -10,12 +10,13 @@ import scipy.sparse as sp
 
 from conftest import (fd_errors, fem_errors, jacobi_eigenvalues, run_fd,
                       run_fem)
-from uel import (Grid, assemble_fd, assemble_fem, classify, estimate_cond2,
-                 extract_cut_cells, lagrange_weights, make_bc_spec, make_case,
-                 make_domain, snap_small_cells, solve_cg, solve_direct,
-                 solve_nonsymmetric)
+from uel import (Grid, assemble_fd, assemble_fem, make_bc_spec, make_case,
+                 make_domain, solve_cg, solve_direct)
 from uel.analysis import fitted_order
-from uel.geometry import NODE_INACTIVE, NODE_INTERIOR
+from uel.fd_scheme import lagrange_weights
+from uel.geometry import (NODE_INACTIVE, NODE_INTERIOR, classify,
+                          extract_cut_cells, snap_small_cells)
+from uel.sparse_linalg import estimate_cond2, solve_nonsymmetric
 
 GRIDS_FULL = (40, 80, 160, 320)
 GRIDS_SMOKE = (40, 80, 160)

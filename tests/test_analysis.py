@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from uel import (ConvergenceReport, ReportRow, fitted_order, make_case,
-                 observed_order, relative_error)
+from uel.analysis import (ConvergenceReport, ReportRow, fitted_order,
+                          make_case, observed_order, relative_error)
 from uel.errors import AnalysisError, ConfigurationError
 
 CASES = ("paper_sin", "linear", "quadratic", "constant")

@@ -169,3 +169,16 @@ def test_flower_mixed_p1_gradient_first_order():
     errs = [r.err_g[1] for r in domain_rows]
     from uel.analysis import fitted_order
     assert 0.6 <= fitted_order(hs, errs) <= 1.6
+
+
+def test_unconverged_solve_fails_the_run(tmp_path, capsys):
+    # CG capped at 5 iterations: no row with meaningless errors is written
+    out = tmp_path / "capped"
+    code = main(["--scheme", "fem", "--domain", "circle", "--bc", "mixed",
+                 "--grids", "40,80", "--maxit", "5", "--no-timings",
+                 "--output", str(out)])
+    assert code == 1
+    assert not (tmp_path / "capped.csv").exists()
+    err = capsys.readouterr().err
+    assert "fem/circle (bc=mixed, N=40)" in err
+    assert "did not converge" in err

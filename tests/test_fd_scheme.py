@@ -3,16 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import fd_errors, run_fd
-from uel import (Grid, assemble_fd, classify, fd_gradient, ghost_row,
-                 interior_row, lagrange_weights, make_bc_spec, make_case,
-                 make_domain, mitigate_ill_conditioning, project_to_boundary,
+from conftest import fd_errors, full_square_domain, run_fd
+from uel import (Grid, assemble_fd, make_bc_spec, make_case, make_domain,
                  relative_error, solve_direct)
 from uel.analysis import fitted_order
-from uel.errors import AssemblyError, ConfigurationError
-from uel.fd_scheme import _stencil_nodes
+from uel.errors import ConfigurationError
+from uel.fd_scheme import (_stencil_nodes, fd_gradient, ghost_row,
+                           lagrange_weights, mitigate_ill_conditioning)
 from uel.geometry import (NODE_GHOST, NODE_INTERIOR, BoundaryProjection,
-                          LevelSetDomain)
+                          LevelSetDomain, classify, project_to_boundary)
 
 
 # ----------------------------------------------------------------------
@@ -58,44 +57,77 @@ def test_weights_partition_of_unity(p, spacing):
 # interior rows
 # ----------------------------------------------------------------------
 
-def apply_row(nodes, coeffs, grid, func):
-    return sum(c * func(*grid.node(i, j)) for (i, j), c in zip(nodes, coeffs))
+def five_point_rows(system):
+    """(rows, i, j) of the 5-point rows: interior nodes off the grid frame."""
+    n = system.grid.n
+    ii, jj = np.nonzero(system.classification.node_role == NODE_INTERIOR)
+    keep = (ii > 0) & (ii < n) & (jj > 0) & (jj < n)
+    ii, jj = ii[keep], jj[keep]
+    return system.index[ii, jj], ii, jj
+
+
+def apply_matrix(system, func):
+    """Assembled matrix applied to func sampled at the active nodes."""
+    x = system.grid.xs[system.nodes[:, 0]]
+    y = system.grid.xs[system.nodes[:, 1]]
+    return system.matrix @ np.broadcast_to(func(x, y), x.shape)
+
+
+def circle_fd_system():
+    return assemble_fd(Grid(10), make_domain("circle"), make_case("paper_sin"),
+                       make_bc_spec("circle", "mixed"), p=2)
 
 
 def test_interior_row_annihilates_constants_and_linears():
-    grid = Grid(10)
-    nodes, coeffs, _ = interior_row((5, 5), grid)
-    assert apply_row(nodes, coeffs, grid, lambda x, y: 3.0) == pytest.approx(0.0, abs=1e-10)
-    assert apply_row(nodes, coeffs, grid, lambda x, y: x) == pytest.approx(0.0, abs=1e-10)
+    system = circle_fd_system()
+    rows, _, _ = five_point_rows(system)
+    assert len(rows) > 0
+    for func in (lambda x, y: 3.0, lambda x, y: x, lambda x, y: y):
+        assert np.allclose(apply_matrix(system, func)[rows], 0.0, atol=1e-10)
 
 
 def test_interior_row_on_quadratic():
-    # row encodes -lap_h, exact on quadratics: -lap(x^2 + y^2) = -4
-    grid = Grid(10)
-    nodes, coeffs, _ = interior_row((4, 6), grid)
-    val = apply_row(nodes, coeffs, grid, lambda x, y: x * x + y * y)
-    assert val == pytest.approx(-4.0, abs=1e-9)
+    # rows encode -lap_h, exact on quadratics: -lap(x^2 + y^2) = -4
+    system = circle_fd_system()
+    rows, _, _ = five_point_rows(system)
+    vals = apply_matrix(system, lambda x, y: x * x + y * y)[rows]
+    assert np.allclose(vals, -4.0, atol=1e-9)
 
 
 def test_interior_row_rhs_and_bounds():
+    # 5-point rows carry f(node); interior nodes on the grid frame (Omega
+    # fills the box) have no 5-point stencil and are pinned to u(node)
     grid = Grid(10)
-    _, _, rhs = interior_row((5, 5), grid, f=lambda x, y: x + 2 * y)
-    x, y = grid.node(5, 5)
-    assert rhs == pytest.approx(x + 2 * y)
-    with pytest.raises(AssemblyError):
-        interior_row((0, 5), grid)
+    xs = grid.xs
+    case = make_case("paper_sin")
+    system = assemble_fd(grid, full_square_domain(), case,
+                         make_bc_spec("circle", "dirichlet"), p=2)
+    rows, ii, jj = five_point_rows(system)
+    assert np.array_equal(system.rhs[rows], case.f(xs[ii], xs[jj]))
+    fi, fj = np.nonzero(system.classification.node_role == NODE_INTERIOR)
+    on_frame = (fi == 0) | (fi == grid.n) | (fj == 0) | (fj == grid.n)
+    fi, fj = fi[on_frame], fj[on_frame]
+    assert len(fi) == 4 * grid.n
+    frame_rows = system.index[fi, fj]
+    block = system.matrix[frame_rows].tocoo()
+    assert np.array_equal(frame_rows[block.row], block.col)
+    assert np.all(block.data == 1.0)
+    assert np.array_equal(system.rhs[frame_rows], case.u(xs[fi], xs[fj]))
 
 
 # ----------------------------------------------------------------------
 # ghost rows
 # ----------------------------------------------------------------------
 
+def apply_row(nodes, coeffs, grid, func):
+    return sum(c * func(*grid.node(i, j)) for (i, j), c in zip(nodes, coeffs))
+
+
 def half_plane(c):
     """Omega = {x < c} with unit slope."""
     return LevelSetDomain("hp", lambda x, y: c - x + 0.0 * y,
                           lambda x, y: (-np.ones_like(np.asarray(x, dtype=float)),
-                                        np.zeros_like(np.asarray(x, dtype=float))),
-                          interior_seed=(c - 0.5, 0.0))
+                                        np.zeros_like(np.asarray(x, dtype=float))))
 
 
 def phi_node_of(grid, domain):
@@ -264,10 +296,7 @@ def test_assemble_circle_n4_size():
 def test_full_square_recovers_classical_five_point():
     # phi == 1 on all of R: frame nodes carry the boundary data and the
     # interior is the textbook 5-point scheme; second-order over N=20..80
-    domain = LevelSetDomain(
-        "full", lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
-        lambda x, y: (np.zeros_like(np.asarray(x, dtype=float)),) * 2,
-        interior_seed=(0.0, 0.0))
+    domain = full_square_domain()
     case = make_case("paper_sin")
     bc = make_bc_spec("circle", "dirichlet")
     hs, errs = [], []
@@ -306,20 +335,6 @@ def test_matrix_is_nonsymmetric():
     _, system, _, _, _ = run_fd("circle", "paper_sin", "dirichlet", 20)
     asym = abs(system.matrix - system.matrix.T).max()
     assert asym > 0.0
-
-
-def test_equilibrate_scales_rows_only():
-    grid = Grid(20)
-    domain = make_domain("circle")
-    case = make_case("paper_sin")
-    bc = make_bc_spec("circle", "dirichlet")
-    plain = assemble_fd(grid, domain, case, bc, p=2)
-    scaled = assemble_fd(grid, domain, case, bc, p=2, equilibrate=True)
-    u1, _ = solve_direct(plain.matrix, plain.rhs)
-    u2, _ = solve_direct(scaled.matrix, scaled.rhs)
-    assert np.allclose(u1, u2, atol=1e-9)
-    row_max = np.asarray(abs(scaled.matrix).max(axis=1).todense()).ravel()
-    assert np.allclose(row_max, 1.0)
 
 
 def test_assemble_rejects_bad_p():

@@ -3,23 +3,27 @@ import math
 import numpy as np
 import pytest
 
-from uel import (Grid, classify, cut_cell_geometry, extract_cut_cells,
-                 make_bc_spec, make_domain, normal_at, project_to_boundary,
-                 snap_small_cells)
+from uel import Grid, make_bc_spec, make_domain
 from uel.analysis import fitted_order
 from uel.errors import ConfigurationError, GeometryError
 from uel.geometry import (CELL_INSIDE, CELL_OUTSIDE, CELL_SNAPPED, NODE_GHOST,
-                          NODE_INACTIVE, NODE_INTERIOR, LevelSetDomain)
+                          NODE_INACTIVE, LevelSetDomain, classify,
+                          cut_cell_geometry, extract_cut_cells,
+                          project_to_boundary, snap_small_cells)
 
 DOMAINS = ("circle", "leaf", "flower", "hourglass")
+
+# A point inside each built-in domain (the hourglass one sits on its pinch).
+SEEDS = {"circle": (0.0, 0.0), "leaf": (0.0, 0.0),
+         "flower": (0.03 * math.sqrt(3.0), 0.04 * math.sqrt(2.0)),
+         "hourglass": (0.03 * math.sqrt(3.0), 0.04 * math.sqrt(2.0))}
 
 
 def const_domain(value):
     return LevelSetDomain(
         "const", lambda x, y: np.full_like(np.asarray(x, dtype=float), value),
         lambda x, y: (np.zeros_like(np.asarray(x, dtype=float)),
-                      np.zeros_like(np.asarray(x, dtype=float))),
-        interior_seed=(0.0, 0.0))
+                      np.zeros_like(np.asarray(x, dtype=float))))
 
 
 # ----------------------------------------------------------------------
@@ -50,7 +54,7 @@ def test_unknown_domain_rejected():
 @pytest.mark.parametrize("name", DOMAINS)
 def test_sign_normalization_positive_inside(name):
     d = make_domain(name)
-    sx, sy = d.interior_seed
+    sx, sy = SEEDS[name]
     # the hourglass seed sits exactly on the pinch point, probe just off it
     probe = (sx, sy + 1e-3) if name == "hourglass" else (sx + 1e-3, sy)
     assert float(d.phi(*probe)) > 0.0
@@ -147,16 +151,17 @@ def test_grid_needs_four_cells():
 
 def test_normal_at_circle_points():
     d = make_domain("circle")
-    assert np.allclose(normal_at((0.8, 0.0), d), [1.0, 0.0], atol=1e-14)
-    assert np.allclose(normal_at((0.0, -0.5), d), [0.0, -1.0], atol=1e-14)
+    assert np.allclose(d.outward_normal(0.8, 0.0), [1.0, 0.0], atol=1e-14)
+    assert np.allclose(d.outward_normal(0.0, -0.5), [0.0, -1.0], atol=1e-14)
 
 
 def test_normal_at_half_plane_follows_gradient():
-    d = LevelSetDomain("half", lambda x, y: x + 0.0 * y,
-                       lambda x, y: (np.ones_like(np.asarray(x, dtype=float)),
-                                     np.zeros_like(np.asarray(x, dtype=float))),
-                       interior_seed=(0.5, 0.0))
-    assert np.allclose(normal_at((0.3, -0.2), d), [1.0, 0.0], atol=1e-14)
+    # Omega = {x > 0}: phi grows inward, so the outward normal is
+    # -grad(phi)/|grad(phi)|
+    d = LevelSetDomain("half", lambda x, y: 2.0 * x + 0.0 * y,
+                       lambda x, y: (np.full_like(np.asarray(x, dtype=float), 2.0),
+                                     np.zeros_like(np.asarray(x, dtype=float))))
+    assert np.allclose(d.outward_normal(0.3, -0.2), [-1.0, 0.0], atol=1e-14)
 
 
 def test_normal_degenerate_gradient_raises():
@@ -177,8 +182,7 @@ def small_circle(radius):
         r = np.maximum(np.sqrt(x * x + y * y), 1e-300)
         return -x / r, -y / r
 
-    return LevelSetDomain("c", phi, grad, circle_center=(0.0, 0.0),
-                          circle_radius=radius)
+    return LevelSetDomain("c", phi, grad, circle_center=(0.0, 0.0))
 
 
 def test_projection_radial_example():
@@ -196,8 +200,7 @@ def test_projection_half_plane_example():
     # same setup scaled so theta_x = 0.5: phi = -x, G = (0.25, 0.4), h = 0.5
     d = LevelSetDomain("left", lambda x, y: -x + 0.0 * y,
                        lambda x, y: (-np.ones_like(np.asarray(x, dtype=float)),
-                                     np.zeros_like(np.asarray(x, dtype=float))),
-                       interior_seed=(-0.5, 0.0))
+                                     np.zeros_like(np.asarray(x, dtype=float))))
 
     class FakeGrid:
         n = 4
@@ -259,8 +262,7 @@ def test_cut_cell_vertical_midcell_cut():
     grid = Grid(8)
     h = grid.h
     x_left = grid.xs[0]
-    d = LevelSetDomain("cut", lambda x, y: (x_left + h / 2.0) - x + 0.0 * y,
-                       interior_seed=(x_left, 0.0))
+    d = LevelSetDomain("cut", lambda x, y: (x_left + h / 2.0) - x + 0.0 * y)
     cell = cut_cell_geometry((0, 0), grid, d)
     assert cell.area == pytest.approx(h * h / 2.0, rel=1e-12)
     assert len(cell.boundary_segments) == 1
@@ -327,7 +329,7 @@ def bilinear_domain(grid, cell, corners):
         return (v00 * (1 - s) * (1 - t) + v10 * s * (1 - t)
                 + v11 * s * t + v01 * (1 - s) * t)
 
-    return LevelSetDomain("bilinear", phi, interior_seed=(x0, y0))
+    return LevelSetDomain("bilinear", phi)
 
 
 def test_snap_sliver_cell_without_interior_vertex():

@@ -3,8 +3,9 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import jacobi_eigenvalues, run_fd, run_fem
-from uel import (estimate_cond2, solve_cg, solve_direct, solve_nonsymmetric)
 from uel.errors import ConfigurationError, SolverError
+from uel.sparse_linalg import (estimate_cond2, solve_cg, solve_direct,
+                               solve_nonsymmetric)
 
 
 def laplacian_1d(n, h):
