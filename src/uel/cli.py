@@ -176,17 +176,22 @@ def parse_config(argv):
 
 
 def _solve(config, matrix, rhs):
-    """Solve with the configured solver; an unconverged solve raises, so its
-    errors never reach a report row."""
+    """Solve with the configured solver.
+
+    A CG run that stops at --maxit before reaching --tol raises, so its
+    errors never reach a report row.  Direct solves are not gated on their
+    residual: SuperLU already raises on a singular or non-finite result, and
+    its residual grows with N past any fixed limit.  The krylov path falls
+    back to LU whenever BiCGSTAB reports non-convergence.
+    """
     if config.solver == "direct":
-        u, report = solve_direct(matrix, rhs)
-    elif config.solver == "cg":
-        u, report = solve_cg(matrix, rhs, preconditioner=config.precond,
-                             tol=config.solver_tol, maxit=config.maxit,
-                             omega=config.omega)
-    else:
-        u, report = solve_nonsymmetric(matrix, rhs, tol=config.solver_tol,
-                                       maxit=config.maxit)
+        return solve_direct(matrix, rhs)
+    if config.solver == "krylov":
+        return solve_nonsymmetric(matrix, rhs, tol=config.solver_tol,
+                                  maxit=config.maxit)
+    u, report = solve_cg(matrix, rhs, preconditioner=config.precond,
+                         tol=config.solver_tol, maxit=config.maxit,
+                         omega=config.omega)
     if not report.converged:
         raise SolverError(
             f"{report.method} did not converge: relative residual "
