@@ -304,3 +304,18 @@ def test_solution_sample_weights_cover_domain():
     _, w, _ = solution_samples(system, np.zeros(system.n_rows))
     area = sum(c.area for c in system.cells.values())
     assert w.sum() == pytest.approx(area, rel=1e-12)
+
+
+def test_fem_gradient_fallback_walks_the_solution_samples():
+    # hourglass at N=16, alpha=2 has no inside cell with a fully inside
+    # two-ring, so fem_gradient falls back to the Omega_h quadrature points
+    grid, system, _, _, _ = run_fem("hourglass", "paper_sin", "mixed", 16, alpha=2.0)
+    u = nodal_fill(system, grid, lambda x, y: 2.0 * x + 3.0 * y)
+    pts, w, grads = fem_gradient(system, u)
+    spts, sw, _ = solution_samples(system, u)
+    assert len(pts) == len(spts) == len(w) == len(grads)
+    order = np.lexsort(np.round(pts, 9).T)
+    sorder = np.lexsort(np.round(spts, 9).T)
+    assert np.allclose(pts[order], spts[sorder], rtol=0.0, atol=1e-14)
+    assert np.allclose(w[order], sw[sorder], rtol=1e-13, atol=0.0)
+    assert np.abs(grads - [2.0, 3.0]).max() <= 1e-12
