@@ -66,17 +66,21 @@ def _cell_rows(index, ci, cj):
                      index[ci + 1, cj + 1], index[ci, cj + 1]], axis=-1)
 
 
+def _hats(s, t):
+    """Values and s-, t-derivatives of the 4 unit-cell hats (SW, SE, NE, NW)
+    at cell-local coordinates s, t in [0, 1]; shapes (m, 4)."""
+    return (np.stack([(1 - s) * (1 - t), s * (1 - t), s * t, (1 - s) * t], axis=1),
+            np.stack([-(1 - t), (1 - t), t, -t], axis=1),
+            np.stack([-(1 - s), -s, s, (1 - s)], axis=1))
+
+
 def _local_basis(grid, ci, cj, pts):
     """Values and gradients of the 4 cell basis functions at points inside
     cell (ci, cj); shapes (m, 4)."""
     x0, y0 = grid.node(ci, cj)
     h = grid.h
-    s = (pts[:, 0] - x0) / h
-    t = (pts[:, 1] - y0) / h
-    vals = np.stack([(1 - s) * (1 - t), s * (1 - t), s * t, (1 - s) * t], axis=1)
-    gx = np.stack([-(1 - t), (1 - t), t, -t], axis=1) / h
-    gy = np.stack([-(1 - s), -s, s, (1 - s)], axis=1) / h
-    return vals, gx, gy
+    vals, gs, gt = _hats((pts[:, 0] - x0) / h, (pts[:, 1] - y0) / h)
+    return vals, gs / h, gt / h
 
 
 def _tri_points(tri):
@@ -163,7 +167,8 @@ def boundary_terms(cut, grid, bc, case, lam):
 class FemSystem:
     """Assembled penalized FEM system A u = F over the active nodes, with
     A = S - S_T + lam * P (stiffness, Nitsche terms S_T = D + D^T, and the
-    Dirichlet mass P)."""
+    Dirichlet mass P).  cells is the boundary band of extract_cut_cells; the
+    other inside cells exist only in classification.cell_role."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
@@ -192,10 +197,7 @@ def _unit_square_rule():
 
 
 REF_PTS, REF_W = _unit_square_rule()
-_REF_S = REF_PTS[:, 0]
-_REF_T = REF_PTS[:, 1]
-REF_VALS = np.stack([(1 - _REF_S) * (1 - _REF_T), _REF_S * (1 - _REF_T),
-                     _REF_S * _REF_T, (1 - _REF_S) * _REF_T], axis=1)
+REF_VALS, REF_GS, REF_GT = _hats(REF_PTS[:, 0], REF_PTS[:, 1])
 
 
 def assemble_fem(grid, domain, case, bc, alpha=2.0, classification=None):
@@ -265,12 +267,10 @@ def assemble_fem(grid, domain, case, bc, alpha=2.0, classification=None):
         contrib = (fv * REF_W[None, :]) @ REF_VALS * (h * h)
         np.add.at(rhs, g.ravel(), contrib.ravel())
 
-    # ---- cut cells: polygon quadrature and boundary terms ----
-    # (inside cells adjacent to dropped cells can carry boundary segments)
+    # ---- band cells: polygon quadrature and boundary terms ----
+    # (band cells with role CELL_INSIDE only carry exposed sides)
     for (ci, cj), cut in cells.items():
         is_inside = cls.cell_role[ci, cj] == CELL_INSIDE
-        if is_inside and not cut.boundary_segments:
-            continue
         gids = _cell_rows(index, ci, cj)
         if gids.min() < 0:
             raise AssemblyError(f"inactive node on cut cell ({ci}, {cj})")
@@ -308,27 +308,28 @@ def assemble_fem(grid, domain, case, bc, alpha=2.0, classification=None):
     return FemSystem(A, rhs, nodes, index, cls, cells, grid)
 
 
-def solution_samples(system, u):
-    """Discrete solution at the volume quadrature points of Omega_h.
-
-    Returns (points, weights, values); the weights sum to area(Omega_h).
-    """
+def _omega_h_samples(system, u):
+    """u and its gradient at the volume quadrature points of Omega_h: the
+    reference layout on every inside cell, then the fan triangles of each
+    cut cell of the band.  Returns (points, weights, values, gradients)."""
     grid = system.grid
     h = grid.h
     cls = system.classification
     xs = grid.xs
-    pts_out, w_out, val_out = [], [], []
+    pts_out, w_out, val_out, g_out = [], [], [], []
+    def sample(pts, w, uloc, vals, gx, gy):
+        pts_out.append(pts)
+        w_out.append(w)
+        val_out.append((uloc @ vals.T).ravel())
+        g_out.append(np.column_stack([(uloc @ gx.T).ravel(), (uloc @ gy.T).ravel()]))
 
     inside = np.argwhere(cls.cell_role == CELL_INSIDE)
     if len(inside):
         ci, cj = inside[:, 0], inside[:, 1]
-        uloc = u[_cell_rows(system.index, ci, cj)]
         px = xs[ci][:, None] + REF_PTS[None, :, 0] * h
         py = xs[cj][:, None] + REF_PTS[None, :, 1] * h
-        vals = uloc @ REF_VALS.T
-        pts_out.append(np.column_stack([px.ravel(), py.ravel()]))
-        w_out.append(np.tile(REF_W * h * h, len(inside)))
-        val_out.append(vals.ravel())
+        sample(np.column_stack([px.ravel(), py.ravel()]), np.tile(REF_W * h * h, len(inside)),
+               u[_cell_rows(system.index, ci, cj)], REF_VALS, REF_GS / h, REF_GT / h)
 
     for (ci, cj), cut in system.cells.items():
         if cls.cell_role[ci, cj] == CELL_INSIDE:
@@ -336,11 +337,18 @@ def solution_samples(system, u):
         uloc = u[_cell_rows(system.index, ci, cj)]
         for tri in cut.triangles:
             pts, w = _tri_points(tri)
-            vals, _, _ = _local_basis(grid, ci, cj, pts)
-            pts_out.append(pts)
-            w_out.append(w)
-            val_out.append(vals @ uloc)
-    return (np.vstack(pts_out), np.concatenate(w_out), np.concatenate(val_out))
+            sample(pts, w, uloc, *_local_basis(grid, ci, cj, pts))
+    return (np.vstack(pts_out), np.concatenate(w_out), np.concatenate(val_out),
+            np.vstack(g_out))
+
+
+def solution_samples(system, u):
+    """Discrete solution at the volume quadrature points of Omega_h.
+
+    Returns (points, weights, values); the weights sum to area(Omega_h).
+    """
+    pts, w, values, _ = _omega_h_samples(system, u)
+    return pts, w, values
 
 
 def _eroded(mask, k):
@@ -370,8 +378,8 @@ def fem_gradient(system, u):
     Cells within the buffer of the cut region carry the O(h) element-gradient
     error of the boundary strip, which would mask the interior gradient
     accuracy the convergence panels compare; they are excluded from the
-    sample.  When no cell qualifies (tiny domains), all polygon quadrature
-    points are used instead.
+    sample.  When no cell qualifies (tiny domains), the gradient is taken at
+    the solution_samples points instead.
 
     Returns (points, weights, gradients).
     """
@@ -390,16 +398,8 @@ def fem_gradient(system, u):
         pts = np.column_stack([xs[ci] + 0.5 * h, xs[cj] + 0.5 * h])
         return pts, np.full(len(core), h * h), np.column_stack([uloc @ gx, uloc @ gy])
 
-    pts_out, w_out, g_out = [], [], []
-    for (ci, cj), cut in system.cells.items():
-        uloc = u[_cell_rows(system.index, ci, cj)]
-        for tri in cut.triangles:
-            pts, w = _tri_points(tri)
-            _, bx, by = _local_basis(grid, ci, cj, pts)
-            pts_out.append(pts)
-            w_out.append(w)
-            g_out.append(np.column_stack([bx @ uloc, by @ uloc]))
-    return (np.vstack(pts_out), np.concatenate(w_out), np.vstack(g_out))
+    pts, w, _, grads = _omega_h_samples(system, u)
+    return pts, w, grads
 
 
 def nodal_interior_values(system, u):

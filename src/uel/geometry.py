@@ -689,12 +689,15 @@ def cut_cell_geometry(cell, grid, domain, phi_values=None):
 
 
 def extract_cut_cells(classification, domain=None):
-    """Cut-cell geometry for every inside/cut cell of a classification.
+    """Cut-cell geometry of the boundary band of a classification.
 
-    Returns a dict keyed by cell index.  Besides the interior chords, the
-    pieces of a polygon boundary that run along a cell edge become boundary
-    segments whenever the sharing neighbor carries no area (snapped or
-    outside): the union of the returned polygons then has a closed boundary
+    Returns a dict keyed by cell index in lexicographic order.  The band is
+    every CELL_CUT cell with positive area plus every CELL_INSIDE cell that
+    shares an edge with an empty cell (outside, snapped, zero-area cut, or
+    off the grid); the other inside cells are full squares described by
+    cell_role alone.  Besides the interior chords, the pieces of a polygon
+    boundary that run along a cell edge become boundary segments whenever
+    the sharing neighbor is empty: Omega_h then has a closed boundary
     covered exactly once by the segments.  The trace of a marching-squares
     polygon on a cell edge depends only on that edge's vertex values, so two
     positive-area neighbors always cover a shared edge identically and emit
@@ -702,42 +705,39 @@ def extract_cut_cells(classification, domain=None):
     """
     grid = classification.grid
     phi = classification.phi_node
-    n = grid.n
-    h = grid.h
+    role = classification.cell_role
+    tiny = 1e-12 * grid.h
     cells = {}
-    for ci, cj in np.argwhere((classification.cell_role == CELL_INSIDE)
-                              | (classification.cell_role == CELL_CUT)):
+    for ci, cj in np.argwhere(role == CELL_CUT):
         cc = cut_cell_geometry((ci, cj), grid, domain, phi_values=phi)
         if cc.area > 0.0:
             cells[(int(ci), int(cj))] = cc
-
-    def empty(ci, cj):
-        if not (0 <= ci < n and 0 <= cj < n):
-            return True
-        return (ci, cj) not in cells
-
+    # cells that carry area, framed by a ring of empty off-grid cells
+    occupied = np.zeros((grid.n + 2, grid.n + 2), dtype=bool)
+    occupied[1:-1, 1:-1] = role == CELL_INSIDE
+    for ci, cj in cells:
+        occupied[ci + 1, cj + 1] = True
+    exposed = ~(occupied[:-2, 1:-1] & occupied[2:, 1:-1]
+                & occupied[1:-1, :-2] & occupied[1:-1, 2:])
+    for ci, cj in np.argwhere((role == CELL_INSIDE) & exposed):
+        cells[(int(ci), int(cj))] = cut_cell_geometry((ci, cj), grid, domain, phi_values=phi)
+    cells = dict(sorted(cells.items()))
     for (ci, cj), cc in cells.items():
         x0, y0 = grid.node(ci, cj)
         x1, y1 = grid.node(ci + 1, cj + 1)
-        tiny = 1e-12 * h
-        # side -> (neighbor cell, outward normal, on-side test)
-        sides = [
-            ((ci, cj - 1), np.array([0.0, -1.0]), lambda p: abs(p[1] - y0) <= tiny),
-            ((ci + 1, cj), np.array([1.0, 0.0]), lambda p: abs(p[0] - x1) <= tiny),
-            ((ci, cj + 1), np.array([0.0, 1.0]), lambda p: abs(p[1] - y1) <= tiny),
-            ((ci - 1, cj), np.array([-1.0, 0.0]), lambda p: abs(p[0] - x0) <= tiny),
-        ]
-        for nb, nrm, on_side in sides:
-            if not empty(*nb):
+        # side -> (neighbor offset, outward normal, axis and coordinate of the side)
+        sides = (((0, -1), (0.0, -1.0), 1, y0), ((1, 0), (1.0, 0.0), 0, x1),
+                 ((0, 1), (0.0, 1.0), 1, y1), ((-1, 0), (-1.0, 0.0), 0, x0))
+        for (di, dj), nrm, axis, c in sides:
+            if occupied[ci + 1 + di, cj + 1 + dj]:
                 continue
             for poly in cc.polygons:
-                m = len(poly)
-                for k in range(m):
-                    pa, pb = poly[k], poly[(k + 1) % m]
-                    if on_side(pa) and on_side(pb):
-                        length = float(np.hypot(*(pb - pa)))
-                        if length > tiny:
-                            cc.boundary_segments.append(Segment(pa, pb, nrm, length))
+                on_side = np.abs(poly[:, axis] - c) <= tiny
+                for k in np.flatnonzero(on_side & np.roll(on_side, -1)):
+                    pa, pb = poly[k], poly[(k + 1) % len(poly)]
+                    length = float(np.hypot(*(pb - pa)))
+                    if length > tiny:
+                        cc.boundary_segments.append(Segment(pa, pb, np.array(nrm), length))
     return cells
 
 

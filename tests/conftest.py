@@ -6,7 +6,7 @@ from uel import (Grid, assemble_fd, assemble_fem, make_bc_spec, make_case,
                  make_domain, relative_error, solve_direct)
 from uel.fd_scheme import fd_gradient
 from uel.fem_scheme import fem_gradient, nodal_interior_values, solution_samples
-from uel.geometry import NODE_INTERIOR, LevelSetDomain
+from uel.geometry import CELL_INSIDE, NODE_INTERIOR, LevelSetDomain
 
 
 def full_square_domain():
@@ -14,6 +14,14 @@ def full_square_domain():
     return LevelSetDomain(
         "full", lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
         lambda x, y: (np.zeros_like(np.asarray(x, dtype=float)),) * 2)
+
+
+def omega_h_area(classification, cells):
+    """area(Omega_h) from a boundary band: the band areas plus a full h^2
+    for every inside cell the band leaves out."""
+    full = [(int(ci), int(cj)) for ci, cj in np.argwhere(classification.cell_role == CELL_INSIDE)]
+    n_full = sum(1 for key in full if key not in cells)
+    return sum(c.area for c in cells.values()) + n_full * classification.grid.h ** 2
 
 
 def run_fd(domain_name, case_name, bc_kind, n, p=2, tol_factor=1e-4):

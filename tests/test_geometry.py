@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import omega_h_area
 from uel import Grid, make_bc_spec, make_domain
 from uel.analysis import fitted_order
 from uel.errors import ConfigurationError, GeometryError
-from uel.geometry import (CELL_INSIDE, CELL_OUTSIDE, CELL_SNAPPED, NODE_GHOST,
+from uel.geometry import (CELL_CUT, CELL_INSIDE, CELL_OUTSIDE, CELL_SNAPPED, NODE_GHOST,
                           NODE_INACTIVE, LevelSetDomain, classify,
                           cut_cell_geometry, extract_cut_cells,
                           project_to_boundary, snap_small_cells)
@@ -301,14 +304,91 @@ def test_circle_area_and_perimeter_convergence():
     hs, ea, ep = [], [], []
     for n in (40, 80, 160):
         grid = Grid(n)
-        cells = extract_cut_cells(classify(grid, domain, "four"), domain)
-        area = sum(c.area for c in cells.values())
+        cls = classify(grid, domain, "four")
+        cells = extract_cut_cells(cls, domain)
+        area = omega_h_area(cls, cells)
         peri = sum(s.length for c in cells.values() for s in c.boundary_segments)
         hs.append(grid.h)
         ea.append(abs(area - math.pi * 0.64))
         ep.append(abs(peri - 1.6 * math.pi))
     assert fitted_order(hs, ea) >= 1.5
     assert fitted_order(hs, ep) >= 1.5
+
+
+def boundary_band(classification):
+    """Reference band, cell by cell: positive-area cut cells, and inside
+    cells with an edge neighbor that is off the grid or carries no area."""
+    grid = classification.grid
+    role = classification.cell_role
+    n = grid.n
+
+    def occupied(ci, cj):
+        if not (0 <= ci < n and 0 <= cj < n):
+            return False
+        if role[ci, cj] == CELL_CUT:
+            return cut_cell_geometry((ci, cj), grid, None,
+                                     phi_values=classification.phi_node).area > 0.0
+        return role[ci, cj] == CELL_INSIDE
+
+    band = set()
+    for ci in range(n):
+        for cj in range(n):
+            if role[ci, cj] == CELL_CUT and occupied(ci, cj):
+                band.add((ci, cj))
+            elif role[ci, cj] == CELL_INSIDE and not all(
+                    occupied(ci + di, cj + dj)
+                    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1))):
+                band.add((ci, cj))
+    return band
+
+
+@pytest.mark.parametrize("name", DOMAINS)
+@pytest.mark.parametrize("n", (16, 40))
+@pytest.mark.parametrize("snapped", (False, True))
+def test_extract_cut_cells_is_the_boundary_band(name, n, snapped):
+    domain = make_domain(name)
+    grid = Grid(n)
+    cls = classify(grid, domain, "eight")
+    if snapped:
+        cls = snap_small_cells(cls, grid, domain, 2.0)
+    cells = extract_cut_cells(cls, domain)
+    assert set(cells) == boundary_band(cls)
+    assert list(cells) == sorted(cells)
+
+
+def ellipse_domain(cx, cy, a, b):
+    def phi(x, y):
+        return 1.0 - ((x - cx) / a) ** 2 - ((y - cy) / b) ** 2
+
+    def grad(x, y):
+        return -2.0 * (x - cx) / a ** 2, -2.0 * (y - cy) / b ** 2
+
+    return LevelSetDomain("ellipse", phi, grad)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(cx=st.floats(-0.2, 0.2), cy=st.floats(-0.2, 0.2),
+       a=st.floats(0.3, 0.7), b=st.floats(0.3, 0.7),
+       n=st.sampled_from((16, 24, 32, 48, 64)), alpha=st.sampled_from((1.5, 2.0)))
+def test_band_geometry_on_random_ellipses(cx, cy, a, b, n, alpha):
+    domain = ellipse_domain(cx, cy, a, b)
+    grid = Grid(n)
+    raw = classify(grid, domain, "eight")
+    for cls in (raw, snap_small_cells(raw, grid, domain, alpha)):
+        cells = extract_cut_cells(cls, domain)
+        # Gamma_h is closed
+        total = sum((s.length * s.normal for c in cells.values()
+                     for s in c.boundary_segments), np.zeros(2))
+        assert np.abs(total).max() <= 1e-12
+        # segments live on band cells only, and every cut cell with area is there
+        band = boundary_band(cls)
+        assert {k for k, c in cells.items() if c.boundary_segments} <= band
+        assert set(cells) == band
+        for ci, cj in np.argwhere(cls.cell_role == CELL_CUT):
+            if cut_cell_geometry((ci, cj), grid, domain, phi_values=cls.phi_node).area > 0.0:
+                assert (ci, cj) in cells
+    assert abs(omega_h_area(raw, extract_cut_cells(raw, domain))
+               - math.pi * a * b) <= 4.0 * grid.h ** 2
 
 
 # ----------------------------------------------------------------------
@@ -355,9 +435,9 @@ def test_snap_area_change_small():
     domain = make_domain("circle")
     grid = Grid(160)
     cls = classify(grid, domain, "eight")
-    raw = sum(c.area for c in extract_cut_cells(cls, domain).values())
+    raw = omega_h_area(cls, extract_cut_cells(cls, domain))
     snapped_cls = snap_small_cells(cls, grid, domain, 2.0)
-    snapped = sum(c.area for c in extract_cut_cells(snapped_cls, domain).values())
+    snapped = omega_h_area(snapped_cls, extract_cut_cells(snapped_cls, domain))
     assert abs(snapped - raw) < 5.0 * grid.h ** 2
 
 
