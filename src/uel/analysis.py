@@ -136,6 +136,8 @@ class ReportRow:
     assemble_s: float = None
     solve_s: float = None
     err_u_linf_nodal: float = None
+    cond2_lower_bound: bool = None   # None when cond2 was not estimated
+    solver_note: str = ""
 
 
 @dataclass

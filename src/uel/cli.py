@@ -248,9 +248,10 @@ def run_single(config, n, domain, case, bc):
         nodal_linf = relative_error(vals, case.u(xs[nodes[:, 0]], xs[nodes[:, 1]]),
                                     "inf")
 
-    cond2 = None
+    cond2 = cond2_lower_bound = None
     if _want_cond(config, n):
-        cond2 = estimate_cond2(system.matrix).value
+        estimate = estimate_cond2(system.matrix)
+        cond2, cond2_lower_bound = estimate.value, not estimate.converged
 
     return ReportRow(
         scheme=config.scheme, domain=config.domain, bc=config.bc,
@@ -261,7 +262,8 @@ def run_single(config, n, domain, case, bc):
         residual=report.final_residual,
         assemble_s=assemble_s if config.timings else None,
         solve_s=report.wall_time if config.timings else None,
-        err_u_linf_nodal=nodal_linf)
+        err_u_linf_nodal=nodal_linf, cond2_lower_bound=cond2_lower_bound,
+        solver_note=report.note)
 
 
 def run(config):
@@ -345,12 +347,18 @@ def write_csv(report, path):
 
 
 def write_json(report, config, path):
+    """JSON report: the CSV rows, plus per-grid outcomes the CSV header has
+    no column for (whether cond2 is only a lower bound, the solver's
+    fallback note, and the nodal Linf error at interior nodes)."""
     keys = CSV_COLUMNS.split(",")
-    rows = []
+    rows, outcomes = [], []
     for row in report.rows:
         cells = _row_cells(row)
         rows.append({k: (None if c == "n/a" else c) for k, c in zip(keys, cells)})
-    payload = {"config": asdict(config), "rows": rows}
+        outcomes.append({"N": row.n, "cond2_lower_bound": row.cond2_lower_bound,
+                         "solver_note": row.solver_note,
+                         "err_u_linf_nodal": row.err_u_linf_nodal})
+    payload = {"config": asdict(config), "rows": rows, "outcomes": outcomes}
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -6,6 +6,7 @@ import pytest
 from uel.cli import (CSV_COLUMNS, ExperimentConfig, main, parse_config, run,
                      run_single)
 from uel.errors import ConfigurationError
+from uel.sparse_linalg import CondEstimate
 
 
 def test_parse_echo():
@@ -135,6 +136,31 @@ def test_json_mirrors_csv(tmp_path):
         cells = line.split(",")
         for k, cell in zip(keys, cells):
             assert row[k] == (None if cell == "n/a" else cell)
+
+
+def test_json_outcomes_flag_a_cond2_lower_bound(tmp_path, monkeypatch):
+    import uel.cli as cli
+
+    def capped(matrix):
+        return CondEstimate(123.0, 12.3, 0.1, False, "iteration cap reached")
+
+    monkeypatch.setattr(cli, "estimate_cond2", capped)
+    report = run(small_config(tmp_path, fmt="json", compute_cond=True))
+    payload = json.loads((tmp_path / "report.json").read_text())
+    assert [o["N"] for o in payload["outcomes"]] == [8, 16]
+    for outcome, row in zip(payload["outcomes"], report.rows):
+        assert outcome["cond2_lower_bound"] is True
+        assert outcome["solver_note"] == ""
+        assert outcome["err_u_linf_nodal"] == row.err_u_linf_nodal > 0.0
+    assert [r["cond2"] for r in payload["rows"]] == ["1.23e+02"] * 2
+
+
+def test_json_outcomes_carry_the_solver_note(tmp_path):
+    run(small_config(tmp_path, fmt="json", solver="krylov"))
+    payload = json.loads((tmp_path / "report.json").read_text())
+    for outcome in payload["outcomes"]:
+        assert outcome["solver_note"] == "direct fallback below n=200000"
+        assert outcome["cond2_lower_bound"] is None
 
 
 def test_fem_row_reports_iterations(tmp_path):
