@@ -308,38 +308,30 @@ def assemble_fem(grid, domain, case, bc, alpha=2.0, classification=None):
     return FemSystem(A, rhs, nodes, index, cls, cells, grid)
 
 
-def _omega_h_samples(system, u):
-    """u and its gradient at the volume quadrature points of Omega_h: the
-    reference layout on every inside cell, then the fan triangles of each
-    cut cell of the band.  Returns (points, weights, values, gradients)."""
+def _omega_h_quadrature(system, u):
+    """Walk the volume quadrature points of Omega_h: the reference layout on
+    every inside cell at once, then the fan triangles of each cut cell of
+    the band.  Yields (points, weights, uloc, vals, gx, gy) blocks, with u at
+    the cell corners ((m, 4) or (4,)) and the hats and their gradients at
+    the points."""
     grid = system.grid
     h = grid.h
     cls = system.classification
     xs = grid.xs
-    pts_out, w_out, val_out, g_out = [], [], [], []
-    def sample(pts, w, uloc, vals, gx, gy):
-        pts_out.append(pts)
-        w_out.append(w)
-        val_out.append((uloc @ vals.T).ravel())
-        g_out.append(np.column_stack([(uloc @ gx.T).ravel(), (uloc @ gy.T).ravel()]))
-
     inside = np.argwhere(cls.cell_role == CELL_INSIDE)
     if len(inside):
         ci, cj = inside[:, 0], inside[:, 1]
         px = xs[ci][:, None] + REF_PTS[None, :, 0] * h
         py = xs[cj][:, None] + REF_PTS[None, :, 1] * h
-        sample(np.column_stack([px.ravel(), py.ravel()]), np.tile(REF_W * h * h, len(inside)),
+        yield (np.column_stack([px.ravel(), py.ravel()]), np.tile(REF_W * h * h, len(inside)),
                u[_cell_rows(system.index, ci, cj)], REF_VALS, REF_GS / h, REF_GT / h)
-
     for (ci, cj), cut in system.cells.items():
         if cls.cell_role[ci, cj] == CELL_INSIDE:
             continue
         uloc = u[_cell_rows(system.index, ci, cj)]
         for tri in cut.triangles:
             pts, w = _tri_points(tri)
-            sample(pts, w, uloc, *_local_basis(grid, ci, cj, pts))
-    return (np.vstack(pts_out), np.concatenate(w_out), np.concatenate(val_out),
-            np.vstack(g_out))
+            yield (pts, w, uloc) + _local_basis(grid, ci, cj, pts)
 
 
 def solution_samples(system, u):
@@ -347,8 +339,9 @@ def solution_samples(system, u):
 
     Returns (points, weights, values); the weights sum to area(Omega_h).
     """
-    pts, w, values, _ = _omega_h_samples(system, u)
-    return pts, w, values
+    pts, w, uloc, vals, _, _ = zip(*_omega_h_quadrature(system, u))
+    return (np.vstack(pts), np.concatenate(w),
+            np.concatenate([(c @ v.T).ravel() for c, v in zip(uloc, vals)]))
 
 
 def _eroded(mask, k):
@@ -398,8 +391,10 @@ def fem_gradient(system, u):
         pts = np.column_stack([xs[ci] + 0.5 * h, xs[cj] + 0.5 * h])
         return pts, np.full(len(core), h * h), np.column_stack([uloc @ gx, uloc @ gy])
 
-    pts, w, _, grads = _omega_h_samples(system, u)
-    return pts, w, grads
+    pts, w, uloc, _, gx, gy = zip(*_omega_h_quadrature(system, u))
+    grads = [np.column_stack([(c @ bx.T).ravel(), (c @ by.T).ravel()])
+             for c, bx, by in zip(uloc, gx, gy)]
+    return np.vstack(pts), np.concatenate(w), np.vstack(grads)
 
 
 def nodal_interior_values(system, u):
