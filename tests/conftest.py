@@ -19,8 +19,8 @@ def full_square_domain():
 def omega_h_area(classification, cells):
     """area(Omega_h) from a boundary band: the band areas plus a full h^2
     for every inside cell the band leaves out."""
-    full = [(int(ci), int(cj)) for ci, cj in np.argwhere(classification.cell_role == CELL_INSIDE)]
-    n_full = sum(1 for key in full if key not in cells)
+    inside = np.argwhere(classification.cell_role == CELL_INSIDE)
+    n_full = sum(1 for ci, cj in inside if (int(ci), int(cj)) not in cells)
     return sum(c.area for c in cells.values()) + n_full * classification.grid.h ** 2
 
 
