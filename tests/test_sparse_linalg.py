@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import solve_triangular
 
 from conftest import jacobi_eigenvalues, run_fd, run_fem
 from uel.errors import ConfigurationError, SolverError
-from uel.sparse_linalg import (estimate_cond2, solve_cg, solve_direct,
-                               solve_nonsymmetric)
+from uel.sparse_linalg import (_ssor_apply, estimate_cond2, solve_cg,
+                               solve_direct, solve_nonsymmetric)
 
 
 def laplacian_1d(n, h):
@@ -103,6 +104,33 @@ def test_cg_rejects_unknown_preconditioner():
         solve_cg(sp.eye(3).tocsr(), np.ones(3), "ilu")
     with pytest.raises(ConfigurationError):
         solve_cg(sp.eye(3).tocsr(), np.ones(3), "sor", omega=2.5)
+
+
+def dense_ssor(A, omega, r):
+    """(2-w)/w (D/w+U)^-1 D (D/w+L)^-1 r by dense triangular solves."""
+    a = A.toarray()
+    d = np.diag(a)
+    lower = np.tril(a, -1) + np.diag(d / omega)
+    upper = np.triu(a, 1) + np.diag(d / omega)
+    y = solve_triangular(lower, r, lower=True)
+    return (2.0 - omega) / omega * solve_triangular(upper, d * y, lower=False)
+
+
+def ssor_cases():
+    spd = sp.csr_matrix(random_spd(40, seed=3))
+    _, fem, _, _, _ = run_fem("flower", "paper_sin", "mixed", 32, alpha=1.5)
+    return [(spd, 1.0), (spd, 1.5), (fem.matrix.tocsr(), 1.5)]
+
+
+def test_ssor_apply_matches_dense_sweep_and_is_symmetric():
+    rng = np.random.default_rng(7)
+    for A, omega in ssor_cases():
+        apply = _ssor_apply(A, omega)
+        r, x, y = rng.standard_normal((3, A.shape[0]))
+        ref = dense_ssor(A, omega, r)
+        assert np.linalg.norm(apply(r) - ref) <= 1e-13 * np.linalg.norm(ref)
+        xMy, yMx = x @ apply(y), y @ apply(x)
+        assert abs(xMy - yMx) <= 1e-12 * max(abs(xMy), abs(yMx))
 
 
 def test_preconditioner_ordering_on_fem_system():
