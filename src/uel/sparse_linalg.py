@@ -53,8 +53,8 @@ def solve_direct(A, b):
 
 def _jacobi_apply(A):
     d = A.diagonal()
-    if np.any(d == 0.0):
-        raise SolverError("Jacobi preconditioner needs a zero-free diagonal")
+    if np.any(d <= 0.0):
+        raise SolverError("Jacobi preconditioner: CG needs a positive diagonal")
     return lambda r: r / d
 
 
@@ -62,27 +62,28 @@ def _ssor_apply(A, omega):
     if not 0.0 < omega < 2.0:
         raise ConfigurationError(f"SOR relaxation factor must be in (0, 2), got {omega}")
     d = A.diagonal()
-    if np.any(d == 0.0):
-        raise SolverError("SSOR preconditioner needs a zero-free diagonal")
-    lower = (sp.tril(A, -1) + sp.diags(d / omega)).tocsr()
-    upper = (sp.triu(A, 1) + sp.diags(d / omega)).tocsr()
+    if np.any(d <= 0.0):
+        raise SolverError("SSOR preconditioner: CG needs a positive diagonal")
+    # natural order and no pivoting give a factor without fill: solving with
+    # it is the forward sweep, and its transposed solve the backward sweep
+    # with L^T, so M = (D/w+L) (D/w)^-1 (D/w+L)^T is symmetric by construction
+    sweep = spla.splu(sp.csc_matrix(sp.tril(A, -1) + sp.diags(d / omega)),
+                      permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                      options={"SymmetricMode": True})
     scale = (2.0 - omega) / omega
-
-    def apply(r):
-        y = spla.spsolve_triangular(lower, r, lower=True)
-        y = d * y
-        z = spla.spsolve_triangular(upper, y, lower=False)
-        return scale * z
-
-    return apply
+    return lambda r: scale * sweep.solve(d * sweep.solve(r), trans="T")
 
 
 def solve_cg(A, b, preconditioner="none", tol=1e-12, maxit=10000, omega=1.5):
     """Preconditioned conjugate gradients for symmetric positive-definite
     systems.
 
-    preconditioner is "none", "jacobi" or "sor" (applied as a symmetric
-    forward+backward sweep, so it stays SPD).  Iterations start from zero.
+    preconditioner is "none", "jacobi" or "sor".  "sor" is the symmetric
+    forward+backward sweep: D/omega + L is factored once per solve by
+    SuperLU in natural order without pivoting, so the factor has no fill;
+    each application solves with it forward and then with its transpose,
+    which keeps the preconditioner SPD.  Jacobi and SSOR need a positive
+    diagonal.  Iterations start from zero.
     A non-converged run returns a report with converged=False rather than
     raising.
 

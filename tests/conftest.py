@@ -1,6 +1,7 @@
 """Shared helpers for the uel test suite."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from uel import (Grid, assemble_fd, assemble_fem, make_bc_spec, make_case,
                  make_domain, relative_error, solve_direct)
@@ -14,6 +15,22 @@ def full_square_domain():
     return LevelSetDomain(
         "full", lambda x, y: np.ones_like(np.asarray(x, dtype=float)),
         lambda x, y: (np.zeros_like(np.asarray(x, dtype=float)),) * 2)
+
+
+# centre and semi-axes of the off-grid ellipses drawn by the property tests
+ELLIPSES = dict(cx=st.floats(-0.2, 0.2), cy=st.floats(-0.2, 0.2),
+                a=st.floats(0.3, 0.7), b=st.floats(0.3, 0.7))
+
+
+def ellipse_domain(cx, cy, a, b):
+    """Off-grid ellipse with centre (cx, cy) and semi-axes a, b."""
+    def phi(x, y):
+        return 1.0 - ((x - cx) / a) ** 2 - ((y - cy) / b) ** 2
+
+    def grad(x, y):
+        return -2.0 * (x - cx) / a ** 2, -2.0 * (y - cy) / b ** 2
+
+    return LevelSetDomain("ellipse", phi, grad)
 
 
 def omega_h_area(classification, cells):

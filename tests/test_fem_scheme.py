@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
-from conftest import fem_errors, full_square_domain, omega_h_area, run_fem
+from conftest import (ELLIPSES, ellipse_domain, fem_errors, full_square_domain,
+                      omega_h_area, run_fem)
 from uel import Grid, assemble_fem, make_bc_spec, make_case, make_domain
 from uel.analysis import fitted_order
 from uel.errors import ConfigurationError
@@ -192,6 +195,20 @@ def test_matrix_symmetry():
         A = system.matrix
         denom = abs(A).max()
         assert abs(A - A.T).max() <= 1e-12 * denom
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(**ELLIPSES, n=st.sampled_from((16, 24, 32, 48)))
+def test_matrix_symmetry_on_random_ellipses(cx, cy, a, b, n):
+    domain = ellipse_domain(cx, cy, a, b)
+    grid = Grid(n)
+    case, bc = make_case("paper_sin"), make_bc_spec("ellipse", "mixed")
+    raw = classify(grid, domain, "eight")
+    for alpha in (1.5, 2.0):
+        for cls in (raw, None):  # None: assemble_fem snaps with alpha
+            A = assemble_fem(grid, domain, case, bc, alpha=alpha,
+                             classification=cls).matrix
+            assert abs(A - A.T).max() <= 1e-12 * abs(A).max()
 
 
 def test_linear_case_is_exact():

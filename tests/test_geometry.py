@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import omega_h_area
+from conftest import ELLIPSES, ellipse_domain, omega_h_area
 from uel import Grid, make_bc_spec, make_domain
 from uel.analysis import fitted_order
 from uel.errors import ConfigurationError, GeometryError
@@ -356,20 +356,9 @@ def test_extract_cut_cells_is_the_boundary_band(name, n, snapped):
     assert list(cells) == sorted(cells)
 
 
-def ellipse_domain(cx, cy, a, b):
-    def phi(x, y):
-        return 1.0 - ((x - cx) / a) ** 2 - ((y - cy) / b) ** 2
-
-    def grad(x, y):
-        return -2.0 * (x - cx) / a ** 2, -2.0 * (y - cy) / b ** 2
-
-    return LevelSetDomain("ellipse", phi, grad)
-
-
 @settings(derandomize=True, deadline=None, max_examples=40)
-@given(cx=st.floats(-0.2, 0.2), cy=st.floats(-0.2, 0.2),
-       a=st.floats(0.3, 0.7), b=st.floats(0.3, 0.7),
-       n=st.sampled_from((16, 24, 32, 48, 64)), alpha=st.sampled_from((1.5, 2.0)))
+@given(**ELLIPSES, n=st.sampled_from((16, 24, 32, 48, 64)),
+       alpha=st.sampled_from((1.5, 2.0)))
 def test_band_geometry_on_random_ellipses(cx, cy, a, b, n, alpha):
     domain = ellipse_domain(cx, cy, a, b)
     grid = Grid(n)

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -131,6 +133,19 @@ def test_ssor_apply_matches_dense_sweep_and_is_symmetric():
         assert np.linalg.norm(apply(r) - ref) <= 1e-13 * np.linalg.norm(ref)
         xMy, yMx = x @ apply(y), y @ apply(x)
         assert abs(xMy - yMx) <= 1e-12 * max(abs(xMy), abs(yMx))
+        # the stored factor of D/w + L did no pivoting and made no fill
+        sweep = inspect.getclosurevars(apply).nonlocals["sweep"]
+        n = A.shape[0]
+        assert np.array_equal(sweep.perm_r, np.arange(n))
+        assert np.array_equal(sweep.perm_c, np.arange(n))
+        assert sweep.L.nnz + sweep.U.nnz == (sp.tril(A, -1).nnz + n) + n
+
+
+@pytest.mark.parametrize("precond", ("jacobi", "sor"))
+def test_cg_preconditioners_reject_nonpositive_diagonal(precond):
+    A = sp.diags([1.0, -1.0]).tocsr()
+    with pytest.raises(SolverError, match="CG needs a positive diagonal"):
+        solve_cg(A, np.ones(2), precond)
 
 
 def test_preconditioner_ordering_on_fem_system():
