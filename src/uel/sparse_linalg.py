@@ -64,9 +64,7 @@ def _ssor_apply(A, omega):
     d = A.diagonal()
     if np.any(d <= 0.0):
         raise SolverError("SSOR preconditioner: CG needs a positive diagonal")
-    # natural order and no pivoting give a factor without fill: solving with
-    # it is the forward sweep, and its transposed solve the backward sweep
-    # with L^T, so M = (D/w+L) (D/w)^-1 (D/w+L)^T is symmetric by construction
+    # without ordering or pivoting the factor has no fill: it is the sweep
     sweep = spla.splu(sp.csc_matrix(sp.tril(A, -1) + sp.diags(d / omega)),
                       permc_spec="NATURAL", diag_pivot_thresh=0.0,
                       options={"SymmetricMode": True})
@@ -78,12 +76,10 @@ def solve_cg(A, b, preconditioner="none", tol=1e-12, maxit=10000, omega=1.5):
     """Preconditioned conjugate gradients for symmetric positive-definite
     systems.
 
-    preconditioner is "none", "jacobi" or "sor".  "sor" is the symmetric
-    forward+backward sweep: D/omega + L is factored once per solve by
-    SuperLU in natural order without pivoting, so the factor has no fill;
-    each application solves with it forward and then with its transpose,
-    which keeps the preconditioner SPD.  Jacobi and SSOR need a positive
-    diagonal.  Iterations start from zero.
+    preconditioner is "none", "jacobi" or "sor"; the last two need a
+    positive diagonal.  The SSOR sweep is one no-pivot SuperLU factor of
+    D/omega + L, applied forward and then transposed, so it stays SPD.
+    Iterations start from zero.
     A non-converged run returns a report with converged=False rather than
     raising.
 

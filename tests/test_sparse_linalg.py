@@ -118,24 +118,20 @@ def dense_ssor(A, omega, r):
     return (2.0 - omega) / omega * solve_triangular(upper, d * y, lower=False)
 
 
-def ssor_cases():
+def test_ssor_apply_matches_dense_sweep_and_is_symmetric():
     spd = sp.csr_matrix(random_spd(40, seed=3))
     _, fem, _, _, _ = run_fem("flower", "paper_sin", "mixed", 32, alpha=1.5)
-    return [(spd, 1.0), (spd, 1.5), (fem.matrix.tocsr(), 1.5)]
-
-
-def test_ssor_apply_matches_dense_sweep_and_is_symmetric():
     rng = np.random.default_rng(7)
-    for A, omega in ssor_cases():
+    for A, omega in ((spd, 1.0), (spd, 1.5), (fem.matrix, 1.5)):
+        n = A.shape[0]
         apply = _ssor_apply(A, omega)
-        r, x, y = rng.standard_normal((3, A.shape[0]))
+        r, x, y = rng.standard_normal((3, n))
         ref = dense_ssor(A, omega, r)
         assert np.linalg.norm(apply(r) - ref) <= 1e-13 * np.linalg.norm(ref)
         xMy, yMx = x @ apply(y), y @ apply(x)
         assert abs(xMy - yMx) <= 1e-12 * max(abs(xMy), abs(yMx))
         # the stored factor of D/w + L did no pivoting and made no fill
         sweep = inspect.getclosurevars(apply).nonlocals["sweep"]
-        n = A.shape[0]
         assert np.array_equal(sweep.perm_r, np.arange(n))
         assert np.array_equal(sweep.perm_c, np.arange(n))
         assert sweep.L.nnz + sweep.U.nnz == (sp.tril(A, -1).nnz + n) + n
