@@ -153,8 +153,3 @@ class ConvergenceReport:
             if cur.n == 2 * prev.n:
                 cur.order_u_linf = observed_order(prev.err_u[2], cur.err_u[2])
                 cur.order_g_linf = observed_order(prev.err_g[2], cur.err_g[2])
-
-    def fitted(self, select):
-        """Fitted order of a per-row quantity, e.g. lambda r: r.err_u[1]."""
-        return fitted_order([r.h for r in self.rows],
-                            [select(r) for r in self.rows])

@@ -26,6 +26,14 @@ class LagrangeWeights:
 
 
 def _weights(theta, p, h, spacing):
+    """Closed-form weights for linear (p=1, 4-point tensor stencil) and
+    quadratic (p=2, 9-point tensor stencil) boundary interpolation.
+
+    spacing=2 evaluates the enlarged stencil of the ill-conditioning
+    mitigation (nodes 0, 2h, 4h).  The offset range is checked by the
+    callers: project_to_boundary keeps primary ghosts in [0, 1) and
+    ghost_row rejects offsets of 2 or more.
+    """
     if p == 1:
         l = (1.0 - theta, theta)
         lp = (-1.0, 1.0)
@@ -40,18 +48,6 @@ def _weights(theta, p, h, spacing):
         raise ConfigurationError(f"stencil order p must be 1 or 2, got {p}")
     scale = 1.0 / (spacing * h)
     return LagrangeWeights(l, tuple(v * scale for v in lp))
-
-
-def lagrange_weights(theta, p, h, spacing=1):
-    """Closed-form weights for linear (p=1, 4-point tensor stencil) and
-    quadratic (p=2, 9-point tensor stencil) boundary interpolation.
-
-    theta must lie in [0, 1).  spacing=2 evaluates the enlarged stencil of the
-    ill-conditioning mitigation (nodes 0, 2h, 4h).
-    """
-    if not 0.0 <= theta < 1.0:
-        raise ConfigurationError(f"theta must be in [0, 1), got {theta}")
-    return _weights(theta, p, h, spacing)
 
 
 def mitigate_ill_conditioning(projection, epsilon):

@@ -257,10 +257,6 @@ class Grid:
     def node(self, i, j):
         return self.xs[i], self.xs[j]
 
-    @property
-    def n_nodes(self):
-        return (self.n + 1) ** 2
-
     def __repr__(self):
         return f"Grid(n={self.n})"
 
@@ -279,18 +275,6 @@ class GridClassification:
     phi_node: np.ndarray
     node_role: np.ndarray
     cell_role: np.ndarray
-
-    @property
-    def n_interior(self):
-        return int(np.count_nonzero(self.node_role == NODE_INTERIOR))
-
-    @property
-    def n_ghost(self):
-        return int(np.count_nonzero(self.node_role == NODE_GHOST))
-
-    @property
-    def n_inactive(self):
-        return int(np.count_nonzero(self.node_role == NODE_INACTIVE))
 
     def active_nodes(self):
         """Active node indices as an (M, 2) array in lexicographic order."""

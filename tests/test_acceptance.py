@@ -13,7 +13,7 @@ from conftest import (fd_errors, fem_errors, jacobi_eigenvalues, omega_h_area,
 from uel import (Grid, assemble_fd, assemble_fem, make_bc_spec, make_case,
                  make_domain, solve_cg, solve_direct)
 from uel.analysis import fitted_order
-from uel.fd_scheme import lagrange_weights
+from uel.fd_scheme import _weights
 from uel.geometry import (NODE_INACTIVE, NODE_INTERIOR, classify,
                           extract_cut_cells, snap_small_cells)
 from uel.sparse_linalg import estimate_cond2, solve_nonsymmetric
@@ -263,7 +263,7 @@ def test_criterion_9_invariant_suites():
     for theta in rng.uniform(0.0, 1.0 - 1e-9, 1000):
         for p in (1, 2):
             for spacing in (1, 2):
-                w = lagrange_weights(theta, p, 0.05, spacing)
+                w = _weights(theta, p, 0.05, spacing)
                 assert sum(w.l) == pytest.approx(1.0, abs=1e-12)
                 assert sum(w.l_prime) == pytest.approx(0.0, abs=1e-9)
 

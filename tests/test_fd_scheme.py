@@ -7,9 +7,9 @@ from conftest import fd_errors, full_square_domain, run_fd
 from uel import (Grid, assemble_fd, make_bc_spec, make_case, make_domain,
                  relative_error, solve_direct)
 from uel.analysis import fitted_order
-from uel.errors import ConfigurationError
-from uel.fd_scheme import (_stencil_nodes, fd_gradient, ghost_row,
-                           lagrange_weights, mitigate_ill_conditioning)
+from uel.errors import ConfigurationError, GeometryError
+from uel.fd_scheme import (_stencil_nodes, _weights, fd_gradient, ghost_row,
+                           mitigate_ill_conditioning)
 from uel.geometry import (NODE_GHOST, NODE_INTERIOR, BoundaryProjection,
                           LevelSetDomain, classify, project_to_boundary)
 
@@ -19,28 +19,31 @@ from uel.geometry import (NODE_GHOST, NODE_INTERIOR, BoundaryProjection,
 # ----------------------------------------------------------------------
 
 def test_weights_p2_theta0():
-    w = lagrange_weights(0.0, 2, 0.1)
+    w = _weights(0.0, 2, 0.1, 1)
     assert w.l == pytest.approx((1.0, 0.0, 0.0))
     assert tuple(0.1 * v for v in w.l_prime) == pytest.approx((-1.5, 2.0, -0.5))
 
 
 def test_weights_p1_midpoint():
-    w = lagrange_weights(0.5, 1, 0.2)
+    w = _weights(0.5, 1, 0.2, 1)
     assert w.l == pytest.approx((0.5, 0.5))
 
 
 def test_weights_p2_midpoint():
-    w = lagrange_weights(0.5, 2, 1.0)
+    w = _weights(0.5, 2, 1.0, 1)
     assert w.l == pytest.approx((0.375, 0.75, -0.125))
 
 
 def test_weights_reject_out_of_range_theta():
+    # ghost_row refuses an offset past the stencil span before weighting it
+    grid = Grid(20)
+    domain = half_plane(0.3)
+    for theta in ((2.0, 0.0), (0.5, 2.5)):
+        with pytest.raises(GeometryError, match="outside the stencil span"):
+            ghost_row(make_proj(theta), 2, grid, domain,
+                      phi_node_of(grid, domain), lambda p: 0.0, None)
     with pytest.raises(ConfigurationError):
-        lagrange_weights(1.0, 2, 0.1)
-    with pytest.raises(ConfigurationError):
-        lagrange_weights(-0.1, 1, 0.1)
-    with pytest.raises(ConfigurationError):
-        lagrange_weights(0.5, 3, 0.1)
+        _weights(0.5, 3, 0.1, 1)
 
 
 @pytest.mark.parametrize("p", (1, 2))
@@ -48,7 +51,7 @@ def test_weights_reject_out_of_range_theta():
 def test_weights_partition_of_unity(p, spacing):
     rng = np.random.default_rng(11)
     for theta in rng.uniform(0.0, 1.0 - 1e-12, 200):
-        w = lagrange_weights(theta, p, 0.05, spacing)
+        w = _weights(theta, p, 0.05, spacing)
         assert sum(w.l) == pytest.approx(1.0, abs=1e-13)
         assert sum(w.l_prime) == pytest.approx(0.0, abs=1e-10)
 
@@ -289,7 +292,7 @@ def test_mitigated_diagonal_bounded():
 def test_assemble_circle_n4_size():
     grid, system, _, _, _ = run_fd("circle", "paper_sin", "dirichlet", 4)
     assert system.n_rows == 21
-    assert system.classification.n_interior == 9
+    assert np.count_nonzero(system.classification.node_role == NODE_INTERIOR) == 9
     assert len(system.projections) == 12
 
 
@@ -348,7 +351,8 @@ def test_assemble_rejects_bad_p():
 def test_extended_ghosts_assemble_and_solve(name, n):
     # concave geometries force stencil nodes beyond the ghost layer
     grid, system, u, report, case = run_fd(name, "paper_sin", "dirichlet", n)
-    extended = len(system.projections) - system.classification.n_ghost
+    extended = (len(system.projections)
+                - np.count_nonzero(system.classification.node_role == NODE_GHOST))
     assert extended >= 0
     assert report.final_residual <= 1e-10
     eu, _ = fd_errors(grid, system, u, case)

@@ -10,7 +10,8 @@ from uel import Grid, make_bc_spec, make_domain
 from uel.analysis import fitted_order
 from uel.errors import ConfigurationError, GeometryError
 from uel.geometry import (CELL_CUT, CELL_INSIDE, CELL_OUTSIDE, CELL_SNAPPED,
-                          NODE_GHOST, NODE_INACTIVE, LevelSetDomain, classify,
+                          NODE_GHOST, NODE_INACTIVE, NODE_INTERIOR,
+                          LevelSetDomain, classify,
                           cut_cell_geometry, extract_cut_cells,
                           project_to_boundary, snap_small_cells)
 
@@ -20,6 +21,10 @@ DOMAINS = ("circle", "leaf", "flower", "hourglass")
 SEEDS = {"circle": (0.0, 0.0), "leaf": (0.0, 0.0),
          "flower": (0.03 * math.sqrt(3.0), 0.04 * math.sqrt(2.0)),
          "hourglass": (0.03 * math.sqrt(3.0), 0.04 * math.sqrt(2.0))}
+
+
+def role_count(cls, role):
+    return int(np.count_nonzero(cls.node_role == role))
 
 
 def const_domain(value):
@@ -102,9 +107,9 @@ def test_classify_circle_n4_counts():
     # enumerate all 25 nodes of the N=4 grid against x^2 + y^2 < 0.64
     grid = Grid(4)
     cls = classify(grid, make_domain("circle"), "four")
-    assert cls.n_interior == 9
-    assert cls.n_ghost == 12
-    assert cls.n_inactive == 4
+    assert role_count(cls, NODE_INTERIOR) == 9
+    assert role_count(cls, NODE_GHOST) == 12
+    assert role_count(cls, NODE_INACTIVE) == 4
     corners = [(0, 0), (0, 4), (4, 0), (4, 4)]
     assert all(cls.node_role[i, j] == NODE_INACTIVE for i, j in corners)
 
@@ -112,10 +117,10 @@ def test_classify_circle_n4_counts():
 def test_classify_full_and_empty_domains():
     grid = Grid(8)
     full = classify(grid, const_domain(1.0), "four")
-    assert full.n_interior == grid.n_nodes and full.n_ghost == 0
+    assert np.all(full.node_role == NODE_INTERIOR)
     assert np.all(full.cell_role == CELL_INSIDE)
     empty = classify(grid, const_domain(-1.0), "four")
-    assert empty.n_inactive == grid.n_nodes
+    assert np.all(empty.node_role == NODE_INACTIVE)
     assert np.all(empty.cell_role == CELL_OUTSIDE)
 
 
@@ -125,8 +130,8 @@ def test_eight_neighborhood_extends_ghost_set():
     four = classify(grid, d, "four")
     eight = classify(grid, d, "eight")
     # the four corner nodes gain interior diagonal neighbors
-    assert eight.n_ghost == 16
-    assert eight.n_inactive == 0
+    assert role_count(eight, NODE_GHOST) == 16
+    assert role_count(eight, NODE_INACTIVE) == 0
     assert np.all((four.node_role != NODE_GHOST) | (eight.node_role == NODE_GHOST))
 
 
@@ -135,7 +140,8 @@ def test_eight_neighborhood_extends_ghost_set():
 def test_role_partition(name, n):
     grid = Grid(n)
     cls = classify(grid, make_domain(name), "four")
-    assert cls.n_interior + cls.n_ghost + cls.n_inactive == (n + 1) ** 2
+    assert cls.node_role.shape == (n + 1, n + 1)
+    assert np.all(np.isin(cls.node_role, (NODE_INTERIOR, NODE_GHOST, NODE_INACTIVE)))
 
 
 def test_classify_rejects_bad_neighborhood():
