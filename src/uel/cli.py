@@ -249,9 +249,11 @@ def run_single(config, n, domain, case, bc):
                                     "inf")
 
     cond2 = cond2_lower_bound = None
+    cond2_note = ""
     if _want_cond(config, n):
         estimate = estimate_cond2(system.matrix)
         cond2, cond2_lower_bound = estimate.value, not estimate.converged
+        cond2_note = estimate.note
 
     return ReportRow(
         scheme=config.scheme, domain=config.domain, bc=config.bc,
@@ -263,7 +265,7 @@ def run_single(config, n, domain, case, bc):
         assemble_s=assemble_s if config.timings else None,
         solve_s=report.wall_time if config.timings else None,
         err_u_linf_nodal=nodal_linf, cond2_lower_bound=cond2_lower_bound,
-        solver_note=report.note)
+        solver_note=report.note, cond2_note=cond2_note)
 
 
 def run(config):
@@ -348,15 +350,16 @@ def write_csv(report, path):
 
 def write_json(report, config, path):
     """JSON report: the CSV rows, plus per-grid outcomes the CSV header has
-    no column for (whether cond2 is only a lower bound, the solver's
-    fallback note, and the nodal Linf error at interior nodes)."""
+    no column for (whether cond2 is only a lower bound, the solver's and
+    the condition estimate's fallback notes, and the nodal Linf error at
+    interior nodes)."""
     keys = CSV_COLUMNS.split(",")
     rows, outcomes = [], []
     for row in report.rows:
         cells = _row_cells(row)
         rows.append({k: (None if c == "n/a" else c) for k, c in zip(keys, cells)})
         outcomes.append({"N": row.n, "cond2_lower_bound": row.cond2_lower_bound,
-                         "solver_note": row.solver_note,
+                         "solver_note": row.solver_note, "cond2_note": row.cond2_note,
                          "err_u_linf_nodal": row.err_u_linf_nodal})
     payload = {"config": asdict(config), "rows": rows, "outcomes": outcomes}
     with open(path, "w") as fh:

@@ -294,7 +294,7 @@ def assemble_fd(grid, domain, case, bc, p=2, tol_factor=1e-4):
     case : object with callables u(x, y), grad_u(x, y), f(x, y)
         Manufactured solution supplying volume and boundary data.
     bc : BCSpec
-        Region predicate deciding Dirichlet vs Neumann at each foot point.
+        Interface deciding Dirichlet vs Neumann at each foot point.
     p : 1 or 2
         Interpolation stencil order for the ghost rows.
     tol_factor : float
@@ -319,7 +319,7 @@ def assemble_fd(grid, domain, case, bc, p=2, tol_factor=1e-4):
 
     def make_projection(node):
         proj = project_to_boundary(node, domain, grid, tol_factor)
-        kind = "dirichlet" if bc.is_dirichlet(proj.point) else "neumann"
+        kind = "dirichlet" if bc.is_dirichlet(*proj.point) else "neumann"
         proj = replace(proj, bc_kind=kind)
         if kind == "dirichlet":
             proj = mitigate_ill_conditioning(proj, h)

@@ -68,27 +68,52 @@ def _cell_rows(index, ci, cj):
 
 def _hats(s, t):
     """Values and s-, t-derivatives of the 4 unit-cell hats (SW, SE, NE, NW)
-    at cell-local coordinates s, t in [0, 1]; shapes (m, 4)."""
-    return (np.stack([(1 - s) * (1 - t), s * (1 - t), s * t, (1 - s) * t], axis=1),
-            np.stack([-(1 - t), (1 - t), t, -t], axis=1),
-            np.stack([-(1 - s), -s, s, (1 - s)], axis=1))
+    at cell-local coordinates s, t in [0, 1]; shapes s.shape + (4,)."""
+    return (np.stack([(1 - s) * (1 - t), s * (1 - t), s * t, (1 - s) * t], axis=-1),
+            np.stack([-(1 - t), (1 - t), t, -t], axis=-1),
+            np.stack([-(1 - s), -s, s, (1 - s)], axis=-1))
 
 
-def _local_basis(grid, ci, cj, pts):
-    """Values and gradients of the 4 cell basis functions at points inside
-    cell (ci, cj); shapes (m, 4)."""
-    x0, y0 = grid.node(ci, cj)
+def _cell_basis(grid, ij, pts):
+    """Values and x-, y-gradients of the 4 hats of cells ij (..., 2) at
+    points pts (..., 2) inside them; shapes pts.shape[:-1] + (4,)."""
     h = grid.h
-    vals, gs, gt = _hats((pts[:, 0] - x0) / h, (pts[:, 1] - y0) / h)
+    vals, gs, gt = _hats((pts[..., 0] - grid.xs[ij[..., 0]]) / h,
+                         (pts[..., 1] - grid.xs[ij[..., 1]]) / h)
     return vals, gs / h, gt / h
 
 
-def _tri_points(tri):
-    pts = RULE.tri_bary @ tri
-    area = 0.5 * abs(
-        (tri[1, 0] - tri[0, 0]) * (tri[2, 1] - tri[0, 1])
-        - (tri[2, 0] - tri[0, 0]) * (tri[1, 1] - tri[0, 1]))
-    return pts, RULE.tri_weights * area
+def _at(values, x):
+    """Case data evaluated at points x, as floats of x's shape (a case may
+    return a scalar where its data is constant)."""
+    return np.broadcast_to(np.asarray(values, dtype=float), np.shape(x))
+
+
+def _triangle_quadrature(grid, tris, ij):
+    """Triangle rule on triangles tris (T, 3, 2) lying in cells ij (T, 2):
+    points (T, 6, 2), weights (T, 6), and the cell hats and their x-,
+    y-gradients at the points, each (T, 6, 4)."""
+    pts = np.matmul(RULE.tri_bary, tris)
+    area = 0.5 * np.abs(
+        (tris[:, 1, 0] - tris[:, 0, 0]) * (tris[:, 2, 1] - tris[:, 0, 1])
+        - (tris[:, 2, 0] - tris[:, 0, 0]) * (tris[:, 1, 1] - tris[:, 0, 1]))
+    return (pts, RULE.tri_weights * area[:, None]) + _cell_basis(grid, ij[:, None], pts)
+
+
+def _sum_by_cell(terms, owner, n_cells):
+    """Per-cell sums of terms (K, ...) in the order given (owner (K,))."""
+    out = np.zeros((n_cells,) + terms.shape[1:])
+    np.add.at(out, owner, terms)
+    return out
+
+
+def _stiffness_blocks(gx, gy, w, owner, n_cells):
+    """Per-cell 4x4 stiffness blocks from the hat gradients (T, 6, 4) and
+    weights (T, 6) of the triangles, each owned by cell owner (T,)."""
+    gxw, gyw = gx * w[..., None], gy * w[..., None]
+    terms = np.matmul(gxw.transpose(0, 2, 1), gx) + np.matmul(gyw.transpose(0, 2, 1), gy)
+    S = _sum_by_cell(terms, owner, n_cells)
+    return 0.5 * (S + S.transpose(0, 2, 1))
 
 
 def element_volume_terms(cut, grid):
@@ -100,26 +125,54 @@ def element_volume_terms(cut, grid):
     """
     if cut.area == grid.h * grid.h:
         return S_FULL.copy()
-    S = np.zeros((4, 4))
-    ci, cj = cut.cell
-    for tri in cut.triangles:
-        pts, w = _tri_points(tri)
-        _, gx, gy = _local_basis(grid, ci, cj, pts)
-        S += (gx * w[:, None]).T @ gx + (gy * w[:, None]).T @ gy
-    return 0.5 * (S + S.T)
+    tris = np.array(cut.triangles).reshape(-1, 3, 2)
+    owner = np.zeros(len(tris), dtype=np.int64)
+    _, w, _, gx, gy = _triangle_quadrature(grid, tris, np.array([cut.cell])[owner])
+    return _stiffness_blocks(gx, gy, w, owner, 1)[0]
 
 
-def _split_segment(seg, bc):
-    """Split a boundary segment at the Dirichlet/Neumann interface (the
-    x = 0 line) so each piece is classified by one predicate value."""
-    if bc.kind != "mixed":
-        return [(seg.p0, seg.p1)]
-    x0, x1 = seg.p0[0], seg.p1[0]
-    if (x0 < 0.0 < x1) or (x1 < 0.0 < x0):
-        t = x0 / (x0 - x1)
-        pm = seg.p0 + t * (seg.p1 - seg.p0)
-        return [(seg.p0, pm), (pm, seg.p1)]
-    return [(seg.p0, seg.p1)]
+def _boundary_blocks(grid, bc, case, lam, cuts, ij):
+    """Boundary blocks (P, D, rhs), each (C, ...), of cut cells cuts lying in
+    cells ij (C, 2), summed over each cell's segments in order.
+
+    Segments crossing the Dirichlet/Neumann interface are split there, so
+    each piece is classified by one predicate value; pieces no longer than
+    1e-13 h are dropped.
+    """
+    segs = [(s.p0, s.p1, s.normal) for cut in cuts for s in cut.boundary_segments]
+    p0, p1, normal = np.array(segs).reshape(-1, 3, 2).transpose(1, 0, 2)
+    owner = np.repeat(np.arange(len(cuts)), [len(cut.boundary_segments) for cut in cuts])
+    c = bc.interface
+    x0, x1 = p0[:, 0], p1[:, 0]
+    cross = np.flatnonzero(((x0 < c) & (c < x1)) | ((x1 < c) & (c < x0)))
+    t = (x0[cross] - c) / (x0[cross] - x1[cross])
+    pm = p0[cross] + t[:, None] * (p1[cross] - p0[cross])
+    # pieces (p0, pm), (pm, p1) in place of each crossing segment
+    seg = np.insert(np.arange(len(p0)), cross, cross)
+    q0 = np.insert(p0, cross + 1, pm, axis=0)
+    d = np.insert(p1, cross, pm, axis=0) - q0
+    length = np.hypot(d[:, 0], d[:, 1])
+    keep = length > 1e-13 * grid.h
+    seg, q0, d, length = seg[keep], q0[keep], d[keep], length[keep]
+
+    pts = q0[:, None] + RULE.seg_points[:, None] * d[:, None]
+    w = RULE.seg_weights * length[:, None]
+    vals, gx, gy = _cell_basis(grid, ij[owner[seg]][:, None], pts)
+    nx, ny = normal[seg, 0][:, None], normal[seg, 1][:, None]
+    dn = gx * nx[..., None] + gy * ny[..., None]
+    x, y = pts[..., 0], pts[..., 1]
+    dirichlet = bc.is_dirichlet(x, y)
+    gd = _at(case.u(x, y), x)
+    ux, uy = (_at(g, x) for g in case.grad_u(x, y))
+    rhs_terms = np.where(dirichlet[..., None], (w * gd)[..., None] * (lam * vals - dn),
+                         (w * (ux * nx + uy * ny))[..., None] * vals)
+    wd = w[dirichlet][:, None, None]
+    vd = vals[dirichlet]
+    cell = np.broadcast_to(owner[seg][:, None], w.shape)
+    P = _sum_by_cell(wd * (vd[:, :, None] * vd[:, None, :]), cell[dirichlet], len(cuts))
+    D = _sum_by_cell(wd * (dn[dirichlet][:, :, None] * vd[:, None, :]), cell[dirichlet], len(cuts))
+    rhs = _sum_by_cell(rhs_terms.reshape(-1, 4), cell.ravel(), len(cuts))
+    return 0.5 * (P + P.transpose(0, 2, 1)), D, rhs
 
 
 def boundary_terms(cut, grid, bc, case, lam):
@@ -133,34 +186,8 @@ def boundary_terms(cut, grid, bc, case, lam):
     integrates over (snapped boundary pieces run along grid lines, where the
     level-set normal would be O(1) wrong).
     """
-    P = np.zeros((4, 4))
-    D = np.zeros((4, 4))
-    rhs = np.zeros(4)
-    ci, cj = cut.cell
-    h = grid.h
-    tiny = 1e-13 * h
-    for seg in cut.boundary_segments:
-        for q0, q1 in _split_segment(seg, bc):
-            d = q1 - q0
-            length = float(np.hypot(*d))
-            if length <= tiny:
-                continue
-            pts = q0 + RULE.seg_points[:, None] * d
-            w = RULE.seg_weights * length
-            vals, gx, gy = _local_basis(grid, ci, cj, pts)
-            dn = gx * seg.normal[0] + gy * seg.normal[1]
-            for k in range(len(w)):
-                pt = pts[k]
-                if bc.is_dirichlet(pt):
-                    P += w[k] * np.outer(vals[k], vals[k])
-                    D += w[k] * np.outer(dn[k], vals[k])
-                    gd = float(case.u(pt[0], pt[1]))
-                    rhs += w[k] * gd * (lam * vals[k] - dn[k])
-                else:
-                    ux, uy = case.grad_u(pt[0], pt[1])
-                    gn = float(ux) * seg.normal[0] + float(uy) * seg.normal[1]
-                    rhs += w[k] * gn * vals[k]
-    return 0.5 * (P + P.T), D, rhs
+    blocks = _boundary_blocks(grid, bc, case, lam, [cut], np.array([cut.cell]))
+    return tuple(b[0] for b in blocks)
 
 
 @dataclass
@@ -185,18 +212,9 @@ class FemSystem:
 
 # Reference quadrature layout for full cells: both fan triangles of the unit
 # square, 6 points each.
-def _unit_square_rule():
-    tris = [np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]),
-            np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0]])]
-    pts, ws = [], []
-    for tri in tris:
-        p = RULE.tri_bary @ tri
-        pts.append(p)
-        ws.append(RULE.tri_weights * 0.5)
-    return np.vstack(pts), np.concatenate(ws)
-
-
-REF_PTS, REF_W = _unit_square_rule()
+REF_PTS = np.matmul(RULE.tri_bary, np.array([[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]],
+                                             [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0]]])).reshape(-1, 2)
+REF_W = np.tile(RULE.tri_weights * 0.5, 2)
 REF_VALS, REF_GS, REF_GT = _hats(REF_PTS[:, 0], REF_PTS[:, 1])
 
 
@@ -205,7 +223,9 @@ def assemble_fem(grid, domain, case, bc, alpha=2.0, classification=None):
 
     Snapping with exponent alpha is applied first (unless a pre-snapped
     classification is passed in); the same alpha sets the penalty
-    lambda = h^(-alpha).
+    lambda = h^(-alpha).  The band's fan triangles and boundary segments are
+    integrated in one pass over arrays tagged with their owning cells; each
+    cell's terms are summed in the order of its own triangles and segments.
 
     Parameters
     ----------
@@ -234,71 +254,47 @@ def assemble_fem(grid, domain, case, bc, alpha=2.0, classification=None):
     index = np.full((n + 1, n + 1), -1, dtype=np.int64)
     index[nodes[:, 0], nodes[:, 1]] = np.arange(n_rows)
 
-    coo = {name: ([], [], []) for name in ("S", "P", "D")}
-
-    def scatter(name, gids, local):
-        rows, cols, vals = coo[name]
-        rows.append(np.repeat(gids, 4))
-        cols.append(np.tile(gids, 4))
-        vals.append(np.asarray(local).ravel())
-
     rhs = np.zeros(n_rows)
-    xs = grid.xs
 
-    # ---- full interior cells: closed-form matrices, vectorized scatter ----
+    # ---- full interior cells: closed-form matrices, reference quadrature ----
     inside = np.argwhere(cls.cell_role == CELL_INSIDE)
-    if len(inside):
-        ci, cj = inside[:, 0], inside[:, 1]
-        g = _cell_rows(index, ci, cj)
-        if g.min() < 0:
-            raise AssemblyError("inactive node on an inside cell")
-        m = len(inside)
-        rows = np.repeat(g, 4, axis=1).ravel()
-        cols = np.tile(g, (1, 4)).ravel()
-        coo["S"][0].append(rows)
-        coo["S"][1].append(cols)
-        coo["S"][2].append(np.tile(S_FULL.ravel(), m))
-        # volume data term, quadrature on the reference layout
-        px = xs[ci][:, None] + REF_PTS[None, :, 0] * h
-        py = xs[cj][:, None] + REF_PTS[None, :, 1] * h
-        fv = np.asarray(case.f(px, py), dtype=float)
-        if fv.ndim == 0:
-            fv = np.full_like(px, float(fv))
-        contrib = (fv * REF_W[None, :]) @ REF_VALS * (h * h)
-        np.add.at(rhs, g.ravel(), contrib.ravel())
+    g = _cell_rows(index, *inside.T)
+    if g.size and g.min() < 0:
+        raise AssemblyError("inactive node on an inside cell")
+    px, py = np.moveaxis(grid.xs[inside][:, None] + REF_PTS * h, -1, 0)
+    contrib = (_at(case.f(px, py), px) * REF_W[None, :]) @ REF_VALS * (h * h)
+    np.add.at(rhs, g.ravel(), contrib.ravel())
 
-    # ---- band cells: polygon quadrature and boundary terms ----
-    # (band cells with role CELL_INSIDE only carry exposed sides)
-    for (ci, cj), cut in cells.items():
-        is_inside = cls.cell_role[ci, cj] == CELL_INSIDE
-        gids = _cell_rows(index, ci, cj)
-        if gids.min() < 0:
-            raise AssemblyError(f"inactive node on cut cell ({ci}, {cj})")
-        if not is_inside:
-            scatter("S", gids, element_volume_terms(cut, grid))
-            for tri in cut.triangles:
-                pts, w = _tri_points(tri)
-                vals, _, _ = _local_basis(grid, ci, cj, pts)
-                fv = np.array([float(case.f(x, y)) for x, y in pts])
-                rhs[gids] += (fv * w) @ vals
-        if cut.boundary_segments:
-            P4, D4, r4 = boundary_terms(cut, grid, bc, case, lam)
-            scatter("P", gids, P4)
-            scatter("D", gids, D4)
-            rhs[gids] += r4
+    # ---- band cells, in key order: cut cells carry polygon quadrature,
+    # every cell with boundary segments carries boundary terms ----
+    keys, band, cut, t_own, pts, w, vals, gx, gy = _band_quadrature(cells, cls, index)
+    if band.min() < 0:
+        ci, cj = keys[np.argmax(band.min(axis=1) < 0)]
+        raise AssemblyError(f"inactive node on cut cell ({ci}, {cj})")
+    S_cut = _stiffness_blocks(gx, gy, w, t_own, len(keys))[cut]
+    areas = np.array([c.area for c in cells.values()])[cut]
+    S_cut[areas == h * h] = S_FULL
+    f = _at(case.f(pts[..., 0], pts[..., 1]), pts[..., 0])
+    tri_rhs = np.matmul((f * w)[:, None], vals)[:, 0]
 
-    def build(name):
-        rows, cols, vals = coo[name]
-        if not rows:
-            return sp.csr_matrix((n_rows, n_rows))
-        return sp.coo_matrix(
-            (np.concatenate(vals),
-             (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n_rows, n_rows)).tocsr()
+    P, D, bnd_rhs = _boundary_blocks(grid, bc, case, lam, cells.values(), keys)
+    seg_cells = np.flatnonzero([bool(c.boundary_segments) for c in cells.values()])
 
-    S = build("S")
-    P = build("P")
-    D = build("D")
+    # rhs of each band cell: its triangles in order, then its boundary total
+    owner = np.concatenate([t_own, seg_cells])
+    order = np.argsort(2 * owner + (np.arange(len(owner)) >= len(t_own)), kind="stable")
+    np.add.at(rhs, band[owner[order]].ravel(),
+              np.concatenate([tri_rhs, bnd_rhs[seg_cells]])[order].ravel())
+
+    def build(blocks):
+        rows = np.concatenate([np.repeat(g, 4, axis=1).ravel() for g, _ in blocks])
+        cols = np.concatenate([np.tile(g, (1, 4)).ravel() for g, _ in blocks])
+        vals = np.concatenate([b.ravel() for _, b in blocks])
+        return sp.coo_matrix((vals, (rows, cols)), shape=(n_rows, n_rows)).tocsr()
+
+    S = build([(g, np.tile(S_FULL, (len(g), 1, 1))), (band[cut], S_cut)])
+    P = build([(band[seg_cells], P[seg_cells])])
+    D = build([(band[seg_cells], D[seg_cells])])
     if P.count_nonzero() == 0:
         raise ConfigurationError(
             "no Dirichlet boundary found: pure-Neumann problems need a "
@@ -308,40 +304,45 @@ def assemble_fem(grid, domain, case, bc, alpha=2.0, classification=None):
     return FemSystem(A, rhs, nodes, index, cls, cells, grid)
 
 
-def _omega_h_quadrature(system, u):
-    """Walk the volume quadrature points of Omega_h: the reference layout on
-    every inside cell at once, then the fan triangles of each cut cell of
-    the band.  Yields (points, weights, uloc, vals, gx, gy) blocks, with u at
-    the cell corners ((m, 4) or (4,)) and the hats and their gradients at
-    the points."""
-    grid = system.grid
-    h = grid.h
-    cls = system.classification
-    xs = grid.xs
-    inside = np.argwhere(cls.cell_role == CELL_INSIDE)
-    if len(inside):
-        ci, cj = inside[:, 0], inside[:, 1]
-        px = xs[ci][:, None] + REF_PTS[None, :, 0] * h
-        py = xs[cj][:, None] + REF_PTS[None, :, 1] * h
-        yield (np.column_stack([px.ravel(), py.ravel()]), np.tile(REF_W * h * h, len(inside)),
-               u[_cell_rows(system.index, ci, cj)], REF_VALS, REF_GS / h, REF_GT / h)
-    for (ci, cj), cut in system.cells.items():
-        if cls.cell_role[ci, cj] == CELL_INSIDE:
-            continue
-        uloc = u[_cell_rows(system.index, ci, cj)]
-        for tri in cut.triangles:
-            pts, w = _tri_points(tri)
-            yield (pts, w, uloc) + _local_basis(grid, ci, cj, pts)
+def _band_quadrature(cells, classification, index):
+    """Band cells (C, 2) in key order, their corner rows (C, 4), the
+    positions of the cut ones (band cells with role CELL_INSIDE only carry
+    exposed sides), and the band position owning each of their fan
+    triangles (T,), followed by the _triangle_quadrature arrays."""
+    keys = np.array(list(cells), dtype=np.int64).reshape(-1, 2)
+    cut = np.flatnonzero(classification.cell_role[keys[:, 0], keys[:, 1]] != CELL_INSIDE)
+    cuts = list(cells.values())
+    tris = np.array([tri for p in cut for tri in cuts[p].triangles]).reshape(-1, 3, 2)
+    owner = np.repeat(cut, [len(cuts[p].triangles) for p in cut])
+    return ((keys, _cell_rows(index, keys[:, 0], keys[:, 1]), cut, owner)
+            + _triangle_quadrature(classification.grid, tris, keys[owner]))
+
+
+def _omega_h_blocks(system, u):
+    """The volume quadrature of Omega_h as two blocks: the reference layout
+    on every inside cell, then the fan triangles of the band's cut cells in
+    key order.  Each block is (points, weights, uloc, vals, gx, gy): u at
+    the cell corners, (m, 4) per inside cell or (T, 1, 4) per triangle, and
+    the hats and their gradients at the points, (12, 4) or (T, 6, 4)."""
+    h = system.grid.h
+    inside = np.argwhere(system.classification.cell_role == CELL_INSIDE)
+    _, rows, _, owner, pts, w, vals, gx, gy = _band_quadrature(
+        system.cells, system.classification, system.index)
+    return [((system.grid.xs[inside][:, None] + REF_PTS * h).reshape(-1, 2),
+             np.tile(REF_W * h * h, len(inside)), u[_cell_rows(system.index, *inside.T)],
+             REF_VALS, REF_GS / h, REF_GT / h),
+            (pts.reshape(-1, 2), w.ravel(), u[rows[owner]][:, None], vals, gx, gy)]
 
 
 def solution_samples(system, u):
-    """Discrete solution at the volume quadrature points of Omega_h.
+    """Discrete solution at the volume quadrature points of Omega_h (the
+    reference layout on inside cells, then the band's triangle arrays).
 
     Returns (points, weights, values); the weights sum to area(Omega_h).
     """
-    pts, w, uloc, vals, _, _ = zip(*_omega_h_quadrature(system, u))
+    pts, w, uloc, vals, _, _ = zip(*_omega_h_blocks(system, u))
     return (np.vstack(pts), np.concatenate(w),
-            np.concatenate([(c @ v.T).ravel() for c, v in zip(uloc, vals)]))
+            np.concatenate([(c @ np.swapaxes(v, -1, -2)).ravel() for c, v in zip(uloc, vals)]))
 
 
 def _eroded(mask, k):
@@ -372,7 +373,7 @@ def fem_gradient(system, u):
     error of the boundary strip, which would mask the interior gradient
     accuracy the convergence panels compare; they are excluded from the
     sample.  When no cell qualifies (tiny domains), the gradient is taken at
-    the solution_samples points instead.
+    the solution_samples points instead, read from the same arrays.
 
     Returns (points, weights, gradients).
     """
@@ -391,8 +392,8 @@ def fem_gradient(system, u):
         pts = np.column_stack([xs[ci] + 0.5 * h, xs[cj] + 0.5 * h])
         return pts, np.full(len(core), h * h), np.column_stack([uloc @ gx, uloc @ gy])
 
-    pts, w, uloc, _, gx, gy = zip(*_omega_h_quadrature(system, u))
-    grads = [np.column_stack([(c @ bx.T).ravel(), (c @ by.T).ravel()])
+    pts, w, uloc, _, gx, gy = zip(*_omega_h_blocks(system, u))
+    grads = [np.column_stack([(c @ np.swapaxes(b, -1, -2)).ravel() for b in (bx, by)])
              for c, bx, by in zip(uloc, gx, gy)]
     return np.vstack(pts), np.concatenate(w), np.vstack(grads)
 

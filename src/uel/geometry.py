@@ -731,14 +731,19 @@ def extract_cut_cells(classification, domain=None):
 
 @dataclass(frozen=True)
 class BCSpec:
-    """Which part of Gamma carries Dirichlet data.
-
-    kind is "dirichlet" (all of Gamma) or "mixed"; is_dirichlet classifies a
-    boundary point.
+    """Which part of Gamma carries Dirichlet data: the points left of the
+    interface line x = interface (strictly left when strict is set).  An
+    interface at +inf makes all of Gamma Dirichlet, one at -inf all of it
+    Neumann.
     """
 
-    kind: str
-    is_dirichlet: callable
+    interface: float
+    strict: bool = False
+
+    def is_dirichlet(self, x, y):
+        """Vectorized region test at boundary points (x, y)."""
+        x = np.asarray(x)
+        return x < self.interface if self.strict else x <= self.interface
 
 
 def make_bc_spec(domain_name, kind):
@@ -746,9 +751,7 @@ def make_bc_spec(domain_name, kind):
     the mixed split with Dirichlet on the left part of Gamma (x <= 0; the
     leaf uses the strict x < 0)."""
     if kind == "dirichlet":
-        return BCSpec("dirichlet", lambda p: True)
+        return BCSpec(math.inf)
     if kind == "mixed":
-        if domain_name == "leaf":
-            return BCSpec("mixed", lambda p: p[0] < 0.0)
-        return BCSpec("mixed", lambda p: p[0] <= 0.0)
+        return BCSpec(0.0, strict=domain_name == "leaf")
     raise ConfigurationError(f"unknown boundary-condition kind {kind!r}")

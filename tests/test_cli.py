@@ -151,8 +151,26 @@ def test_json_outcomes_flag_a_cond2_lower_bound(tmp_path, monkeypatch):
     for outcome, row in zip(payload["outcomes"], report.rows):
         assert outcome["cond2_lower_bound"] is True
         assert outcome["solver_note"] == ""
+        assert outcome["cond2_note"] == "iteration cap reached"
         assert outcome["err_u_linf_nodal"] == row.err_u_linf_nodal > 0.0
     assert [r["cond2"] for r in payload["rows"]] == ["1.23e+02"] * 2
+
+
+def test_json_outcomes_carry_the_cond2_note(tmp_path, monkeypatch):
+    # an LU fallback inside the condition estimate reaches the report
+    import uel.cli as cli
+
+    note = ("no-pivot MMD factor rejected (refined residual 1.0e-06); "
+            "fell back to COLAMD with partial pivoting")
+
+    def refactored(matrix):
+        return CondEstimate(45.0, 9.0, 0.2, True, note)
+
+    monkeypatch.setattr(cli, "estimate_cond2", refactored)
+    run(small_config(tmp_path, fmt="json", compute_cond=True))
+    payload = json.loads((tmp_path / "report.json").read_text())
+    assert [o["cond2_note"] for o in payload["outcomes"]] == [note, note]
+    assert [o["cond2_lower_bound"] for o in payload["outcomes"]] == [False, False]
 
 
 def test_json_outcomes_carry_the_solver_note(tmp_path):

@@ -2,8 +2,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import fd_errors, full_square_domain, run_fd
+from conftest import ELLIPSES, ellipse_domain, fd_errors, full_square_domain, run_fd
 from uel import (Grid, assemble_fd, make_bc_spec, make_case, make_domain,
                  relative_error, solve_direct)
 from uel.analysis import fitted_order
@@ -241,6 +243,31 @@ def test_ghost_row_sums():
             assert total == pytest.approx(1.0, abs=1e-12)
         else:
             assert abs(total) <= 1e-12 * max(1.0, abs(row).max())
+
+
+@settings(derandomize=True, deadline=None, max_examples=15)
+@given(**ELLIPSES, n=st.sampled_from((16, 24, 32)))
+def test_value_rows_and_offsets_on_random_ellipses(cx, cy, a, b, n):
+    # every ghost of an all-Dirichlet system carries a value row: applied to
+    # a biquadratic (a quadratic along a diagonal column) it gives u(B);
+    # primary offsets lie in [0, 1), halved ones just below 1/2, extended
+    # ones below 2
+    grid = Grid(n)
+    system = assemble_fd(grid, ellipse_domain(cx, cy, a, b), make_case("paper_sin"),
+                         make_bc_spec("ellipse", "dirichlet"), p=2)
+    x, y = grid.xs[system.nodes[:, 0]], grid.xs[system.nodes[:, 1]]
+    biquadratic = (lambda x, y: (1.0 + x + 0.5 * x * x) * (2.0 - y + 0.25 * y * y))
+    quadratic = (lambda x, y: 1.0 + x - 2.0 * y + x * x - x * y + 0.5 * y * y)
+    rows = {u: system.matrix @ u(x, y) for u in (biquadratic, quadratic)}
+    primary = system.classification.node_role == NODE_GHOST
+    for node, proj in system.projections.items():
+        u = quadratic if proj.diagonal else biquadratic
+        assert rows[u][system.index[node]] == pytest.approx(u(*proj.point), abs=1e-8)
+        upper = 1.0 if primary[node] else 2.0
+        for theta, spacing in zip(proj.theta, proj.spacing):
+            assert 0.0 <= theta < upper
+            if spacing == 2:
+                assert 0.5 * (1.0 - grid.h) < theta < 0.5
 
 
 # ----------------------------------------------------------------------

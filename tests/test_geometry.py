@@ -468,11 +468,12 @@ def test_extracted_boundary_is_closed_after_snapping():
 
 
 def test_bc_spec_regions():
-    assert make_bc_spec("circle", "dirichlet").is_dirichlet((0.5, 0.1))
+    assert make_bc_spec("circle", "dirichlet").is_dirichlet(0.5, 0.1)
     mixed = make_bc_spec("circle", "mixed")
-    assert mixed.is_dirichlet((-0.1, 0.5)) and mixed.is_dirichlet((0.0, 0.5))
-    assert not mixed.is_dirichlet((0.1, 0.5))
+    assert mixed.is_dirichlet(-0.1, 0.5) and mixed.is_dirichlet(0.0, 0.5)
+    assert not mixed.is_dirichlet(0.1, 0.5)
+    assert mixed.is_dirichlet(np.array([-0.1, 0.0, 0.1]), 0.5).tolist() == [True, True, False]
     leaf = make_bc_spec("leaf", "mixed")
-    assert not leaf.is_dirichlet((0.0, 0.5))  # strict x < 0
+    assert not leaf.is_dirichlet(0.0, 0.5)  # strict x < 0
     with pytest.raises(ConfigurationError):
         make_bc_spec("circle", "robin")
