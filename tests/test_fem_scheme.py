@@ -202,10 +202,12 @@ def test_matrix_symmetry():
 def test_matrix_symmetry_on_random_ellipses(cx, cy, a, b, n):
     # the linear case has the same matrix as any other; the method is
     # consistent and its quadrature exact for u = 1 + x + y, so the nodal
-    # interpolant solves A u_I = F up to round-off
+    # interpolant solves A u_I = F up to round-off.  The Dirichlet part is
+    # left of the centre, off the grid lines, so boundary segments cross
+    # the interface and are split there.
     domain = ellipse_domain(cx, cy, a, b)
     grid = Grid(n)
-    case, bc = make_case("linear"), make_bc_spec("ellipse", "mixed")
+    case, bc = make_case("linear"), BCSpec(cx)
     raw = classify(grid, domain, "eight")
     for alpha in (1.5, 2.0):
         for cls in (raw, None):  # None: assemble_fem snaps with alpha
@@ -215,6 +217,8 @@ def test_matrix_symmetry_on_random_ellipses(cx, cy, a, b, n):
             assert abs(A - A.T).max() <= 1e-12 * abs(A).max()
             u_I = case.u(grid.xs[system.nodes[:, 0]], grid.xs[system.nodes[:, 1]])
             assert np.abs(A @ u_I - system.rhs).max() <= 1e-12 * np.abs(system.rhs).max()
+            assert dirichlet_mass(system.cells, grid, bc, case) == pytest.approx(
+                dirichlet_length(system.cells, cx), rel=1e-10)
 
 
 def test_linear_case_is_exact():
@@ -234,31 +238,33 @@ def test_circle_l2_convergence():
     assert fitted_order(hs, errs) >= 1.7
 
 
+def dirichlet_length(cells, c):
+    """Length of the boundary segments left of the line x = c, each clipped
+    at the line (segments on the line count as left, as for a non-strict
+    interface): an oracle for the Dirichlet part that splits nothing."""
+    total = 0.0
+    for cut in cells.values():
+        for seg in cut.boundary_segments:
+            lo, hi = sorted((seg.p0[0], seg.p1[0]))
+            total += seg.length * (1.0 if hi <= c else 0.0 if lo >= c else (c - lo) / (hi - lo))
+    return total
+
+
+def dirichlet_mass(cells, grid, bc, case):
+    return sum(boundary_terms(cut, grid, bc, case, 1.0)[0].sum()
+               for cut in cells.values() if cut.boundary_segments)
+
+
 def test_mass_matrix_totals():
     # the Dirichlet mass blocks sum to the Dirichlet part of the boundary
     # length under the mixed split (the area total is checked by
     # test_solution_sample_weights_cover_domain)
     grid, system, _, _, case = run_fem("circle", "paper_sin", "mixed", 40)
     bc = make_bc_spec("circle", "mixed")
-    c = bc.interface
-    dlen = nlen = dmass = 0.0
-    for cut in system.cells.values():
-        if cut.boundary_segments:
-            dmass += boundary_terms(cut, grid, bc, case, 1.0)[0].sum()
-        for seg in cut.boundary_segments:
-            pieces = [(seg.p0, seg.p1)]
-            x0, x1 = seg.p0[0], seg.p1[0]
-            if min(x0, x1) < c < max(x0, x1):
-                pm = seg.p0 + (x0 - c) / (x0 - x1) * (seg.p1 - seg.p0)
-                pieces = [(seg.p0, pm), (pm, seg.p1)]
-            for a, b in pieces:
-                mid = 0.5 * (a + b)
-                if bc.is_dirichlet(*mid):
-                    dlen += float(np.hypot(*(b - a)))
-                else:
-                    nlen += float(np.hypot(*(b - a)))
-    assert dlen > 0.0 and nlen > 0.0
-    assert dmass == pytest.approx(dlen, rel=1e-10)
+    dlen = dirichlet_length(system.cells, bc.interface)
+    assert 0.0 < dlen < sum(seg.length for cut in system.cells.values()
+                            for seg in cut.boundary_segments)
+    assert dirichlet_mass(system.cells, grid, bc, case) == pytest.approx(dlen, rel=1e-10)
 
 
 def test_stiffness_rows_sum_to_zero_in_the_interior():
