@@ -126,9 +126,8 @@ def element_volume_terms(cut, grid):
     if cut.area == grid.h * grid.h:
         return S_FULL.copy()
     tris = np.array(cut.triangles).reshape(-1, 3, 2)
-    owner = np.zeros(len(tris), dtype=np.int64)
-    _, w, _, gx, gy = _triangle_quadrature(grid, tris, np.array([cut.cell])[owner])
-    return _stiffness_blocks(gx, gy, w, owner, 1)[0]
+    _, w, _, gx, gy = _triangle_quadrature(grid, tris, np.tile(cut.cell, (len(tris), 1)))
+    return _stiffness_blocks(gx, gy, w, np.zeros(len(tris), dtype=np.int64), 1)[0]
 
 
 def _boundary_blocks(grid, bc, case, lam, cuts, ij):
@@ -280,17 +279,17 @@ def assemble_fem(grid, domain, case, bc, alpha=2.0, classification=None):
     P, D, bnd_rhs = _boundary_blocks(grid, bc, case, lam, cells.values(), keys)
     seg_cells = np.flatnonzero([bool(c.boundary_segments) for c in cells.values()])
 
-    # rhs of each band cell: its triangles in order, then its boundary total
+    # rhs in per-cell order (triangles, then boundary total), fixing F's round-off
     owner = np.concatenate([t_own, seg_cells])
     order = np.argsort(2 * owner + (np.arange(len(owner)) >= len(t_own)), kind="stable")
     np.add.at(rhs, band[owner[order]].ravel(),
               np.concatenate([tri_rhs, bnd_rhs[seg_cells]])[order].ravel())
 
     def build(blocks):
-        rows = np.concatenate([np.repeat(g, 4, axis=1).ravel() for g, _ in blocks])
-        cols = np.concatenate([np.tile(g, (1, 4)).ravel() for g, _ in blocks])
-        vals = np.concatenate([b.ravel() for _, b in blocks])
-        return sp.coo_matrix((vals, (rows, cols)), shape=(n_rows, n_rows)).tocsr()
+        rows = np.concatenate([np.repeat(r, 4, axis=1).ravel() for r, _ in blocks])
+        cols = np.concatenate([np.tile(r, (1, 4)).ravel() for r, _ in blocks])
+        data = np.concatenate([local.ravel() for _, local in blocks])
+        return sp.coo_matrix((data, (rows, cols)), shape=(n_rows, n_rows)).tocsr()
 
     S = build([(g, np.tile(S_FULL, (len(g), 1, 1))), (band[cut], S_cut)])
     P = build([(band[seg_cells], P[seg_cells])])
