@@ -7,7 +7,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -17,8 +17,8 @@ from .errors import ConfigurationError, SolverError, UelError
 from .fd_scheme import assemble_fd, fd_gradient
 from .fem_scheme import (assemble_fem, fem_gradient, nodal_interior_values,
                          solution_samples)
-from .geometry import (DOMAIN_NAMES, NODE_INTERIOR, Grid, classify,
-                       make_bc_spec, make_domain, snap_small_cells)
+from .geometry import (DOMAIN_NAMES, NODE_INTERIOR, Grid, make_bc_spec,
+                       make_domain)
 from .sparse_linalg import (estimate_cond2, solve_cg, solve_direct,
                             solve_nonsymmetric)
 
@@ -87,18 +87,42 @@ def _build_parser():
     ap.add_argument("--solver", choices=("direct", "cg", "krylov"))
     ap.add_argument("--precond", choices=("none", "jacobi", "sor"))
     ap.add_argument("--omega", type=float, help="SOR relaxation factor")
-    ap.add_argument("--cond", action="store_true",
+    ap.add_argument("--cond", action="store_const", const=True, dest="compute_cond",
                     help=f"estimate cond_2 of each system (skipped above N={COND_N_CAP})")
-    ap.add_argument("--force-cond", action="store_true",
+    ap.add_argument("--force-cond", action="store_const", const=True,
                     help="estimate cond_2 regardless of grid size")
     ap.add_argument("--tol-factor", type=float, help="boundary bisection tolerance in units of h")
-    ap.add_argument("--tol", type=float, help="iterative solver relative tolerance")
+    ap.add_argument("--tol", type=float, dest="solver_tol", metavar="TOL",
+                    help="iterative solver relative tolerance")
     ap.add_argument("--maxit", type=int, help="iterative solver iteration cap")
     ap.add_argument("--output", help="output path stem (extension added per format)")
     ap.add_argument("--format", choices=("csv", "json", "both"), dest="fmt")
-    ap.add_argument("--no-timings", action="store_true",
+    ap.add_argument("--no-timings", action="store_const", const=False, dest="timings",
                     help="write n/a in the timing columns (reproducible output)")
     return ap
+
+
+def _read_config_file(path):
+    """Values of a JSON config file, keyed by ExperimentConfig field; a key
+    that is no field, or a value of the wrong JSON type, is rejected."""
+    try:
+        with open(path) as fh:
+            values = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigurationError(f"cannot read config file {path!r}: {exc}") from exc
+    if not isinstance(values, dict):
+        raise ConfigurationError(f"config file {path!r} must hold a JSON object")
+    kinds = {f.name: f.type for f in fields(ExperimentConfig)}
+    # JSON types per field type; grids may be a list or a "40,80" string
+    accepted = {float: (int, float), int: int, bool: bool, str: str, tuple: (list, str)}
+    for key, value in values.items():
+        if key not in kinds:
+            raise ConfigurationError(f"unknown config key {key!r} in {path!r}")
+        kind = kinds[key]
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted[kind]):
+            raise ConfigurationError(
+                f"config key {key!r} must be {kind.__name__}, got {value!r}")
+    return values
 
 
 def parse_config(argv):
@@ -108,26 +132,10 @@ def parse_config(argv):
     if not argv:
         ap.print_usage(sys.stderr)
         raise ConfigurationError("no arguments given; --domain and --scheme are required")
-    ns = ap.parse_args(argv)
-
-    values = {}
-    if ns.config:
-        try:
-            with open(ns.config) as fh:
-                values.update(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigurationError(f"cannot read config file {ns.config!r}: {exc}") from exc
-    flag_map = {
-        "domain": ns.domain, "scheme": ns.scheme, "bc": ns.bc, "case": ns.case,
-        "p": ns.p, "alpha": ns.alpha, "grids": ns.grids, "solver": ns.solver,
-        "precond": ns.precond, "omega": ns.omega,
-        "compute_cond": True if ns.cond else None,
-        "force_cond": True if ns.force_cond else None,
-        "tol_factor": ns.tol_factor, "solver_tol": ns.tol, "maxit": ns.maxit,
-        "output": ns.output, "fmt": ns.fmt,
-        "timings": False if ns.no_timings else None,
-    }
-    values.update({k: v for k, v in flag_map.items() if v is not None})
+    flags = vars(ap.parse_args(argv))
+    path = flags.pop("config")
+    values = _read_config_file(path) if path else {}
+    values.update({k: v for k, v in flags.items() if v is not None})
 
     if "domain" not in values or "scheme" not in values:
         raise ConfigurationError("--domain and --scheme are required")
@@ -230,10 +238,7 @@ def run_single(config, n, domain, case, bc):
         err_g = tuple(relative_error(grads, g_ex, b, wg) for b in (1, 2, "inf"))
         nodal_linf = err_u[2]
     else:
-        cls = snap_small_cells(classify(grid, domain, "eight"), grid, domain,
-                               config.alpha)
-        system = assemble_fem(grid, domain, case, bc, alpha=config.alpha,
-                              classification=cls)
+        system = assemble_fem(grid, domain, case, bc, alpha=config.alpha)
         assemble_s = time.perf_counter() - t0
         u, report = _solve(config, system.matrix, system.rhs)
 

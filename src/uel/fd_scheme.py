@@ -179,11 +179,6 @@ class FdSystem:
     projections: dict          # ghost node -> BoundaryProjection
     classification: object
     grid: object
-    p: int
-
-    @property
-    def n_rows(self):
-        return self.matrix.shape[0]
 
 
 def _extended_projection(node, domain, grid, tol_factor, active, p):
@@ -194,8 +189,8 @@ def _extended_projection(node, domain, grid, tol_factor, active, p):
     single-column stencil it induces references only active nodes (the next
     node along the axis is interior or itself a ghost), so activation never
     cascades.  In concave corners without an axis crossing, a diagonal
-    column or the normal-ray tensor stencil is used instead, provided the
-    referenced nodes are already active.
+    column is used instead, provided the nodes it references are already
+    active.
     """
     i, j = node
     h = grid.h
@@ -205,11 +200,6 @@ def _extended_projection(node, domain, grid, tol_factor, active, p):
     if phi_g > 0.0:
         raise AssemblyError(f"extended ghost ({i}, {j}) is interior; "
                             "classification invariant violated")
-    if phi_g == 0.0:
-        n_hat = domain.outward_normal(gx, gy, step=h / 2.0)
-        sx, sy = _sign0_pair(-n_hat[0], -n_hat[1])
-        return BoundaryProjection((int(i), int(j)), np.array([gx, gy]), 0.0,
-                                  n_hat, (0.0, 0.0), (sx, sy))
 
     best = None
     for ex, ey in ((1, 0), (-1, 0), (0, 1), (0, -1)):
@@ -246,30 +236,9 @@ def _extended_projection(node, domain, grid, tol_factor, active, p):
         return BoundaryProjection((int(i), int(j)), point, float(t), normal,
                                   (td, td), (ex, ey), diagonal=True)
 
-    n_hat = domain.outward_normal(gx, gy, step=h / 2.0)
-    nu = _bisect_ray(domain, (gx, gy), (-n_hat[0], -n_hat[1]),
-                     2.0 * math.sqrt(2.0) * h, tol_factor * h)
-    if nu is not None:
-        bx, by = gx - n_hat[0] * nu, gy - n_hat[1] * nu
-        sx, sy = _sign0_pair(bx - gx, by - gy)
-        proj = BoundaryProjection((int(i), int(j)), np.array([bx, by]),
-                                  float(nu), n_hat,
-                                  (abs(bx - gx) / h, abs(by - gy) / h),
-                                  (sx, sy))
-        if max(proj.theta) < 2.0:
-            ok = all(0 <= ii <= n and 0 <= jj <= n
-                     and (active[ii, jj] or (ii, jj) == (i, j))
-                     for _, _, ii, jj in _stencil_nodes(proj, p))
-            if ok:
-                return proj
     raise GeometryError(
         f"no usable boundary projection for extended ghost ({i}, {j}); "
         "the grid is too coarse for this geometry")
-
-
-def _sign0_pair(a, b):
-    return ((1 if a > 1e-12 else (-1 if a < -1e-12 else 0)),
-            (1 if b > 1e-12 else (-1 if b < -1e-12 else 0)))
 
 
 def _has_active_neighbor(active, i, j):
@@ -427,7 +396,7 @@ def assemble_fd(grid, domain, case, bc, p=2, tol_factor=1e-4):
         (np.concatenate(vals_parts),
          (np.concatenate(rows_parts), np.concatenate(cols_parts))),
         shape=(n_rows, n_rows)).tocsr()
-    return FdSystem(matrix, rhs, nodes, index, projections, cls, grid, p)
+    return FdSystem(matrix, rhs, nodes, index, projections, cls, grid)
 
 
 def fd_gradient(system, u):

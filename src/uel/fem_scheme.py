@@ -116,27 +116,18 @@ def _stiffness_blocks(gx, gy, w, owner, n_cells):
     return 0.5 * (S + S.transpose(0, 2, 1))
 
 
-def element_volume_terms(cut, grid):
-    """Local 4x4 stiffness contribution of one cut cell.
-
-    Full cells use the closed-form bilinear element matrix; cut polygons
-    are integrated with the triangle rule (exact for all products of bilinear
-    functions).
-    """
-    if cut.area == grid.h * grid.h:
-        return S_FULL.copy()
-    tris = np.array(cut.triangles).reshape(-1, 3, 2)
-    _, w, _, gx, gy = _triangle_quadrature(grid, tris, np.tile(cut.cell, (len(tris), 1)))
-    return _stiffness_blocks(gx, gy, w, np.zeros(len(tris), dtype=np.int64), 1)[0]
-
-
 def _boundary_blocks(grid, bc, case, lam, cuts, ij):
     """Boundary blocks (P, D, rhs), each (C, ...), of cut cells cuts lying in
-    cells ij (C, 2), summed over each cell's segments in order.
+    cells ij (C, 2), summed over each cell's segments in order: the Dirichlet
+    mass, the Dirichlet consistency D[a, b] = int phi_b dphi_a/dn, and the
+    right-hand-side pieces with g_D, g_N evaluated at the quadrature points.
 
-    Segments crossing the Dirichlet/Neumann interface are split there, so
-    each piece is classified by one predicate value; pieces no longer than
-    1e-13 h are dropped.
+    Neumann data samples the manufactured flux through the segment normal,
+    so the discrete form sees the flux of the polygonal boundary it actually
+    integrates over (snapped boundary pieces run along grid lines, where the
+    level-set normal would be O(1) wrong).  Segments crossing the
+    Dirichlet/Neumann interface are split there, so each piece is classified
+    by one predicate value; pieces no longer than 1e-13 h are dropped.
     """
     segs = [(s.p0, s.p1, s.normal) for cut in cuts for s in cut.boundary_segments]
     p0, p1, normal = np.array(segs).reshape(-1, 3, 2).transpose(1, 0, 2)
@@ -174,21 +165,6 @@ def _boundary_blocks(grid, bc, case, lam, cuts, ij):
     return 0.5 * (P + P.transpose(0, 2, 1)), D, rhs
 
 
-def boundary_terms(cut, grid, bc, case, lam):
-    """Local boundary contributions of one cut cell.
-
-    Returns (P, D, rhs): Dirichlet mass, Dirichlet consistency
-    (D[a, b] = int phi_b dphi_a/dn), and the right-hand-side pieces with
-    g_D, g_N evaluated pointwise at the quadrature points.
-    Neumann data samples the manufactured flux through the segment normal,
-    so the discrete form sees the flux of the polygonal boundary it actually
-    integrates over (snapped boundary pieces run along grid lines, where the
-    level-set normal would be O(1) wrong).
-    """
-    blocks = _boundary_blocks(grid, bc, case, lam, [cut], np.array([cut.cell]))
-    return tuple(b[0] for b in blocks)
-
-
 @dataclass
 class FemSystem:
     """Assembled penalized FEM system A u = F over the active nodes, with
@@ -203,10 +179,6 @@ class FemSystem:
     classification: object
     cells: dict
     grid: object
-
-    @property
-    def n_rows(self):
-        return self.matrix.shape[0]
 
 
 # Reference quadrature layout for full cells: both fan triangles of the unit
@@ -271,6 +243,7 @@ def assemble_fem(grid, domain, case, bc, alpha=2.0, classification=None):
         ci, cj = keys[np.argmax(band.min(axis=1) < 0)]
         raise AssemblyError(f"inactive node on cut cell ({ci}, {cj})")
     S_cut = _stiffness_blocks(gx, gy, w, t_own, len(keys))[cut]
+    # cut cells covering the whole square take the closed form
     areas = np.array([c.area for c in cells.values()])[cut]
     S_cut[areas == h * h] = S_FULL
     f = _at(case.f(pts[..., 0], pts[..., 1]), pts[..., 0])

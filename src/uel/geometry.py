@@ -33,9 +33,8 @@ DOMAIN_NAMES = ("circle", "leaf", "flower", "hourglass")
 class LevelSetDomain:
     """Analytic level-set description of a domain Omega inside R = [-1,1]^2.
 
-    After construction through make_domain, phi is positive inside Omega,
-    negative outside and zero on the boundary Gamma.  phi and grad_phi accept
-    scalars or numpy arrays.
+    phi is positive inside Omega, negative outside and zero on the boundary
+    Gamma.  phi and grad_phi accept scalars or numpy arrays.
 
     Parameters
     ----------
@@ -43,37 +42,27 @@ class LevelSetDomain:
         Identifier of the domain.
     phi : callable
         Level-set function phi(x, y).
-    grad_phi : callable, optional
-        Analytic gradient (x, y) -> (dphi_dx, dphi_dy).  When absent,
-        gradients fall back to centered finite differences.
+    grad_phi : callable
+        Analytic gradient (x, y) -> (dphi_dx, dphi_dy).
     circle_center : tuple
         Set for circular domains only; enables exact normals.
-    fd_step : float
-        Default step for the finite-difference gradient fallback.
     """
 
     name: str
     phi: callable
-    grad_phi: callable = None
+    grad_phi: callable
     circle_center: tuple = None
-    fd_step: float = 1e-6
 
     @property
     def is_circle(self):
         return self.circle_center is not None
 
-    def gradient(self, x, y, step=None):
-        """Gradient of phi at (x, y): analytic if available, otherwise centered
-        differences with the given step (default self.fd_step)."""
-        if self.grad_phi is not None:
-            gx, gy = self.grad_phi(x, y)
-            return float(gx), float(gy)
-        s = self.fd_step if step is None else step
-        gx = (self.phi(x + s, y) - self.phi(x - s, y)) / (2.0 * s)
-        gy = (self.phi(x, y + s) - self.phi(x, y - s)) / (2.0 * s)
+    def gradient(self, x, y):
+        """Analytic gradient of phi at (x, y)."""
+        gx, gy = self.grad_phi(x, y)
         return float(gx), float(gy)
 
-    def outward_normal(self, x, y, step=None):
+    def outward_normal(self, x, y):
         """Outward unit normal of Omega at (x, y).
 
         With the positive-inside convention the gradient of phi points into
@@ -87,36 +76,17 @@ class LevelSetDomain:
             if r == 0.0:
                 raise GeometryError(f"normal undefined at the center of circle {self.name!r}")
             return np.array([dx / r, dy / r])
-        gx, gy = self.gradient(x, y, step)
+        gx, gy = self.gradient(x, y)
         norm = math.hypot(gx, gy)
         if norm < 1e-14:
             raise GeometryError(f"vanishing level-set gradient at ({x}, {y}) on domain {self.name!r}")
         return np.array([-gx / norm, -gy / norm])
 
 
-def _probe_sign(raw_phi, seed):
-    """Majority sign of raw_phi over the seed and a small ring around it.
-
-    The ring handles seeds sitting exactly on the zero level (the hourglass
-    pinch) or on a singularity of the printed formula (the flower center),
-    where the seed value alone is unusable."""
-    sx, sy = seed
-    vals = [float(raw_phi(sx, sy))]
-    for k in range(8):
-        a = 2.0 * math.pi * k / 8.0
-        vals.append(float(raw_phi(sx + 1e-3 * math.cos(a), sy + 1e-3 * math.sin(a))))
-    signs = [math.copysign(1.0, v) for v in vals if math.isfinite(v) and v != 0.0]
-    if not signs:
-        raise ConfigurationError("cannot determine the level-set sign near the interior seed")
-    total = sum(signs)
-    if total == 0:
-        raise ConfigurationError("ambiguous level-set sign near the interior seed")
-    return 1.0 if total > 0 else -1.0
-
-
 def make_domain(name):
-    """Build one of the four reference domains, sign-normalized so that phi
-    is positive near a seed point inside Omega.
+    """Build one of the four reference domains, with phi positive inside
+    Omega (the printed leaf, flower and hourglass formulas are negative
+    inside and are negated).
 
     Supported names: circle, leaf, flower, hourglass.
     """
@@ -140,12 +110,13 @@ def make_domain(name):
         c2 = 0.25 * math.sin(math.pi / 4.0)
         r0 = 0.7
 
-        def raw(x, y, c1=c1, c2=c2):
+        # the printed formula max(R1, R2) - 0.7 is negative inside: negated
+        def phi(x, y):
             r1 = np.sqrt((x - c1) ** 2 + y * y)
             r2 = np.sqrt((x - c2) ** 2 + y * y)
-            return np.maximum(r1, r2) - r0
+            return -(np.maximum(r1, r2) - r0)
 
-        def raw_grad(x, y, c1=c1, c2=c2):
+        def grad(x, y):
             r1 = np.sqrt((x - c1) ** 2 + y * y)
             r2 = np.sqrt((x - c2) ** 2 + y * y)
             pick1 = r1 >= r2
@@ -153,19 +124,20 @@ def make_domain(name):
             r2s = np.where(r2 == 0.0, 1.0, r2)
             gx = np.where(pick1, (x - c1) / r1s, (x - c2) / r2s)
             gy = np.where(pick1, y / r1s, y / r2s)
-            return gx, gy
+            return -gx, -gy
 
-        seed = (0.0, 0.0)
+        return LevelSetDomain("leaf", phi, grad)
 
-    elif name == "flower":
+    if name == "flower":
         # The printed quotient has spurious zero branches from R ~ 0.73
         # outward (R - 0.52 - R^5 sin(5t) changes sign again); the petals end
         # at R ~ 0.59.  Intersecting with the disk R < 0.66 keeps exactly the
-        # flower component without touching its boundary.
+        # flower component without touching its boundary.  The printed
+        # quotient is negative inside the flower: phi negates it.
         x0, y0 = 0.03 * math.sqrt(3.0), 0.04 * math.sqrt(2.0)
         clip = 0.66
 
-        def raw(x, y, x0=x0, y0=y0):
+        def raw(x, y):
             X, Y = x - x0, y - y0
             r = np.sqrt(X * X + Y * Y)
             w = Y ** 5 + 5.0 * X ** 4 * Y - 10.0 * X ** 2 * Y ** 3
@@ -173,7 +145,7 @@ def make_domain(name):
                 val = (r - 0.52 - w) / (5.0 * r ** 5)
             return np.where(r == 0.0, -np.inf, val)
 
-        def raw_grad(x, y, x0=x0, y0=y0):
+        def raw_grad(x, y):
             X, Y = x - x0, y - y0
             r = np.sqrt(X * X + Y * Y)
             rs = np.where(r == 0.0, 1.0, r)
@@ -188,52 +160,38 @@ def make_domain(name):
             gy = (ay * b - a * by) / (b * b)
             return np.where(r == 0.0, 0.0, gx), np.where(r == 0.0, 0.0, gy)
 
-        seed = (x0, y0)
-        sign = _probe_sign(raw, seed)
-
-        def phi(x, y, raw=raw, sign=sign, x0=x0, y0=y0, clip=clip):
+        def phi(x, y):
             X, Y = x - x0, y - y0
-            return np.minimum(sign * raw(x, y), clip - np.sqrt(X * X + Y * Y))
+            return np.minimum(-raw(x, y), clip - np.sqrt(X * X + Y * Y))
 
-        def grad(x, y, raw=raw, raw_grad=raw_grad, sign=sign, x0=x0, y0=y0, clip=clip):
+        def grad(x, y):
             X, Y = x - x0, y - y0
             r = np.sqrt(X * X + Y * Y)
             rs = np.where(r == 0.0, 1.0, r)
-            flower_active = sign * raw(x, y) <= clip - r
+            flower_active = -raw(x, y) <= clip - r
             gx, gy = raw_grad(x, y)
-            gx = np.where(flower_active, sign * gx, -X / rs)
-            gy = np.where(flower_active, sign * gy, -Y / rs)
+            gx = np.where(flower_active, -gx, -X / rs)
+            gy = np.where(flower_active, -gy, -Y / rs)
             return gx, gy
 
         return LevelSetDomain("flower", phi, grad)
 
-    elif name == "hourglass":
+    if name == "hourglass":
         x0, y0 = 0.03 * math.sqrt(3.0), 0.04 * math.sqrt(2.0)
 
-        def raw(x, y, x0=x0, y0=y0):
+        # the printed quartic is negative inside: negated
+        def phi(x, y):
             X, Y = x - x0, y - y0
-            return 256.0 * Y ** 4 - 16.0 * X ** 4 - 128.0 * Y ** 2 + 36.0 * X ** 2
+            return -(256.0 * Y ** 4 - 16.0 * X ** 4 - 128.0 * Y ** 2 + 36.0 * X ** 2)
 
-        def raw_grad(x, y, x0=x0, y0=y0):
+        def grad(x, y):
             X, Y = x - x0, y - y0
-            return -64.0 * X ** 3 + 72.0 * X, 1024.0 * Y ** 3 - 256.0 * Y
+            return -(-64.0 * X ** 3 + 72.0 * X), -(1024.0 * Y ** 3 - 256.0 * Y)
 
-        seed = (x0, y0)
+        return LevelSetDomain("hourglass", phi, grad)
 
-    else:
-        raise ConfigurationError(
-            f"unknown domain {name!r}; expected one of {', '.join(DOMAIN_NAMES)}")
-
-    sign = _probe_sign(raw, seed)
-
-    def phi(x, y, raw=raw, sign=sign):
-        return sign * raw(x, y)
-
-    def grad(x, y, raw_grad=raw_grad, sign=sign):
-        gx, gy = raw_grad(x, y)
-        return sign * gx, sign * gy
-
-    return LevelSetDomain(name, phi, grad)
+    raise ConfigurationError(
+        f"unknown domain {name!r}; expected one of {', '.join(DOMAIN_NAMES)}")
 
 
 # ----------------------------------------------------------------------
@@ -256,9 +214,6 @@ class Grid:
 
     def node(self, i, j):
         return self.xs[i], self.xs[j]
-
-    def __repr__(self):
-        return f"Grid(n={self.n})"
 
 
 @dataclass
@@ -358,7 +313,7 @@ def snap_small_cells(classification, grid, domain, alpha):
     # Cut candidates need an actual area check; cells the band touched but
     # that keep no positive vertex are snapped rather than outside.
     for ci, cj in np.argwhere(roles == CELL_CUT):
-        cell = cut_cell_geometry((ci, cj), grid, domain, phi_values=phi)
+        cell = cut_cell_geometry((ci, cj), grid, phi)
         if cell.area < area_tol:
             roles[ci, cj] = CELL_SNAPPED
     cell_touched = (touched[:-1, :-1] | touched[1:, :-1]
@@ -469,7 +424,7 @@ def project_to_boundary(node, domain, grid, tol_factor=1e-4):
         raise GeometryError(f"node ({i}, {j}) is interior; only exterior nodes project")
 
     tol = tol_factor * h
-    n_hat = domain.outward_normal(gx, gy, step=h / 2.0)
+    n_hat = domain.outward_normal(gx, gy)
 
     if phi_g == 0.0:
         nu, bx, by = 0.0, gx, gy
@@ -543,7 +498,8 @@ class CutCell:
 
 def _shoelace(poly):
     x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    nxt = np.r_[1:len(poly), 0]
+    return 0.5 * float(np.dot(x, y[nxt]) - np.dot(y, x[nxt]))
 
 
 def _fan_triangles(poly, tiny):
@@ -595,26 +551,20 @@ def _chord_segments(poly_pts, x0, x1, y0, y1, tiny):
     return segs
 
 
-def cut_cell_geometry(cell, grid, domain, phi_values=None):
-    """Marching-squares polygon of cell ∩ {phi_h >= 0} with linear edge roots.
+def cut_cell_geometry(cell, grid, phi):
+    """Marching-squares polygon of cell ∩ {phi_h >= 0} with linear edge roots,
+    from the nodal level-set values phi (snapped ones after snapping).
 
-    phi_values, when given, supplies the (snapped) nodal level-set values;
-    otherwise the analytic phi is evaluated at the four cell corners.  The
-    ambiguous saddle configuration is resolved by the bilinear value at the
-    cell center.  Boundary segments here are interior chords only; polygon
-    edges running along cell sides are attributed by extract_cut_cells,
-    which sees both sides of each edge.
+    The ambiguous saddle configuration is resolved by the bilinear value at
+    the cell center.  Boundary segments here are interior chords only;
+    polygon edges running along cell sides are attributed by
+    extract_cut_cells, which sees both sides of each edge.
     """
     ci, cj = cell
     h = grid.h
     x0, y0 = grid.node(ci, cj)
     x1, y1 = grid.node(ci + 1, cj + 1)
-    if phi_values is not None:
-        vals = [phi_values[ci, cj], phi_values[ci + 1, cj],
-                phi_values[ci + 1, cj + 1], phi_values[ci, cj + 1]]
-    else:
-        vals = [float(domain.phi(x, y))
-                for x, y in ((x0, y0), (x1, y0), (x1, y1), (x0, y1))]
+    vals = [phi[ci, cj], phi[ci + 1, cj], phi[ci + 1, cj + 1], phi[ci, cj + 1]]
     corners = [np.array([x0, y0]), np.array([x1, y0]),
                np.array([x1, y1]), np.array([x0, y1])]
     tiny = 1e-12 * h
@@ -693,7 +643,7 @@ def extract_cut_cells(classification, domain=None):
     tiny = 1e-12 * grid.h
     cells = {}
     for ci, cj in np.argwhere(role == CELL_CUT):
-        cc = cut_cell_geometry((ci, cj), grid, domain, phi_values=phi)
+        cc = cut_cell_geometry((ci, cj), grid, phi)
         if cc.area > 0.0:
             cells[(int(ci), int(cj))] = cc
     # cells that carry area, framed by a ring of empty off-grid cells
@@ -704,7 +654,7 @@ def extract_cut_cells(classification, domain=None):
     exposed = ~(occupied[:-2, 1:-1] & occupied[2:, 1:-1]
                 & occupied[1:-1, :-2] & occupied[1:-1, 2:])
     for ci, cj in np.argwhere((role == CELL_INSIDE) & exposed):
-        cells[(int(ci), int(cj))] = cut_cell_geometry((ci, cj), grid, domain, phi_values=phi)
+        cells[(int(ci), int(cj))] = cut_cell_geometry((ci, cj), grid, phi)
     cells = dict(sorted(cells.items()))
     for (ci, cj), cc in cells.items():
         x0, y0 = grid.node(ci, cj)

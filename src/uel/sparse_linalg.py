@@ -187,19 +187,18 @@ def solve_cg(A, b, preconditioner="none", tol=1e-12, maxit=10000, omega=1.5):
                           time.perf_counter() - t0)
 
 
-def solve_nonsymmetric(A, b, tol=1e-12, maxit=10000,
-                       direct_threshold=DIRECT_FALLBACK_SIZE):
-    """Solver for general (ghost-point) systems: sparse LU below the size
-    threshold, BiCGSTAB with an incomplete-LU preconditioner above it, with a
-    direct fallback on breakdown.
+def solve_nonsymmetric(A, b, tol=1e-12, maxit=10000):
+    """Solver for general (ghost-point) systems: sparse LU below
+    DIRECT_FALLBACK_SIZE rows, BiCGSTAB with an incomplete-LU preconditioner
+    above it, with a direct fallback on breakdown.
 
     Returns (x, SolveReport).
     """
     A = sp.csr_matrix(A)
     n = A.shape[0]
-    if n < direct_threshold:
+    if n < DIRECT_FALLBACK_SIZE:
         x, report = solve_direct(A, b)
-        report.note = _join_notes(f"direct fallback below n={direct_threshold}",
+        report.note = _join_notes(f"direct fallback below n={DIRECT_FALLBACK_SIZE}",
                                   report.note)
         return x, report
     t0 = time.perf_counter()
@@ -233,8 +232,6 @@ class CondEstimate:
     lower bound)."""
 
     value: float
-    sigma_max: float
-    sigma_min: float
     converged: bool
     note: str = ""
 
@@ -284,4 +281,4 @@ def estimate_cond2(A, tol=1e-3, maxit=500, seed=0):
     converged = ok_max and ok_min
     note = _join_notes(factor_note, "" if converged else
                        "iteration cap reached; value is a lower bound")
-    return CondEstimate(sigma_max / sigma_min, sigma_max, sigma_min, converged, note)
+    return CondEstimate(sigma_max / sigma_min, converged, note)

@@ -71,6 +71,20 @@ def test_config_file_with_flag_override(tmp_path):
     assert cfg.grids == (40, 80)
 
 
+@pytest.mark.parametrize("payload,named", [
+    ({"domain": "circle", "scheme": "fem", "domian": "circle"}, "'domian'"),
+    ({"domain": "circle", "scheme": "fem", "alpha": "x"}, "'alpha'"),
+    (["circle", "fem"], "JSON object")])
+def test_bad_config_file_is_a_configuration_error(tmp_path, capsys, payload, named):
+    cfgfile = tmp_path / "exp.json"
+    cfgfile.write_text(json.dumps(payload))
+    with pytest.raises(ConfigurationError, match=named):
+        parse_config(["--config", str(cfgfile)])
+    assert main(["--config", str(cfgfile)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+
+
 def small_config(tmp_path, **kw):
     base = dict(domain="circle", scheme="fd", p=2, grids=(8, 16),
                 solver="direct", output=str(tmp_path / "report"),
@@ -142,7 +156,7 @@ def test_json_outcomes_flag_a_cond2_lower_bound(tmp_path, monkeypatch):
     import uel.cli as cli
 
     def capped(matrix):
-        return CondEstimate(123.0, 12.3, 0.1, False, "iteration cap reached")
+        return CondEstimate(123.0, False, "iteration cap reached")
 
     monkeypatch.setattr(cli, "estimate_cond2", capped)
     report = run(small_config(tmp_path, fmt="json", compute_cond=True))
@@ -164,7 +178,7 @@ def test_json_outcomes_carry_the_cond2_note(tmp_path, monkeypatch):
             "fell back to COLAMD with partial pivoting")
 
     def refactored(matrix):
-        return CondEstimate(45.0, 9.0, 0.2, True, note)
+        return CondEstimate(45.0, True, note)
 
     monkeypatch.setattr(cli, "estimate_cond2", refactored)
     run(small_config(tmp_path, fmt="json", compute_cond=True))

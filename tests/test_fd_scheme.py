@@ -318,7 +318,7 @@ def test_mitigated_diagonal_bounded():
 
 def test_assemble_circle_n4_size():
     grid, system, _, _, _ = run_fd("circle", "paper_sin", "dirichlet", 4)
-    assert system.n_rows == 21
+    assert system.matrix.shape == (21, 21)
     assert np.count_nonzero(system.classification.node_role == NODE_INTERIOR) == 9
     assert len(system.projections) == 12
 
@@ -384,6 +384,16 @@ def test_extended_ghosts_assemble_and_solve(name, n):
     assert report.final_residual <= 1e-10
     eu, _ = fd_errors(grid, system, u, case)
     assert eu[2] < 5e-3
+
+
+def test_extended_ghost_without_axis_or_diagonal_foot_raises():
+    # flower at N=12: extended ghost (1, 8) has no axis crossing within two
+    # cells and no diagonal column on active nodes
+    grid = Grid(12)
+    with pytest.raises(GeometryError,
+                       match=r"no usable boundary projection for extended ghost \(1, 8\)"):
+        assemble_fd(grid, make_domain("flower"), make_case("paper_sin"),
+                    make_bc_spec("flower", "mixed"), p=2)
 
 
 def test_stencil_nodes_respect_collapsed_directions():

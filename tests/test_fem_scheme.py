@@ -11,10 +11,10 @@ from conftest import (ELLIPSES, ellipse_domain, fem_errors, full_square_domain,
 from uel import Grid, assemble_fem, make_bc_spec, make_case, make_domain
 from uel.analysis import fitted_order
 from uel.errors import ConfigurationError
-from uel.fem_scheme import (RULE, S_FULL, _cell_basis, _triangle_quadrature,
-                            boundary_terms, element_volume_terms,
+from uel.fem_scheme import (RULE, S_FULL, _boundary_blocks, _cell_basis,
+                            _stiffness_blocks, _triangle_quadrature,
                             fem_gradient, solution_samples)
-from uel.geometry import (CELL_INSIDE, BCSpec, CutCell, LevelSetDomain,
+from uel.geometry import (CELL_CUT, CELL_INSIDE, BCSpec, LevelSetDomain,
                           classify, cut_cell_geometry, extract_cut_cells,
                           snap_small_cells)
 
@@ -87,18 +87,46 @@ def test_full_cell_matrices_against_gauss_oracle():
             assert S_FULL[a, b] == pytest.approx(s_ref, abs=1e-12)
 
 
-def test_element_volume_terms_full_cell_closed_form():
+def full_cell_triangles(grid, cell):
+    """Fan triangles (T, 3, 2) of a cell lying wholly inside Omega."""
+    cut = cut_cell_geometry(cell, grid, np.ones((grid.n + 1, grid.n + 1)))
+    return np.array(cut.triangles)
+
+
+def stiffness_of(grid, tris, cell):
+    """4x4 stiffness block of triangles tris lying in one cell."""
+    _, w, _, gx, gy = _triangle_quadrature(grid, tris, np.tile(cell, (len(tris), 1)))
+    return _stiffness_blocks(gx, gy, w, np.zeros(len(tris), dtype=np.int64), 1)[0]
+
+
+def test_full_area_cut_cells_take_the_closed_form():
+    # phi = |x - x_c|^2 vanishes only at node c = (4, 4): its four cells are
+    # cut cells covering the whole square, without boundary segments, so
+    # the assembled row of c is the closed-form 9-point stiffness stencil
     grid = Grid(8)
-    cut = cut_cell_geometry((3, 3), grid, full_square_domain())
-    assert np.allclose(element_volume_terms(cut, grid), S_FULL, atol=1e-14)
+    xc, yc = grid.node(4, 4)
+    domain = LevelSetDomain("point", lambda x, y: (x - xc) ** 2 + (y - yc) ** 2,
+                            lambda x, y: (2.0 * (x - xc), 2.0 * (y - yc)))
+    system = assemble_fem(grid, domain, make_case("constant"),
+                          make_bc_spec("circle", "dirichlet"), alpha=2.0)
+    around = ((3, 3), (4, 3), (4, 4), (3, 4))
+    assert all(system.classification.cell_role[c] == CELL_CUT for c in around)
+    assert all(system.cells[c].area == grid.h ** 2 for c in around)
+    assert not any(system.cells[c].boundary_segments for c in around)
+    row = system.matrix[system.index[4, 4]].toarray().ravel()
+    # S_FULL summed over the four cells: 4 * 4/6 on the diagonal, 2 * -1/6
+    # to the edge neighbors and -2/6 to the diagonal ones
+    stencil = np.full((3, 3), -1.0 / 3.0)
+    stencil[1, 1] = 8.0 / 3.0
+    assert np.allclose(row[system.index[3:6, 3:6]], stencil, atol=1e-14)
+    assert np.count_nonzero(row) == 9
 
 
 def test_triangle_quadrature_matches_closed_form():
-    # force the quadrature path on a full cell by perturbing the area field
+    # the quadrature path on the two fan triangles of a full cell
     grid = Grid(8)
-    cut = cut_cell_geometry((3, 3), grid, full_square_domain())
-    forced = CutCell(cut.cell, cut.polygons, cut.triangles, [], cut.area * (1 - 1e-9))
-    assert np.allclose(element_volume_terms(forced, grid), S_FULL, atol=1e-12)
+    assert np.allclose(stiffness_of(grid, full_cell_triangles(grid, (3, 3)), (3, 3)),
+                       S_FULL, atol=1e-12)
 
 
 def test_triangle_rule_exact_to_degree_four():
@@ -106,10 +134,10 @@ def test_triangle_rule_exact_to_degree_four():
     # s^a t^b, a + b <= 4, in cell-local coordinates exactly
     grid = Grid(8)
     h = grid.h
-    cut = cut_cell_geometry((3, 3), grid, full_square_domain())
+    tris = full_cell_triangles(grid, (3, 3))
     x0, y0 = grid.node(3, 3)
-    assert len(cut.triangles) == 2
-    pts, w, _, _, _ = _triangle_quadrature(grid, np.array(cut.triangles), np.array([[3, 3]] * 2))
+    assert len(tris) == 2
+    pts, w, _, _, _ = _triangle_quadrature(grid, tris, np.array([[3, 3]] * 2))
     for a in range(5):
         for b in range(5 - a):
             total = np.sum(w * (pts[..., 0] - x0) ** a * (pts[..., 1] - y0) ** b)
@@ -119,13 +147,19 @@ def test_triangle_rule_exact_to_degree_four():
 
 def test_empty_cell_contributes_nothing():
     grid = Grid(8)
-    S4 = element_volume_terms(CutCell((0, 0), [], [], [], 0.0), grid)
+    S4 = stiffness_of(grid, np.zeros((0, 3, 2)), (0, 0))
     assert np.all(S4 == 0.0)
 
 
 # ----------------------------------------------------------------------
 # boundary terms
 # ----------------------------------------------------------------------
+
+def boundary_blocks(cells, grid, bc, case):
+    """(P, D, rhs) of every band cell, each (C, ...), with lambda = 1."""
+    return _boundary_blocks(grid, bc, case, 1.0, list(cells.values()),
+                            np.array(list(cells)).reshape(-1, 2))
+
 
 def test_neumann_segment_leaves_dirichlet_blocks_empty():
     grid = Grid(8)
@@ -134,8 +168,8 @@ def test_neumann_segment_leaves_dirichlet_blocks_empty():
     all_neumann = BCSpec(-math.inf)
     cls = classify(grid, domain, "eight")
     cells = extract_cut_cells(cls, domain)
-    cut = next(c for c in cells.values() if c.boundary_segments)
-    P, D, _ = boundary_terms(cut, grid, all_neumann, case, 1.0)
+    assert any(c.boundary_segments for c in cells.values())
+    P, D, _ = boundary_blocks(cells, grid, all_neumann, case)
     assert np.all(P == 0.0) and np.all(D == 0.0)
 
 
@@ -154,8 +188,7 @@ def test_neumann_rhs_obeys_divergence_theorem(name, n, snapped):
     if snapped:
         cls = snap_small_cells(cls, grid, domain, 2.0)
     cells = extract_cut_cells(cls, domain)
-    flux = sum(boundary_terms(cut, grid, all_neumann, case, 1.0)[2].sum()
-               for cut in cells.values() if cut.boundary_segments)
+    flux = boundary_blocks(cells, grid, all_neumann, case)[2].sum()
     assert flux == pytest.approx(4.0 * omega_h_area(cls, cells), rel=1e-12)
 
 
@@ -167,19 +200,17 @@ def test_dirichlet_mass_total_equals_length():
     case = make_case("constant")
     bc = make_bc_spec("circle", "dirichlet")
     cells = extract_cut_cells(classify(grid, domain, "eight"), domain)
-    for cut in cells.values():
-        if not cut.boundary_segments:
-            continue
-        P, _, _ = boundary_terms(cut, grid, bc, case, 1.0)
+    P, _, _ = boundary_blocks(cells, grid, bc, case)
+    for cut, P_cell in zip(cells.values(), P):
         length = sum(s.length for s in cut.boundary_segments)
-        assert P.sum() == pytest.approx(length, rel=1e-12)
+        assert P_cell.sum() == pytest.approx(length, rel=1e-12)
 
 
 def test_constant_solution_consistency():
     # g_D from u == 1 with f = 0: the assembled rhs equals A @ ones
     for bc_kind in ("dirichlet", "mixed"):
         grid, system, _, _, _ = run_fem("circle", "constant", bc_kind, 20)
-        ones = np.ones(system.n_rows)
+        ones = np.ones(len(system.nodes))
         resid = system.matrix @ ones - system.rhs
         scale = max(1.0, abs(system.rhs).max())
         assert abs(resid).max() <= 1e-11 * scale
@@ -251,8 +282,7 @@ def dirichlet_length(cells, c):
 
 
 def dirichlet_mass(cells, grid, bc, case):
-    return sum(boundary_terms(cut, grid, bc, case, 1.0)[0].sum()
-               for cut in cells.values() if cut.boundary_segments)
+    return boundary_blocks(cells, grid, bc, case)[0].sum()
 
 
 def test_mass_matrix_totals():
@@ -329,7 +359,7 @@ def test_fem_gradient_bilinear_at_centers():
 
 def test_solution_sample_weights_cover_domain():
     grid, system, _, _, _ = run_fem("circle", "paper_sin", "dirichlet", 40)
-    _, w, _ = solution_samples(system, np.zeros(system.n_rows))
+    _, w, _ = solution_samples(system, np.zeros(len(system.nodes)))
     area = omega_h_area(system.classification, system.cells)
     assert w.sum() == pytest.approx(area, rel=1e-12)
 

@@ -258,10 +258,10 @@ def test_projection_consistency_invariants(name):
 def test_cut_cell_full_and_empty():
     grid = Grid(8)
     h = grid.h
-    full = cut_cell_geometry((3, 3), grid, const_domain(1.0))
+    full = cut_cell_geometry((3, 3), grid, np.full((9, 9), 1.0))
     assert full.area == pytest.approx(h * h)
     assert not full.boundary_segments
-    empty = cut_cell_geometry((3, 3), grid, const_domain(-1.0))
+    empty = cut_cell_geometry((3, 3), grid, np.full((9, 9), -1.0))
     assert empty.area == 0.0
     assert not empty.polygons
 
@@ -271,8 +271,8 @@ def test_cut_cell_vertical_midcell_cut():
     grid = Grid(8)
     h = grid.h
     x_left = grid.xs[0]
-    d = LevelSetDomain("cut", lambda x, y: (x_left + h / 2.0) - x + 0.0 * y)
-    cell = cut_cell_geometry((0, 0), grid, d)
+    phi = np.broadcast_to(((x_left + h / 2.0) - grid.xs)[:, None], (9, 9))
+    cell = cut_cell_geometry((0, 0), grid, phi)
     assert cell.area == pytest.approx(h * h / 2.0, rel=1e-12)
     assert len(cell.boundary_segments) == 1
     seg = cell.boundary_segments[0]
@@ -299,7 +299,7 @@ def test_saddle_cell_disconnected_polygons():
     phi = np.full((5, 5), -1.0)
     phi[0, 0] = 0.4
     phi[1, 1] = 0.4
-    cell = cut_cell_geometry((0, 0), grid, None, phi_values=phi)
+    cell = cut_cell_geometry((0, 0), grid, phi)
     assert len(cell.polygons) == 2
     assert cell.area == pytest.approx(2 * 0.5 * (0.4 / 1.4 * grid.h) ** 2, rel=1e-12)
     assert len(cell.boundary_segments) == 2
@@ -332,8 +332,8 @@ def boundary_band(classification):
         if not (0 <= ci < n and 0 <= cj < n):
             return False
         if role[ci, cj] == CELL_CUT:
-            return cut_cell_geometry((ci, cj), grid, None,
-                                     phi_values=classification.phi_node).area > 0.0
+            return cut_cell_geometry((ci, cj), grid,
+                                     classification.phi_node).area > 0.0
         return role[ci, cj] == CELL_INSIDE
 
     band = set()
@@ -400,7 +400,13 @@ def bilinear_domain(grid, cell, corners):
         return (v00 * (1 - s) * (1 - t) + v10 * s * (1 - t)
                 + v11 * s * t + v01 * (1 - s) * t)
 
-    return LevelSetDomain("bilinear", phi)
+    def grad(x, y):
+        s = (np.asarray(x, dtype=float) - x0) / h
+        t = (np.asarray(y, dtype=float) - y0) / h
+        return (((v10 - v00) * (1 - t) + (v11 - v01) * t) / h,
+                ((v01 - v00) * (1 - s) + (v11 - v10) * s) / h)
+
+    return LevelSetDomain("bilinear", phi, grad)
 
 
 def test_snap_sliver_cell_without_interior_vertex():

@@ -232,11 +232,14 @@ def test_nonsymmetric_on_fd_system():
     assert report.final_residual <= 1e-10
 
 
-def test_bicgstab_path_exercised():
+def test_bicgstab_path_exercised(monkeypatch):
     # force the Krylov branch by lowering the direct-fallback threshold
+    import uel.sparse_linalg as sl
+
+    monkeypatch.setattr(sl, "DIRECT_FALLBACK_SIZE", 1)
     A = sp.csr_matrix(random_spd(60, seed=9))
     b = np.ones(60)
-    x, report = solve_nonsymmetric(A, b, tol=1e-11, direct_threshold=1)
+    x, report = solve_nonsymmetric(A, b, tol=1e-11)
     assert report.method == "bicgstab+ilu"
     assert report.final_residual <= 1e-11
     assert report.converged
