@@ -10,7 +10,7 @@ import scipy.sparse as sp
 
 from .errors import AssemblyError, ConfigurationError, GeometryError
 from .geometry import (NODE_GHOST, NODE_INTERIOR, BoundaryProjection,
-                       _bisect_ray, classify, project_to_boundary)
+                       _bisect_ray, _neighbor_any, classify, project_to_boundary)
 
 
 @dataclass(frozen=True)
@@ -241,18 +241,6 @@ def _extended_projection(node, domain, grid, tol_factor, active, p):
         "the grid is too coarse for this geometry")
 
 
-def _has_active_neighbor(active, i, j):
-    n = active.shape[0] - 1
-    for di in (-1, 0, 1):
-        for dj in (-1, 0, 1):
-            if di == 0 and dj == 0:
-                continue
-            ii, jj = i + di, j + dj
-            if 0 <= ii <= n and 0 <= jj <= n and active[ii, jj]:
-                return True
-    return False
-
-
 def assemble_fd(grid, domain, case, bc, p=2, tol_factor=1e-4):
     """Assemble the ghost-point finite-difference system for a manufactured
     case and boundary-condition split.
@@ -302,6 +290,7 @@ def assemble_fd(grid, domain, case, bc, p=2, tol_factor=1e-4):
     # Stencils may reach exterior nodes beyond the ghost layer: activate them
     # with boundary rows of their own (one extension layer only).
     active = role != 0
+    near_active = _neighbor_any(active, True)
     extended = {}
     for proj in list(projections.values()):
         for _, _, ii, jj in _stencil_nodes(proj, p):
@@ -311,7 +300,7 @@ def assemble_fd(grid, domain, case, bc, p=2, tol_factor=1e-4):
                     "the grid is too coarse for this geometry")
             if active[ii, jj] or (ii, jj) in extended:
                 continue
-            if not _has_active_neighbor(active, ii, jj):
+            if not near_active[ii, jj]:
                 raise GeometryError(
                     f"stencil node ({ii}, {jj}) lies beyond one layer of the "
                     "active set; the grid is too coarse for this geometry")

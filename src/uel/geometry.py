@@ -313,8 +313,7 @@ def snap_small_cells(classification, grid, domain, alpha):
     # Cut candidates need an actual area check; cells the band touched but
     # that keep no positive vertex are snapped rather than outside.
     for ci, cj in np.argwhere(roles == CELL_CUT):
-        cell = cut_cell_geometry((ci, cj), grid, phi)
-        if cell.area < area_tol:
+        if _cut_polygons((ci, cj), grid, phi)[1] < area_tol:
             roles[ci, cj] = CELL_SNAPPED
     cell_touched = (touched[:-1, :-1] | touched[1:, :-1]
                     | touched[1:, 1:] | touched[:-1, 1:])
@@ -489,16 +488,24 @@ class CutCell:
     boundary_segments the Gamma_h portions owned by this cell.
     """
 
-    cell: tuple
     polygons: list
     triangles: list
     boundary_segments: list
     area: float
 
 
+# Cell sides in marching-squares order (bottom, right, top, left): side k
+# runs from corner k to corner k+1.  A vertex carries a mask with bit k set
+# for each side k it lies on; corner k lies on sides k-1 and k.  The outward
+# normal of side k is also the offset of the neighbor cell across it.
+CORNER_SIDES = (0b1001, 0b0011, 0b0110, 0b1100)
+SIDE_NORMALS = ((0, -1), (1, 0), (0, 1), (-1, 0))
+
+
 def _shoelace(poly):
     x, y = poly[:, 0], poly[:, 1]
-    nxt = np.r_[1:len(poly), 0]
+    n = len(poly)
+    nxt = np.arange(1, n + 1) % n
     return 0.5 * float(np.dot(x, y[nxt]) - np.dot(y, x[nxt]))
 
 
@@ -513,113 +520,116 @@ def _fan_triangles(poly, tiny):
 
 
 def _dedupe(points, tol):
+    """Drop each vertex within tol of the last kept one (cyclically), merging
+    its side mask into that vertex."""
     out = []
-    for p, tag in points:
+    for p, sides in points:
         if out and np.hypot(*(p - out[-1][0])) <= tol:
-            out[-1] = (out[-1][0], out[-1][1] or tag)
-            continue
-        out.append((np.asarray(p, dtype=float), tag))
+            out[-1][1] |= sides
+        else:
+            out.append([p, sides])
     if len(out) > 1 and np.hypot(*(out[0][0] - out[-1][0])) <= tol:
-        out[0] = (out[0][0], out[0][1] or out[-1][1])
-        out.pop()
+        out[0][1] |= out.pop()[1]
     return out
 
 
-def _chord_segments(poly_pts, x0, x1, y0, y1, tiny):
-    """Gamma_h chords of one polygon: edges whose endpoints both sit on the
-    zero level and which do not run along a cell side."""
-    segs = []
-    npts = len(poly_pts)
-    for k in range(npts):
-        (pa, ga), (pb, gb) = poly_pts[k], poly_pts[(k + 1) % npts]
-        if not (ga and gb):
-            continue
-        same_side = (
-            (abs(pa[0] - x0) <= tiny and abs(pb[0] - x0) <= tiny)
-            or (abs(pa[0] - x1) <= tiny and abs(pb[0] - x1) <= tiny)
-            or (abs(pa[1] - y0) <= tiny and abs(pb[1] - y0) <= tiny)
-            or (abs(pa[1] - y1) <= tiny and abs(pb[1] - y1) <= tiny)
-        )
-        if same_side:
-            continue
-        d = pb - pa
-        length = float(np.hypot(*d))
-        if length <= tiny:
-            continue
-        normal = np.array([d[1], -d[0]]) / length
-        segs.append(Segment(pa, pb, normal, length))
-    return segs
+def _cut_polygons(cell, grid, phi):
+    """Marching-squares polygons of cell ∩ {phi_h >= 0} with linear edge
+    roots, from the nodal level-set values phi (snapped ones after snapping).
 
-
-def cut_cell_geometry(cell, grid, phi):
-    """Marching-squares polygon of cell ∩ {phi_h >= 0} with linear edge roots,
-    from the nodal level-set values phi (snapped ones after snapping).
-
-    The ambiguous saddle configuration is resolved by the bilinear value at
-    the cell center.  Boundary segments here are interior chords only;
-    polygon edges running along cell sides are attributed by
-    extract_cut_cells, which sees both sides of each edge.
+    Returns (polygons, area): polygons is a list of (vertices, sides) pairs,
+    a CCW vertex array and the side mask of each vertex, and area their
+    total area.  The ambiguous saddle configuration is resolved by the
+    bilinear value at the cell center.
     """
     ci, cj = cell
     h = grid.h
     x0, y0 = grid.node(ci, cj)
     x1, y1 = grid.node(ci + 1, cj + 1)
     vals = [phi[ci, cj], phi[ci + 1, cj], phi[ci + 1, cj + 1], phi[ci, cj + 1]]
-    corners = [np.array([x0, y0]), np.array([x1, y0]),
-               np.array([x1, y1]), np.array([x0, y1])]
-    tiny = 1e-12 * h
+    corners = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
 
     if all(v > 0.0 for v in vals):
-        poly = np.array(corners)
-        return CutCell((int(ci), int(cj)), [poly], _fan_triangles(poly, tiny * h),
-                       [], h * h)
+        return [(corners, list(CORNER_SIDES))], h * h
     if not any(v > 0.0 for v in vals):
-        return CutCell((int(ci), int(cj)), [], [], [], 0.0)
+        return [], 0.0
 
-    def crossing(a, b):
+    def crossing(a):
+        # the root on side a, between corners a and a+1
+        b = (a + 1) % 4
         t = vals[a] / (vals[a] - vals[b])
-        return corners[a] + t * (corners[b] - corners[a])
+        return corners[a] + t * (corners[b] - corners[a]), 1 << a
 
     strict = [(v > 0.0, v < 0.0) for v in vals]
     saddle = (strict[0][0] and strict[2][0] and strict[1][1] and strict[3][1]) or \
              (strict[0][1] and strict[2][1] and strict[1][0] and strict[3][0])
     center = 0.25 * sum(vals)
 
-    polys = []
+    walks = []
     if saddle and center < 0.0:
         # Disconnected cut: one triangle per positive corner.
         for k in range(4):
-            if vals[k] <= 0.0:
-                continue
-            p_in = crossing((k + 3) % 4, k)
-            p_out = crossing(k, (k + 1) % 4)
-            polys.append(_dedupe([(p_in, True), (corners[k], False), (p_out, True)], tiny))
+            if vals[k] > 0.0:
+                walks.append([crossing((k + 3) % 4), (corners[k], CORNER_SIDES[k]), crossing(k)])
     else:
-        pts = []
-        for k in range(4):
-            a, b = k, (k + 1) % 4
-            if vals[a] >= 0.0:
-                pts.append((corners[a], vals[a] == 0.0))
-            if (vals[a] > 0.0 and vals[b] < 0.0) or (vals[a] < 0.0 and vals[b] > 0.0):
-                pts.append((crossing(a, b), True))
-        polys.append(_dedupe(pts, tiny))
+        walk = []
+        for a in range(4):
+            va, vb = vals[a], vals[(a + 1) % 4]
+            if va >= 0.0:
+                walk.append((corners[a], CORNER_SIDES[a]))
+            if (va > 0.0 and vb < 0.0) or (va < 0.0 and vb > 0.0):
+                walk.append(crossing(a))
+        walks.append(walk)
 
-    polygons, triangles, segments = [], [], []
+    tiny = 1e-12 * h
+    polygons = []
     area = 0.0
-    for poly_pts in polys:
-        if len(poly_pts) < 3:
+    for walk in walks:
+        walk = _dedupe(walk, tiny)
+        if len(walk) < 3:
             continue
-        poly = np.array([p for p, _ in poly_pts])
+        poly = np.array([p for p, _ in walk])
         a = _shoelace(poly)
         if a <= AREA_EPS * h * h:
             continue
-        polygons.append(poly)
-        triangles.extend(_fan_triangles(poly, tiny * h))
-        segments.extend(_chord_segments(poly_pts, x0, x1, y0, y1, tiny))
+        polygons.append((poly, [sides for _, sides in walk]))
         area += a
-    if not polygons:
-        return CutCell((int(ci), int(cj)), [], [], [], 0.0)
-    return CutCell((int(ci), int(cj)), polygons, triangles, segments, area)
+    return polygons, area
+
+
+def _cut_cell(polygons, area, exposed, h):
+    """CutCell of the _cut_polygons output.  A polygon edge whose endpoints
+    share no cell side is a Gamma_h chord; one whose endpoints share side k
+    runs along that side and is a boundary segment when bit k of exposed is
+    set.  Segments come as the chords of each polygon in edge order, then
+    the exposed side edges, bottom, right, top, left."""
+    tiny = 1e-12 * h
+    triangles = [tri for poly, _ in polygons for tri in _fan_triangles(poly, tiny * h)]
+    edges = []
+    for poly, sides in polygons:
+        for k in range(len(poly)):
+            nxt = (k + 1) % len(poly)
+            d = poly[nxt] - poly[k]
+            length = float(np.hypot(*d))
+            if length > tiny:
+                edges.append((poly[k], poly[nxt], d, length, sides[k] & sides[nxt]))
+    segments = [Segment(pa, pb, np.array([d[1], -d[0]]) / length, length)
+                for pa, pb, d, length, shared in edges if not shared]
+    for k, normal in enumerate(SIDE_NORMALS):
+        if exposed >> k & 1:
+            segments += [Segment(pa, pb, np.array(normal, dtype=float), length)
+                         for pa, pb, _, length, shared in edges if shared >> k & 1]
+    return CutCell([poly for poly, _ in polygons], triangles, segments, area)
+
+
+def cut_cell_geometry(cell, grid, phi):
+    """Marching-squares polygon of cell ∩ {phi_h >= 0} (see _cut_polygons).
+
+    Boundary segments here are the Gamma_h chords only; polygon edges
+    running along cell sides are attributed by extract_cut_cells, which sees
+    both sides of each edge.
+    """
+    return _cut_cell(*_cut_polygons(cell, grid, phi), 0, grid.h)
 
 
 def extract_cut_cells(classification, domain=None):
@@ -638,41 +648,26 @@ def extract_cut_cells(classification, domain=None):
     nothing there.
     """
     grid = classification.grid
+    n = grid.n
     phi = classification.phi_node
     role = classification.cell_role
-    tiny = 1e-12 * grid.h
-    cells = {}
+    walks = {}
     for ci, cj in np.argwhere(role == CELL_CUT):
-        cc = cut_cell_geometry((ci, cj), grid, phi)
-        if cc.area > 0.0:
-            cells[(int(ci), int(cj))] = cc
+        polygons, area = _cut_polygons((ci, cj), grid, phi)
+        if area > 0.0:
+            walks[(int(ci), int(cj))] = polygons, area
     # cells that carry area, framed by a ring of empty off-grid cells
-    occupied = np.zeros((grid.n + 2, grid.n + 2), dtype=bool)
+    occupied = np.zeros((n + 2, n + 2), dtype=bool)
     occupied[1:-1, 1:-1] = role == CELL_INSIDE
-    for ci, cj in cells:
+    for ci, cj in walks:
         occupied[ci + 1, cj + 1] = True
-    exposed = ~(occupied[:-2, 1:-1] & occupied[2:, 1:-1]
-                & occupied[1:-1, :-2] & occupied[1:-1, 2:])
-    for ci, cj in np.argwhere((role == CELL_INSIDE) & exposed):
-        cells[(int(ci), int(cj))] = cut_cell_geometry((ci, cj), grid, phi)
-    cells = dict(sorted(cells.items()))
-    for (ci, cj), cc in cells.items():
-        x0, y0 = grid.node(ci, cj)
-        x1, y1 = grid.node(ci + 1, cj + 1)
-        # side -> (neighbor offset, outward normal, axis and coordinate of the side)
-        sides = (((0, -1), (0.0, -1.0), 1, y0), ((1, 0), (1.0, 0.0), 0, x1),
-                 ((0, 1), (0.0, 1.0), 1, y1), ((-1, 0), (-1.0, 0.0), 0, x0))
-        for (di, dj), nrm, axis, c in sides:
-            if occupied[ci + 1 + di, cj + 1 + dj]:
-                continue
-            for poly in cc.polygons:
-                on_side = np.abs(poly[:, axis] - c) <= tiny
-                for k in np.flatnonzero(on_side & np.roll(on_side, -1)):
-                    pa, pb = poly[k], poly[(k + 1) % len(poly)]
-                    length = float(np.hypot(*(pb - pa)))
-                    if length > tiny:
-                        cc.boundary_segments.append(Segment(pa, pb, np.array(nrm), length))
-    return cells
+    # bit k set: the neighbor across side k carries no area
+    exposed = sum(~occupied[1 + di:n + 1 + di, 1 + dj:n + 1 + dj] << k
+                  for k, (di, dj) in enumerate(SIDE_NORMALS))
+    for ci, cj in np.argwhere((role == CELL_INSIDE) & (exposed != 0)):
+        walks[(int(ci), int(cj))] = _cut_polygons((ci, cj), grid, phi)
+    return {cell: _cut_cell(*walks[cell], int(exposed[cell]), grid.h)
+            for cell in sorted(walks)}
 
 
 # ----------------------------------------------------------------------

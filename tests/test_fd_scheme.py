@@ -396,6 +396,17 @@ def test_extended_ghost_without_axis_or_diagonal_foot_raises():
                     make_bc_spec("flower", "mixed"), p=2)
 
 
+def test_stencil_beyond_one_active_layer_raises():
+    # strip |y| < 0.01 at N=16: the enlarged Dirichlet stencil of the ghost
+    # above the strip reaches node (0, 11), two layers below the active set
+    strip = LevelSetDomain("strip", lambda x, y: 0.01 - np.abs(y) + 0.0 * x,
+                           lambda x, y: (0.0 * x, -np.sign(y)))
+    with pytest.raises(GeometryError,
+                       match=r"stencil node \(0, 11\) lies beyond one layer of the active set"):
+        assemble_fd(Grid(16), strip, make_case("paper_sin"),
+                    make_bc_spec("strip", "dirichlet"), p=2)
+
+
 def test_stencil_nodes_respect_collapsed_directions():
     proj = make_proj((0.3, 0.0), signs=(1, 0))
     nodes = _stencil_nodes(proj, 2)

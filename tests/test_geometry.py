@@ -473,6 +473,26 @@ def test_extracted_boundary_is_closed_after_snapping():
     assert np.allclose(total, 0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("snapped", (False, True))
+def test_boundary_on_grid_lines_is_covered_once(snapped):
+    # Gamma runs along grid lines, so boundary vertices sit on phi = 0
+    # exactly and the polygon edges along cell sides come from zero corners
+    square = LevelSetDomain(
+        "square", lambda x, y: np.minimum(0.5 - np.abs(x), 0.5 - np.abs(y)),
+        lambda x, y: (-np.sign(x), -np.sign(y)))
+    grid = Grid(16)
+    cls = classify(grid, square, "eight")
+    if snapped:
+        cls = snap_small_cells(cls, grid, square, 2.0)
+    segs = [s for c in extract_cut_cells(cls, square).values()
+            for s in c.boundary_segments]
+    assert sum(s.length for s in segs) == pytest.approx(4.0, abs=1e-12)
+    total = sum((s.length * s.normal for s in segs), np.zeros(2))
+    assert np.abs(total).max() <= 1e-12
+    ends = {frozenset((tuple(s.p0), tuple(s.p1))) for s in segs}
+    assert len(ends) == len(segs)
+
+
 def test_bc_spec_regions():
     assert make_bc_spec("circle", "dirichlet").is_dirichlet(0.5, 0.1)
     mixed = make_bc_spec("circle", "mixed")
