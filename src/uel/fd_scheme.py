@@ -9,8 +9,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import AssemblyError, ConfigurationError, GeometryError
-from .geometry import (NODE_GHOST, NODE_INTERIOR, BoundaryProjection,
-                       _bisect_ray, _neighbor_any, classify, project_to_boundary)
+from .geometry import (AXES, NODE_GHOST, NODE_INACTIVE, NODE_INTERIOR, NONFINITE,
+                       BoundaryProjection, _neighbor_any, _shortest_crossing,
+                       classify, project_ghosts)
+
+DIAGONALS = np.array([(1, 1), (1, -1), (-1, 1), (-1, -1)])
 
 
 @dataclass(frozen=True)
@@ -27,12 +30,13 @@ class LagrangeWeights:
 
 def _weights(theta, p, h, spacing):
     """Closed-form weights for linear (p=1, 4-point tensor stencil) and
-    quadratic (p=2, 9-point tensor stencil) boundary interpolation.
+    quadratic (p=2, 9-point tensor stencil) boundary interpolation, for one
+    offset or elementwise for arrays of offsets and spacings.
 
     spacing=2 evaluates the enlarged stencil of the ill-conditioning
     mitigation (nodes 0, 2h, 4h).  The offset range is checked by the
-    callers: project_to_boundary keeps primary ghosts in [0, 1) and
-    ghost_row rejects offsets of 2 or more.
+    callers: project_ghosts keeps primary ghosts in [0, 1) and ghost_rows
+    rejects offsets of 2 or more.
     """
     if p == 1:
         l = (1.0 - theta, theta)
@@ -50,122 +54,150 @@ def _weights(theta, p, h, spacing):
     return LagrangeWeights(l, tuple(v * scale for v in lp))
 
 
-def mitigate_ill_conditioning(projection, epsilon):
-    """Enlarge the interpolation stencil of a Dirichlet projection whose
+def _pairs(projections, field, dtype=float):
+    """One pair-valued field of every projection, as an (m, 2) array."""
+    return np.array([getattr(q, field) for q in projections], dtype=dtype).reshape(-1, 2)
+
+
+def _flags(projections, test):
+    return np.array([test(q) for q in projections], dtype=bool)
+
+
+def mitigate_ill_conditioning(projections, epsilon):
+    """Enlarge the interpolation stencil of each Dirichlet projection whose
     offset approaches 1: doubling the spacing in the triggered direction
-    halves theta and restores a usable diagonal.  Neumann projections are
-    returned unchanged."""
-    if projection.bc_kind != "dirichlet":
-        return projection
-    tx, ty = projection.theta
-    sx, sy = projection.signs
-    kx, ky = projection.spacing
-    changed = False
-    if sx != 0 and abs(1.0 - tx) < epsilon:
-        tx, kx, changed = tx / 2.0, 2 * kx, True
-    if sy != 0 and abs(1.0 - ty) < epsilon:
-        ty, ky, changed = ty / 2.0, 2 * ky, True
-    if not changed:
-        return projection
-    return replace(projection, theta=(tx, ty), spacing=(kx, ky), enlarged=True)
+    halves theta and restores a usable diagonal.  Returns the projections in
+    order, the triggered ones replaced; Neumann projections are returned
+    unchanged."""
+    theta = _pairs(projections, "theta")
+    spacing = _pairs(projections, "spacing", int)
+    hit = (_flags(projections, lambda q: q.bc_kind == "dirichlet")[:, None]
+           & (_pairs(projections, "signs", int) != 0)
+           & (np.abs(1.0 - theta) < epsilon))
+    theta = np.where(hit, theta / 2.0, theta).tolist()
+    spacing = np.where(hit, 2 * spacing, spacing).tolist()
+    return [replace(q, theta=tuple(th), spacing=tuple(sp), enlarged=True)
+            if row.any() else q
+            for q, th, sp, row in zip(projections, theta, spacing, hit)]
 
 
-def _stencil_nodes(projection, p):
-    """Grid indices referenced by the upwind stencil: the tensor block
-    (collapsed directions contribute a single column), or the diagonal
-    column for diagonal projections."""
-    i, j = projection.ghost
-    sx, sy = projection.signs
-    kx, ky = projection.spacing
-    if projection.diagonal:
-        return [(m, m, i + sx * m, j + sy * m) for m in range(p + 1)]
-    mxs = range(p + 1) if sx != 0 else (0,)
-    mys = range(p + 1) if sy != 0 else (0,)
-    return [(mx, my, i + sx * kx * mx, j + sy * ky * my) for mx in mxs for my in mys]
+def _stencil_nodes(projections, p):
+    """Grid indices referenced by the upwind stencils, as (m, (p+1)^2)
+    arrays (ii, jj, used) over the slots (mx, my) in lexicographic order:
+    the tensor block, where a collapsed direction uses only its first
+    column, or the slots mx == my of the diagonal column for diagonal
+    projections (which keep unit spacing)."""
+    ghost = _pairs(projections, "ghost", int)
+    signs = _pairs(projections, "signs", int)
+    step = signs * _pairs(projections, "spacing", int)
+    mx, my = np.divmod(np.arange((p + 1) ** 2), p + 1)
+    tensor = ((signs[:, :1] != 0) | (mx == 0)) & ((signs[:, 1:] != 0) | (my == 0))
+    used = np.where(_flags(projections, lambda q: q.diagonal)[:, None], mx == my, tensor)
+    return ghost[:, :1] + step[:, :1] * mx, ghost[:, 1:] + step[:, 1:] * my, used
 
 
-def ghost_row(projection, p, grid, domain, phi_node, g_dirichlet, g_neumann):
-    """Boundary-condition row for one ghost node.
+def _stencil_entries(projections, p, n):
+    """Used stencil entries in row order: (owner, ii, jj, on_grid), owner
+    indexing projections and ii, jj clipped to the grid."""
+    ii, jj, used = _stencil_nodes(projections, p)
+    owner = np.nonzero(used)[0]
+    ii, jj = ii[used], jj[used]
+    on_grid = (ii >= 0) & (ii <= n) & (jj >= 0) & (jj <= n)
+    return owner, np.clip(ii, 0, n), np.clip(jj, 0, n), on_grid
 
-    Dirichlet: tensor Lagrange interpolation of u at B equals g_D(B).
-    Neumann: the interpolated gradient at B dotted with the boundary normal
-    (from the same derivative stencil applied to the nodal level-set values,
-    or the exact radial direction on circles) equals the flux data.
-    g_neumann is called as g_neumann(B, normal) with the operator's own
-    normal, so data and operator stay consistent where the level-set normal
-    is ambiguous (domain corners).
 
-    Returns (nodes, coefficients, rhs).
+def ghost_rows(projections, p, grid, domain, phi_node):
+    """Boundary-condition rows of the ghost nodes, as COO entries.
+
+    Dirichlet: tensor Lagrange interpolation of u at B (along the diagonal
+    line through G for diagonal projections).  Neumann: the interpolated
+    gradient at B dotted with the boundary normal, from the same derivative
+    stencil applied to the nodal level-set values, or the exact radial
+    direction on circles.
+
+    Returns (owner, ii, jj, coeff, normal): the nonzero entries in row
+    order, entry e in the row of projections[owner[e]] at node
+    (ii[e], jj[e]), and per projection the normal its Neumann row uses (NaN
+    for value rows).  Errors are raised for the first offending projection.
     """
-    h = grid.h
-    tx, ty = projection.theta
-    sx, sy = projection.signs
-    kx, ky = projection.spacing
-    stencil = _stencil_nodes(projection, p)
-    n = grid.n
-    for _, _, ii, jj in stencil:
-        if not (0 <= ii <= n and 0 <= jj <= n):
-            raise GeometryError(
-                f"ghost stencil leaves the grid at node {projection.ghost}; "
-                "the grid is too coarse for this geometry")
-    if max(tx, ty) >= 2.0:
-        raise GeometryError(
-            f"projection offset {max(tx, ty):.3f} outside the stencil span "
-            f"at node {projection.ghost}")
+    h, n = grid.h, grid.n
+    ghost = _pairs(projections, "ghost", int)
+    theta = _pairs(projections, "theta")
+    signs = _pairs(projections, "signs")
+    spacing = _pairs(projections, "spacing", int)
+    diagonal = _flags(projections, lambda q: q.diagonal)
+    value = _flags(projections, lambda q: q.bc_kind == "dirichlet")
+    ii, jj, used = _stencil_nodes(projections, p)
+    errors = {}
 
+    def fail(rows, error, message):
+        for k in rows:
+            errors.setdefault(k, error(message(tuple(ghost[k].tolist()), k)))
+
+    fail(np.flatnonzero((used & ((ii < 0) | (ii > n) | (jj < 0) | (jj > n))).any(axis=1)),
+         GeometryError, lambda g, k: (f"ghost stencil leaves the grid at node {g}; "
+                                      "the grid is too coarse for this geometry"))
     # Primary ghosts carry theta in [0, 1); extended ghosts may sit with
     # their foot up to one extra cell away (theta < 2), still inside the
     # quadratic column and a mild extrapolation for p=1.
-    wx = _weights(tx, p, h, kx)
-    wy = _weights(ty, p, h, ky)
-
-    if projection.diagonal:
-        if projection.bc_kind != "dirichlet":
-            raise AssemblyError("diagonal stencils carry value rows only")
-        # 1D Lagrange interpolation along the diagonal line through G.
-        nodes, coeffs = [], []
-        for m, _, ii, jj in stencil:
-            c = wx.l[m]
-            if c != 0.0:
-                nodes.append((ii, jj))
-                coeffs.append(c)
-        return nodes, coeffs, float(g_dirichlet(projection.point))
-
-    if projection.bc_kind == "dirichlet":
-        nodes, coeffs = [], []
-        for mx, my, ii, jj in stencil:
-            c = wx.l[mx] * wy.l[my]
-            if c != 0.0:
-                nodes.append((ii, jj))
-                coeffs.append(c)
-        return nodes, coeffs, float(g_dirichlet(projection.point))
-
+    fail(np.flatnonzero(theta.max(axis=1) >= 2.0), GeometryError, lambda g, k: (
+        f"projection offset {theta[k].max():.3f} outside the stencil span at node {g}"))
+    wx = _weights(theta[:, 0], p, h, spacing[:, 0])
+    wy = _weights(theta[:, 1], p, h, spacing[:, 1])
+    mx, my = np.divmod(np.arange((p + 1) ** 2), p + 1)
+    lx, lpx = np.array(wx.l)[mx].T, np.array(wx.l_prime)[mx].T
+    ly, lpy = np.array(wy.l)[my].T, np.array(wy.l_prime)[my].T
+    fail(np.flatnonzero(diagonal & ~value), AssemblyError,
+         lambda g, k: "diagonal stencils carry value rows only")
     # Neumann: spacing is never enlarged (mitigation is Dirichlet-only).
-    if (kx, ky) != (1, 1):
-        raise AssemblyError("Neumann projections must not carry an enlarged stencil")
+    fail(np.flatnonzero(~value & (spacing != 1).any(axis=1)), AssemblyError,
+         lambda g, k: "Neumann projections must not carry an enlarged stencil")
+
+    neu = np.flatnonzero(~value)
     if domain.is_circle:
-        cx, cy = domain.circle_center
-        bd = projection.point - np.array([cx, cy])
-        nb = bd / np.hypot(*bd)
+        bd = _pairs(projections, "point")[neu] - np.array(domain.circle_center)
+        dp = -bd
+        norm = np.hypot(bd[:, 0], bd[:, 1])
     else:
-        dpx = sx * sum(wx.l_prime[mx] * wy.l[my] * phi_node[ii, jj]
-                       for mx, my, ii, jj in stencil)
-        dpy = sy * sum(wx.l[mx] * wy.l_prime[my] * phi_node[ii, jj]
-                       for mx, my, ii, jj in stencil)
-        norm = math.hypot(dpx, dpy)
-        if norm < 1e-14:
-            raise GeometryError(
-                f"degenerate interpolated normal at ghost {projection.ghost}")
-        # phi grows inward, so the outward normal is the negated direction.
-        nb = np.array([-dpx / norm, -dpy / norm])
-    nodes, coeffs = [], []
-    for mx, my, ii, jj in stencil:
-        c = (nb[0] * sx * wx.l_prime[mx] * wy.l[my]
-             + nb[1] * sy * wx.l[mx] * wy.l_prime[my])
-        if c != 0.0:
-            nodes.append((ii, jj))
-            coeffs.append(c)
-    return nodes, coeffs, float(g_neumann(projection.point, nb))
+        # the level-set gradient from the derivative stencil, summed in
+        # stencil order (unused slots add exact zeros)
+        phi = np.where(used, phi_node[np.clip(ii, 0, n), np.clip(jj, 0, n)], 0.0)[neu]
+        dpx = dpy = 0.0
+        for s in range(len(mx)):
+            dpx = dpx + lpx[neu, s] * ly[neu, s] * phi[:, s]
+            dpy = dpy + lx[neu, s] * lpy[neu, s] * phi[:, s]
+        dp = np.column_stack([signs[neu, 0] * dpx, signs[neu, 1] * dpy])
+        norm = np.array([math.hypot(a, b) for a, b in dp])
+        fail(neu[norm < 1e-14], GeometryError,
+             lambda g, k: f"degenerate interpolated normal at ghost {g}")
+    if errors:
+        raise errors[min(errors)]
+    normal = np.full((len(projections), 2), np.nan)
+    # phi grows inward, so the outward normal is the negated direction.
+    normal[neu] = -dp / norm[:, None]
+
+    coeff = np.where(diagonal[:, None], lx, lx * ly)
+    nb, sx, sy = normal[neu], signs[neu, :1], signs[neu, 1:]
+    coeff[neu] = (nb[:, :1] * sx * lpx[neu] * ly[neu]
+                  + nb[:, 1:] * sy * lx[neu] * lpy[neu])
+    keep = used & (coeff != 0.0)
+    return np.nonzero(keep)[0], ii[keep], jj[keep], coeff[keep], normal
+
+
+def ghost_row(projection, p, grid, domain, phi_node, g_dirichlet, g_neumann):
+    """Boundary-condition row for one ghost node: ghost_rows for one
+    projection, with the right-hand side g_dirichlet(B) or
+    g_neumann(B, normal).  g_neumann receives the operator's own normal, so
+    data and operator stay consistent where the level-set normal is
+    ambiguous (domain corners).
+
+    Returns (nodes, coefficients, rhs).
+    """
+    _, ii, jj, coeffs, normal = ghost_rows([projection], p, grid, domain, phi_node)
+    nodes = list(zip(ii.tolist(), jj.tolist()))
+    if projection.bc_kind == "dirichlet":
+        return nodes, coeffs.tolist(), float(g_dirichlet(projection.point))
+    return nodes, coeffs.tolist(), float(g_neumann(projection.point, normal[0]))
 
 
 @dataclass
@@ -181,9 +213,10 @@ class FdSystem:
     grid: object
 
 
-def _extended_projection(node, domain, grid, tol_factor, active, p):
-    """Projection for a stencil node beyond the ghost layer; such nodes
-    always receive a value-interpolation (Dirichlet-type) row at their foot.
+def _extended_projections(nodes, domain, grid, tol_factor, active, p):
+    """Projections for the stencil nodes beyond the ghost layer (an (m, 2)
+    index array), in order; such nodes always receive a value-interpolation
+    (Dirichlet-type) row at their foot.
 
     First choice is the shortest axis crossing within two cells: the
     single-column stencil it induces references only active nodes (the next
@@ -192,53 +225,43 @@ def _extended_projection(node, domain, grid, tol_factor, active, p):
     column is used instead, provided the nodes it references are already
     active.
     """
-    i, j = node
-    h = grid.h
-    n = grid.n
-    gx, gy = grid.node(i, j)
-    phi_g = float(domain.phi(gx, gy))
-    if phi_g > 0.0:
-        raise AssemblyError(f"extended ghost ({i}, {j}) is interior; "
-                            "classification invariant violated")
-
-    best = None
-    for ex, ey in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        t = _bisect_ray(domain, (gx, gy), (ex, ey), 2.0 * h, tol_factor * h)
-        if t is not None and (best is None or t < best[0]):
-            best = (t, ex, ey)
-    if best is not None:
-        t, ex, ey = best
-        point = np.array([gx + ex * t, gy + ey * t])
-        normal = np.array([-float(ex), -float(ey)])
-        theta = (t / h if ex else 0.0, t / h if ey else 0.0)
-        return BoundaryProjection((int(i), int(j)), point, float(t), normal,
-                                  theta, (ex, ey))
-
+    h, n = grid.h, grid.n
+    i, j = nodes[:, 0], nodes[:, 1]
+    gx, gy = grid.xs[i], grid.xs[j]
+    owner, d = np.divmod(np.arange(4 * len(nodes)), 4)
+    t, best, finite = _shortest_crossing(domain, gx, gy, owner, d, AXES,
+                                         2.0 * h, tol_factor * h)
+    diagonal = np.isnan(t) & finite
+    usable = diagonal[:, None]
+    for m in range(1, p + 1):
+        ii, jj = i[:, None] + m * DIAGONALS[:, 0], j[:, None] + m * DIAGONALS[:, 1]
+        usable = (usable & (ii >= 0) & (ii <= n) & (jj >= 0) & (jj <= n)
+                  & active[np.clip(ii, 0, n), np.clip(jj, 0, n)])
+    owner, d = np.nonzero(usable)
     step = math.sqrt(2.0) * h
-    best = None
-    for ex, ey in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        ok = all(0 <= i + m * ex <= n and 0 <= j + m * ey <= n
-                 and (active[i + m * ex, j + m * ey] or m == 0)
-                 for m in range(p + 1))
-        if not ok:
-            continue
-        t = _bisect_ray(domain, (gx, gy),
-                        (ex / math.sqrt(2.0), ey / math.sqrt(2.0)),
-                        2.0 * step, tol_factor * h)
-        if t is not None and (best is None or t < best[0]):
-            best = (t, ex, ey)
-    if best is not None:
-        t, ex, ey = best
-        point = np.array([gx + ex * t / math.sqrt(2.0),
-                          gy + ey * t / math.sqrt(2.0)])
-        normal = np.array([-ex / math.sqrt(2.0), -ey / math.sqrt(2.0)])
-        td = t / step
-        return BoundaryProjection((int(i), int(j)), point, float(t), normal,
-                                  (td, td), (ex, ey), diagonal=True)
+    td, best_d, finite_d = _shortest_crossing(
+        domain, gx, gy, owner, d, DIAGONALS / math.sqrt(2.0), 2.0 * step, tol_factor * h)
+    finite &= finite_d
+    bad = ~finite | (diagonal & np.isnan(td))
+    if bad.any():
+        k = bad.argmax()
+        if not finite[k]:
+            raise GeometryError(NONFINITE.format(i[k], j[k]))
+        raise GeometryError(
+            f"no usable boundary projection for extended ghost ({i[k]}, {j[k]}); "
+            "the grid is too coarse for this geometry")
 
-    raise GeometryError(
-        f"no usable boundary projection for extended ghost ({i}, {j}); "
-        "the grid is too coarse for this geometry")
+    e, ed = AXES[best], DIAGONALS[best_d]
+    g = np.column_stack([gx, gy])
+    diag = diagonal[:, None]
+    point = np.where(diag, g + ed * td[:, None] / math.sqrt(2.0), g + e * t[:, None])
+    normal = np.where(diag, -ed / math.sqrt(2.0), -e)
+    theta = np.where(diag, (td / step)[:, None], np.where(e != 0.0, t[:, None] / h, 0.0))
+    signs = np.where(diag, ed, e).astype(int)
+    return [BoundaryProjection(tuple(node), pt, v, nrm, tuple(th), tuple(s), diagonal=dg)
+            for node, pt, v, nrm, th, s, dg in zip(
+                nodes.tolist(), point, np.where(diagonal, td, t).tolist(), normal,
+                theta.tolist(), signs.tolist(), diagonal.tolist())]
 
 
 def assemble_fd(grid, domain, case, bc, p=2, tol_factor=1e-4):
@@ -267,62 +290,45 @@ def assemble_fd(grid, domain, case, bc, p=2, tol_factor=1e-4):
     h = grid.h
     role = cls.node_role
 
-    def g_dir(pt):
-        return float(case.u(pt[0], pt[1]))
-
-    def g_neu(pt, normal):
-        gx, gy = case.grad_u(pt[0], pt[1])
-        return float(gx) * normal[0] + float(gy) * normal[1]
-
-    def make_projection(node):
-        proj = project_to_boundary(node, domain, grid, tol_factor)
-        kind = "dirichlet" if bc.is_dirichlet(*proj.point) else "neumann"
-        proj = replace(proj, bc_kind=kind)
-        if kind == "dirichlet":
-            proj = mitigate_ill_conditioning(proj, h)
-        return proj
-
-    projections = {}
-    for gi, gj in np.argwhere(role == NODE_GHOST):
-        node = (int(gi), int(gj))
-        projections[node] = make_projection(node)
+    primary = project_ghosts(np.argwhere(role == NODE_GHOST), domain, grid, tol_factor)
+    point = _pairs(primary, "point")
+    dirichlet = bc.is_dirichlet(point[:, 0], point[:, 1])
+    primary = mitigate_ill_conditioning(
+        [q if d else replace(q, bc_kind="neumann") for q, d in zip(primary, dirichlet)], h)
 
     # Stencils may reach exterior nodes beyond the ghost layer: activate them
     # with boundary rows of their own (one extension layer only).
-    active = role != 0
-    near_active = _neighbor_any(active, True)
-    extended = {}
-    for proj in list(projections.values()):
-        for _, _, ii, jj in _stencil_nodes(proj, p):
-            if not (0 <= ii <= n and 0 <= jj <= n):
-                raise GeometryError(
-                    f"ghost stencil leaves the grid at node {proj.ghost}; "
-                    "the grid is too coarse for this geometry")
-            if active[ii, jj] or (ii, jj) in extended:
-                continue
-            if not near_active[ii, jj]:
-                raise GeometryError(
-                    f"stencil node ({ii}, {jj}) lies beyond one layer of the "
-                    "active set; the grid is too coarse for this geometry")
-            # Extended ghosts are pinned by value interpolation at their own
-            # foot regardless of the boundary-condition region: their row
-            # only closes the system, and manufactured data supplies u there.
-            extended[(ii, jj)] = _extended_projection(
-                (ii, jj), domain, grid, tol_factor, active, p)
-    for proj in extended.values():
-        for _, _, ii, jj in _stencil_nodes(proj, p):
-            if not (0 <= ii <= n and 0 <= jj <= n):
-                raise GeometryError(
-                    f"ghost stencil leaves the grid at node {proj.ghost}")
-            if not active[ii, jj] and (ii, jj) not in extended:
-                raise GeometryError(
-                    f"extended ghost {proj.ghost} needs a second extension "
-                    "layer; the grid is too coarse for this geometry")
-    projections.update(extended)
-    if extended:
-        active = active.copy()
-        for ii, jj in extended:
-            active[ii, jj] = True
+    active = role != NODE_INACTIVE
+    owner, si, sj, on_grid = _stencil_entries(primary, p, n)
+    new = on_grid & ~active[si, sj]
+    bad = ~on_grid | (new & ~_neighbor_any(active, True)[si, sj])
+    stop = int(bad.argmax()) if bad.any() else len(bad)
+    ids = (si * (n + 1) + sj)[:stop][new[:stop]]
+    ids = ids[np.sort(np.unique(ids, return_index=True)[1])]
+    # Extended ghosts are pinned by value interpolation at their own foot
+    # regardless of the boundary-condition region: their row only closes the
+    # system, and manufactured data supplies u there.
+    extended = _extended_projections(np.column_stack(np.divmod(ids, n + 1)),
+                                     domain, grid, tol_factor, active, p)
+    if stop < len(bad):
+        if not on_grid[stop]:
+            raise GeometryError(
+                f"ghost stencil leaves the grid at node {primary[owner[stop]].ghost}; "
+                "the grid is too coarse for this geometry")
+        raise GeometryError(
+            f"stencil node ({si[stop]}, {sj[stop]}) lies beyond one layer of the "
+            "active set; the grid is too coarse for this geometry")
+    active.flat[ids] = True
+    owner, si, sj, on_grid = _stencil_entries(extended, p, n)
+    bad = ~on_grid | ~active[si, sj]
+    if bad.any():
+        k = bad.argmax()
+        ghost = extended[owner[k]].ghost
+        if not on_grid[k]:
+            raise GeometryError(f"ghost stencil leaves the grid at node {ghost}")
+        raise GeometryError(f"extended ghost {ghost} needs a second extension "
+                            "layer; the grid is too coarse for this geometry")
+    projections = {q.ghost: q for q in primary + extended}
 
     nodes = np.argwhere(active)
     n_rows = len(nodes)
@@ -362,24 +368,19 @@ def assemble_fd(grid, domain, case, bc, p=2, tol_factor=1e-4):
         vals_parts.append(np.ones(len(r)))
         rhs[r] = case.u(xs[if_], xs[jf])
 
-    # Ghost rows (including extended ghosts).
-    g_rows, g_cols, g_vals = [], [], []
-    for node, proj in projections.items():
-        stencil_nodes, coeffs, rv = ghost_row(proj, p, grid, domain,
-                                              cls.phi_node, g_dir, g_neu)
-        r = index[node]
-        for (si, sj), c in zip(stencil_nodes, coeffs):
-            col = index[si, sj]
-            if col < 0:
-                raise AssemblyError(f"ghost stencil references inactive node ({si}, {sj})")
-            g_rows.append(r)
-            g_cols.append(col)
-            g_vals.append(c)
-        rhs[r] = rv
-    if g_rows:
-        rows_parts.append(np.array(g_rows))
-        cols_parts.append(np.array(g_cols))
-        vals_parts.append(np.array(g_vals))
+    # Ghost rows (including extended ghosts), with g_D = u at value rows and
+    # g_N = grad(u) . n at derivative rows, n the row's own normal.
+    ghosts = list(projections.values())
+    owner, si, sj, coeff, normal = ghost_rows(ghosts, p, grid, domain, cls.phi_node)
+    r = index[tuple(_pairs(ghosts, "ghost", int).T)]
+    rows_parts.append(r[owner])
+    cols_parts.append(index[si, sj])
+    vals_parts.append(coeff)
+    point = _pairs(ghosts, "point")
+    value = _flags(ghosts, lambda q: q.bc_kind == "dirichlet")
+    rhs[r[value]] = case.u(point[value, 0], point[value, 1])
+    ux, uy = case.grad_u(point[~value, 0], point[~value, 1])
+    rhs[r[~value]] = ux * normal[~value, 0] + uy * normal[~value, 1]
 
     matrix = sp.coo_matrix(
         (np.concatenate(vals_parts),

@@ -359,47 +359,65 @@ class BoundaryProjection:
     diagonal: bool = False
 
 
-def _sign0(v):
-    if v > 0.0:
-        return 1
-    if v < 0.0:
-        return -1
-    return 0
+# Axis ray directions, in their order of preference on ties.
+AXES = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
+NONFINITE = "phi is not finite along a projection ray from node ({}, {})"
 
 
-def _bisect_ray(domain, origin, direction, t_max, tol):
-    """First zero of phi along origin + t*direction, t in (0, t_max]; returns
-    None when the presampled ray never turns positive."""
-    ox, oy = origin
-    dx, dy = direction
-    n_scan = 64
-    lo = hi = None
-    t_prev = 0.0
-    for k in range(1, n_scan + 1):
-        t = t_max * k / n_scan
-        f = float(domain.phi(ox + dx * t, oy + dy * t))
-        if f == 0.0:
-            return t
-        if f > 0.0:
-            lo, hi = t_prev, t
-            break
-        t_prev = t
-    if lo is None:
-        return None
-    while hi - lo > tol:
+def _bisect_rays(domain, ox, oy, dx, dy, t_max, tol):
+    """First zero of phi along each ray (ox, oy) + t (dx, dy), t in
+    (0, t_max]: all rays are presampled at once at t = t_max k / 64 for
+    their first sign change, and every bracket is bisected down to tol.
+
+    Returns (t, finite) per ray: t is NaN where the presampled ray never
+    turns positive, and finite is False (with t NaN) where phi was not
+    finite at some sample.
+    """
+    t = t_max * np.arange(1, 65) / 64
+    f = domain.phi(ox[:, None] + dx[:, None] * t, oy[:, None] + dy[:, None] * t)
+    finite = np.isfinite(f).all(axis=1)
+    out = np.full(len(ox), np.nan)
+    nonneg = f >= 0.0
+    rows = np.flatnonzero(finite & nonneg.any(axis=1))
+    k = nonneg[rows].argmax(axis=1)
+    lo, hi = np.where(k > 0, t[k - 1], 0.0), t[k]
+    hit = f[rows, k] == 0.0
+    out[rows[hit]] = hi[hit]
+    rows, lo, hi = rows[~hit], lo[~hit], hi[~hit]
+    while True:
+        done = hi - lo <= tol
+        out[rows[done]] = 0.5 * (lo[done] + hi[done])
+        rows, lo, hi = rows[~done], lo[~done], hi[~done]
+        if not len(rows):
+            return out, finite
         mid = 0.5 * (lo + hi)
-        f = float(domain.phi(ox + dx * mid, oy + dy * mid))
-        if f == 0.0:
-            return mid
-        if f < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        f = domain.phi(ox[rows] + dx[rows] * mid, oy[rows] + dy[rows] * mid)
+        finite[rows[~np.isfinite(f)]] = False
+        out[rows[f == 0.0]] = mid[f == 0.0]
+        lo, hi = np.where(f < 0.0, mid, lo), np.where(f > 0.0, mid, hi)
+        go = (f < 0.0) | (f > 0.0)
+        rows, lo, hi = rows[go], lo[go], hi[go]
 
 
-def project_to_boundary(node, domain, grid, tol_factor=1e-4):
-    """Project the exterior node G onto Gamma.
+def _shortest_crossing(domain, x, y, owner, d, directions, t_max, tol):
+    """Shortest crossing of Gamma from each point (x, y), ray r leaving
+    point owner[r] along directions[d[r]].  Returns per point the ray
+    parameter (NaN if no ray crosses), the direction index (the earlier on
+    ties) and whether phi was finite along all of the point's rays."""
+    t, ok = _bisect_rays(domain, x[owner], y[owner], directions[d, 0],
+                         directions[d, 1], t_max, tol)
+    table = np.full((len(x), len(directions)), np.inf)
+    table[owner, d] = np.where(np.isnan(t), np.inf, t)
+    best = table.argmin(axis=1)
+    t = table[np.arange(len(x)), best]
+    finite = np.ones(len(x), dtype=bool)
+    finite[owner[~ok]] = False
+    return np.where(t < np.inf, t, np.nan), best, finite
+
+
+def project_ghosts(nodes, domain, grid, tol_factor=1e-4):
+    """Project the exterior nodes G (an (m, 2) index array) onto Gamma, all
+    at once; returns their BoundaryProjections in order.
 
     The primary route solves phi(G - normal * nu) = 0 along the outward
     normal by presampling the ray for a sign change and bisecting the first
@@ -412,57 +430,78 @@ def project_to_boundary(node, domain, grid, tol_factor=1e-4):
     Raises
     ------
     GeometryError
-        If G is interior, or neither the normal ray nor any axis segment
-        crosses Gamma.
+        For the first node, in order, that is interior, has no defined
+        outward normal, has a non-finite phi along one of its rays, or from
+        which neither the normal ray nor any axis segment crosses Gamma.
     """
-    i, j = node
+    nodes = np.asarray(nodes, dtype=np.int64).reshape(-1, 2)
     h = grid.h
-    gx, gy = grid.node(i, j)
-    phi_g = float(domain.phi(gx, gy))
-    if phi_g > 0.0:
-        raise GeometryError(f"node ({i}, {j}) is interior; only exterior nodes project")
-
     tol = tol_factor * h
-    n_hat = domain.outward_normal(gx, gy)
+    gx, gy = grid.xs[nodes[:, 0]], grid.xs[nodes[:, 1]]
+    live = np.ones(len(nodes), dtype=bool)
+    errors = {}
 
-    if phi_g == 0.0:
-        nu, bx, by = 0.0, gx, gy
-    else:
-        nu = _bisect_ray(domain, (gx, gy), (-n_hat[0], -n_hat[1]),
-                         2.0 * math.sqrt(2.0) * h, tol)
-        if nu is not None:
-            bx, by = gx - n_hat[0] * nu, gy - n_hat[1] * nu
-            if abs(bx - gx) >= h or abs(by - gy) >= h:
-                nu = None  # foot beyond the unit offset: fall back
-        if nu is None:
-            best = None
-            for ex, ey in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                if float(domain.phi(gx + ex * h, gy + ey * h)) <= 0.0:
-                    continue
-                t = _bisect_ray(domain, (gx, gy), (ex, ey), h, tol)
-                if t is not None and (best is None or t < best[0]):
-                    best = (t, ex, ey)
-            if best is None:
-                raise GeometryError(
-                    f"no boundary crossing along the normal ray or the axis "
-                    f"segments from node ({i}, {j})")
-            nu, ex, ey = best
-            bx, by = gx + ex * nu, gy + ey * nu
-            n_hat = np.array([-float(ex), -float(ey)])
+    def fail(rows, message):
+        for k in rows[live[rows]]:
+            errors[k] = GeometryError(message(*nodes[k], k))
+        live[rows] = False
 
-    sx, sy = _sign0(bx - gx), _sign0(by - gy)
-    if sx == 0 and sy == 0:
-        # B coincides with G (node exactly on Gamma): orient the stencil
-        # inward so derivative rows keep a usable one-sided stencil.
-        sx, sy = _sign0(-n_hat[0]), _sign0(-n_hat[1])
-    theta_x = abs(bx - gx) / h
-    theta_y = abs(by - gy) / h
-    if theta_x >= 1.0 or theta_y >= 1.0:
-        raise GeometryError(
-            f"projection offset outside [0,1) at node ({i}, {j}): "
-            f"theta=({theta_x:.3f}, {theta_y:.3f})")
-    return BoundaryProjection((int(i), int(j)), np.array([bx, by]), float(nu),
-                              n_hat, (theta_x, theta_y), (sx, sy))
+    nonfinite = NONFINITE.format
+    phi_g = domain.phi(gx, gy)
+    fail(np.flatnonzero(phi_g > 0.0),
+         lambda i, j, k: f"node ({i}, {j}) is interior; only exterior nodes project")
+    fail(np.flatnonzero(~np.isfinite(phi_g)), nonfinite)
+    normal = np.zeros((len(nodes), 2))
+    for k in np.flatnonzero(live):
+        try:
+            normal[k] = domain.outward_normal(gx[k], gy[k])
+        except GeometryError as exc:
+            errors[k] = exc
+            live[k] = False
+
+    nu = np.zeros(len(nodes))  # phi(G) == 0: B = G
+    ray = np.flatnonzero(live & (phi_g != 0.0))
+    nu[ray], finite = _bisect_rays(domain, gx[ray], gy[ray], -normal[ray, 0],
+                                   -normal[ray, 1], 2.0 * math.sqrt(2.0) * h, tol)
+    fail(ray[~finite], nonfinite)
+    bx, by = gx - normal[:, 0] * nu, gy - normal[:, 1] * nu
+    # foot beyond the unit offset, or no crossing: fall back to the axes
+    axis = np.flatnonzero(live & (np.isnan(nu) | (np.abs(bx - gx) >= h)
+                                  | (np.abs(by - gy) >= h)))
+    probe = domain.phi(gx[axis, None] + AXES[:, 0] * h, gy[axis, None] + AXES[:, 1] * h)
+    fail(axis[~np.isfinite(probe).all(axis=1)], nonfinite)
+    owner, d = np.nonzero(probe > 0.0)
+    t, best, finite = _shortest_crossing(domain, gx[axis], gy[axis], owner, d,
+                                         AXES, h, tol)
+    fail(axis[~finite], nonfinite)
+    fail(axis[np.isnan(t)], lambda i, j, k: (
+        "no boundary crossing along the normal ray or the axis segments "
+        f"from node ({i}, {j})"))
+    nu[axis] = t
+    bx[axis] = gx[axis] + AXES[best, 0] * t
+    by[axis] = gy[axis] + AXES[best, 1] * t
+    normal[axis] = -AXES[best]
+
+    sx, sy = np.sign(bx - gx), np.sign(by - gy)
+    # B coincides with G (node exactly on Gamma): orient the stencil inward
+    # so derivative rows keep a usable one-sided stencil.
+    on = (sx == 0.0) & (sy == 0.0)
+    sx[on], sy[on] = np.sign(-normal[on, 0]), np.sign(-normal[on, 1])
+    theta = np.column_stack([np.abs(bx - gx), np.abs(by - gy)]) / h
+    fail(np.flatnonzero((theta >= 1.0).any(axis=1)), lambda i, j, k: (
+        f"projection offset outside [0,1) at node ({i}, {j}): "
+        f"theta=({theta[k, 0]:.3f}, {theta[k, 1]:.3f})"))
+    if errors:
+        raise errors[min(errors)]
+    return [BoundaryProjection(tuple(g), np.array([x, y]), v, n_hat, tuple(th),
+                               (int(a), int(b)))
+            for g, x, y, v, n_hat, th, a, b in zip(
+                nodes.tolist(), bx, by, nu.tolist(), normal, theta.tolist(), sx, sy)]
+
+
+def project_to_boundary(node, domain, grid, tol_factor=1e-4):
+    """Project the exterior node G onto Gamma: project_ghosts for one node."""
+    return project_ghosts([node], domain, grid, tol_factor)[0]
 
 
 # ----------------------------------------------------------------------
@@ -620,16 +659,6 @@ def _cut_cell(polygons, area, exposed, h):
             segments += [Segment(pa, pb, np.array(normal, dtype=float), length)
                          for pa, pb, _, length, shared in edges if shared >> k & 1]
     return CutCell([poly for poly, _ in polygons], triangles, segments, area)
-
-
-def cut_cell_geometry(cell, grid, phi):
-    """Marching-squares polygon of cell ∩ {phi_h >= 0} (see _cut_polygons).
-
-    Boundary segments here are the Gamma_h chords only; polygon edges
-    running along cell sides are attributed by extract_cut_cells, which sees
-    both sides of each edge.
-    """
-    return _cut_cell(*_cut_polygons(cell, grid, phi), 0, grid.h)
 
 
 def extract_cut_cells(classification, domain=None):

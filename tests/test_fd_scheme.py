@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,7 +13,8 @@ from uel.errors import ConfigurationError, GeometryError
 from uel.fd_scheme import (_stencil_nodes, _weights, fd_gradient, ghost_row,
                            mitigate_ill_conditioning)
 from uel.geometry import (NODE_GHOST, NODE_INTERIOR, BoundaryProjection,
-                          LevelSetDomain, classify, project_to_boundary)
+                          LevelSetDomain, classify, project_ghosts,
+                          project_to_boundary)
 
 
 # ----------------------------------------------------------------------
@@ -280,7 +281,7 @@ def make_proj(theta, kind="dirichlet", signs=(1, 1)):
 
 
 def test_mitigation_halves_theta():
-    out = mitigate_ill_conditioning(make_proj((0.99, 0.2)), 0.05)
+    [out] = mitigate_ill_conditioning([make_proj((0.99, 0.2))], 0.05)
     assert out.theta[0] == pytest.approx(0.495)
     assert out.theta[1] == 0.2
     assert out.spacing == (2, 1)
@@ -288,13 +289,13 @@ def test_mitigation_halves_theta():
 
 
 def test_mitigation_not_triggered():
-    out = mitigate_ill_conditioning(make_proj((0.5, 0.5)), 0.05)
+    [out] = mitigate_ill_conditioning([make_proj((0.5, 0.5))], 0.05)
     assert out is make_proj((0.5, 0.5)) or not out.enlarged
     assert out.theta == (0.5, 0.5)
 
 
 def test_mitigation_skips_neumann():
-    out = mitigate_ill_conditioning(make_proj((0.99, 0.99), kind="neumann"), 0.05)
+    [out] = mitigate_ill_conditioning([make_proj((0.99, 0.99), kind="neumann")], 0.05)
     assert not out.enlarged
     assert out.theta == (0.99, 0.99)
 
@@ -304,7 +305,7 @@ def test_mitigated_diagonal_bounded():
     # l0(0.495) per direction, far above the unmitigated l0(0.99)
     grid = Grid(20)
     domain = half_plane(0.37)
-    proj = mitigate_ill_conditioning(make_proj((0.99, 0.0), signs=(1, 0)), grid.h)
+    [proj] = mitigate_ill_conditioning([make_proj((0.99, 0.0), signs=(1, 0))], grid.h)
     nodes, coeffs, _ = ghost_row(proj, 1, grid, domain,
                                  phi_node_of(grid, domain), lambda p: 0.0, None)
     diag = coeffs[nodes.index((5, 5))]
@@ -407,11 +408,26 @@ def test_stencil_beyond_one_active_layer_raises():
                     make_bc_spec("strip", "dirichlet"), p=2)
 
 
+def test_nonfinite_phi_on_a_projection_ray_raises():
+    # phi is NaN in the strip 0.01 < y < 0.115, which holds no node of the
+    # N=16 grid (its rows nearby are y = 0 and y = 0.125), so the
+    # classification is the ellipse's; the normal rays of the ghosts in the
+    # row y = 0.125 run through the strip, (3, 9) first in node order
+    ellipse = ellipse_domain(0.0, 0.0, 0.55, 0.55)
+    strip = LevelSetDomain(
+        "nan-strip",
+        lambda x, y: np.where((0.01 < y) & (y < 0.115), np.nan, ellipse.phi(x, y)),
+        ellipse.grad_phi)
+    with pytest.raises(GeometryError,
+                       match=r"phi is not finite along a projection ray from node \(3, 9\)"):
+        assemble_fd(Grid(16), strip, make_case("paper_sin"),
+                    make_bc_spec("ellipse", "dirichlet"), p=2)
+
+
 def test_stencil_nodes_respect_collapsed_directions():
-    proj = make_proj((0.3, 0.0), signs=(1, 0))
-    nodes = _stencil_nodes(proj, 2)
-    assert all(my == 0 for _, my, _, _ in nodes)
-    assert len(nodes) == 3
+    ii, jj, used = _stencil_nodes([make_proj((0.3, 0.0), signs=(1, 0))], 2)
+    assert np.all(jj[used] == 5)
+    assert ii[used].tolist() == [5, 6, 7]
 
 
 # ----------------------------------------------------------------------
@@ -435,3 +451,69 @@ def test_fd_gradient_exactness():
 
     nodes, grads = fd_gradient(system, fill(lambda x, y: 0.0 * x + 1.0))
     assert np.allclose(grads, 0.0, atol=1e-12)
+
+
+# ----------------------------------------------------------------------
+# batched projection
+# ----------------------------------------------------------------------
+
+DOMAINS = ("circle", "leaf", "flower", "hourglass")
+# fixtures whose concave corners take both batched fallback branches: the
+# axis route of primary ghosts and the diagonal route of extended ghosts
+BOTH_ROUTES = {("flower", 16), ("flower", 40), ("hourglass", 40)}
+
+
+def projection_bytes(proj):
+    return [np.asarray(getattr(proj, f.name)).tobytes() for f in fields(proj)]
+
+
+def check_batched_projections(domain, n):
+    """Project all ghosts at once and compare each with its one-node call,
+    byte for byte (or error for error); check that phi changes sign within tol_factor*h of every
+    foot point along its ray, for the ghosts and the extended ghosts of the
+    p=2 system.  Returns the number of axis-fallback and diagonal routes."""
+    grid = Grid(n)
+    ghosts = np.argwhere(classify(grid, domain, "four").node_role == NODE_GHOST)
+    singles = []
+    for g in ghosts:
+        try:
+            singles.append(projection_bytes(project_to_boundary(tuple(g), domain, grid)))
+        except GeometryError as exc:
+            singles.append(str(exc))
+    try:
+        batch = project_ghosts(ghosts, domain, grid)
+    except GeometryError as exc:
+        # e.g. a node interior by round-off next to a tangent Gamma: the
+        # batch names its first failing ghost, as the one-node calls do
+        assert str(exc) == next(s for s in singles if isinstance(s, str))
+        return 0, 0
+    assert [projection_bytes(q) for q in batch] == singles
+    try:
+        system = assemble_fd(grid, domain, make_case("paper_sin"),
+                             make_bc_spec("x", "dirichlet"), p=2)
+        projections = list(system.projections.values())
+    except GeometryError:  # grid too coarse for one extension layer
+        projections = batch
+    tol = 1e-4 * grid.h
+    for proj in projections:
+        g = np.array(grid.node(*proj.ghost))
+        ray = -proj.normal  # every route has B = G - normal * nu
+        assert domain.phi(*(g + max(proj.nu - tol, 0.0) * ray)) <= 0.0
+        assert domain.phi(*(g + (proj.nu + tol) * ray)) >= 0.0
+    axis = sum(not np.array_equal(q.normal, domain.outward_normal(*grid.node(*q.ghost)))
+               for q in batch)
+    return axis, sum(q.diagonal for q in projections)
+
+
+@settings(derandomize=True, deadline=None, max_examples=20)
+@given(**ELLIPSES, n=st.sampled_from((16, 24, 40, 64)))
+def test_batched_projection_on_random_ellipses(cx, cy, a, b, n):
+    check_batched_projections(ellipse_domain(cx, cy, a, b), n)
+
+
+@pytest.mark.parametrize("name", DOMAINS)
+@pytest.mark.parametrize("n", (16, 24, 40, 64))
+def test_batched_projection_on_builtin_domains(name, n):
+    axis, diagonal = check_batched_projections(make_domain(name), n)
+    if (name, n) in BOTH_ROUTES:
+        assert axis > 0 and diagonal > 0

@@ -15,7 +15,7 @@ from uel.fem_scheme import (RULE, S_FULL, _boundary_blocks, _cell_basis,
                             _stiffness_blocks, _triangle_quadrature,
                             fem_gradient, solution_samples)
 from uel.geometry import (CELL_CUT, CELL_INSIDE, BCSpec, LevelSetDomain,
-                          classify, cut_cell_geometry, extract_cut_cells,
+                          _cut_cell, _cut_polygons, classify, extract_cut_cells,
                           snap_small_cells)
 
 DOMAINS = ("circle", "leaf", "flower", "hourglass")
@@ -89,7 +89,8 @@ def test_full_cell_matrices_against_gauss_oracle():
 
 def full_cell_triangles(grid, cell):
     """Fan triangles (T, 3, 2) of a cell lying wholly inside Omega."""
-    cut = cut_cell_geometry(cell, grid, np.ones((grid.n + 1, grid.n + 1)))
+    cut = _cut_cell(*_cut_polygons(cell, grid, np.ones((grid.n + 1, grid.n + 1))),
+                    0, grid.h)
     return np.array(cut.triangles)
 
 

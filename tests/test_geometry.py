@@ -11,9 +11,9 @@ from uel.analysis import fitted_order
 from uel.errors import ConfigurationError, GeometryError
 from uel.geometry import (CELL_CUT, CELL_INSIDE, CELL_OUTSIDE, CELL_SNAPPED,
                           NODE_GHOST, NODE_INACTIVE, NODE_INTERIOR,
-                          LevelSetDomain, classify,
-                          cut_cell_geometry, extract_cut_cells,
-                          project_to_boundary, snap_small_cells)
+                          LevelSetDomain, _cut_cell, _cut_polygons, classify,
+                          extract_cut_cells, project_to_boundary,
+                          snap_small_cells)
 
 DOMAINS = ("circle", "leaf", "flower", "hourglass")
 
@@ -255,13 +255,19 @@ def test_projection_consistency_invariants(name):
 # cut cells
 # ----------------------------------------------------------------------
 
+def cut_cell(cell, grid, phi):
+    """CutCell of one cell from nodal values phi, with its Gamma_h chords as
+    the only boundary segments (no side of the cell exposed)."""
+    return _cut_cell(*_cut_polygons(cell, grid, phi), 0, grid.h)
+
+
 def test_cut_cell_full_and_empty():
     grid = Grid(8)
     h = grid.h
-    full = cut_cell_geometry((3, 3), grid, np.full((9, 9), 1.0))
+    full = cut_cell((3, 3), grid, np.full((9, 9), 1.0))
     assert full.area == pytest.approx(h * h)
     assert not full.boundary_segments
-    empty = cut_cell_geometry((3, 3), grid, np.full((9, 9), -1.0))
+    empty = cut_cell((3, 3), grid, np.full((9, 9), -1.0))
     assert empty.area == 0.0
     assert not empty.polygons
 
@@ -272,7 +278,7 @@ def test_cut_cell_vertical_midcell_cut():
     h = grid.h
     x_left = grid.xs[0]
     phi = np.broadcast_to(((x_left + h / 2.0) - grid.xs)[:, None], (9, 9))
-    cell = cut_cell_geometry((0, 0), grid, phi)
+    cell = cut_cell((0, 0), grid, phi)
     assert cell.area == pytest.approx(h * h / 2.0, rel=1e-12)
     assert len(cell.boundary_segments) == 1
     seg = cell.boundary_segments[0]
@@ -299,7 +305,7 @@ def test_saddle_cell_disconnected_polygons():
     phi = np.full((5, 5), -1.0)
     phi[0, 0] = 0.4
     phi[1, 1] = 0.4
-    cell = cut_cell_geometry((0, 0), grid, phi)
+    cell = cut_cell((0, 0), grid, phi)
     assert len(cell.polygons) == 2
     assert cell.area == pytest.approx(2 * 0.5 * (0.4 / 1.4 * grid.h) ** 2, rel=1e-12)
     assert len(cell.boundary_segments) == 2
@@ -332,8 +338,7 @@ def boundary_band(classification):
         if not (0 <= ci < n and 0 <= cj < n):
             return False
         if role[ci, cj] == CELL_CUT:
-            return cut_cell_geometry((ci, cj), grid,
-                                     classification.phi_node).area > 0.0
+            return _cut_polygons((ci, cj), grid, classification.phi_node)[1] > 0.0
         return role[ci, cj] == CELL_INSIDE
 
     band = set()
