@@ -3,40 +3,31 @@ interpolation rows enforcing the boundary condition at projected boundary
 points, kept in the system as non-eliminated equations."""
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import AssemblyError, ConfigurationError, GeometryError
 from .geometry import (AXES, NODE_GHOST, NODE_INACTIVE, NODE_INTERIOR, NONFINITE,
-                       BoundaryProjection, _neighbor_any, _shortest_crossing,
+                       GhostProjections, _neighbor_any, _shortest_crossing,
                        classify, project_ghosts)
 
 DIAGONALS = np.array([(1, 1), (1, -1), (-1, 1), (-1, -1)])
 
 
-@dataclass(frozen=True)
-class LagrangeWeights:
-    """1D Lagrange value/derivative weights on the upwind stencil.
+def _weights(theta, p, h, spacing):
+    """Closed-form 1D Lagrange weights (l, l_prime) on the upwind stencil
+    for linear (p=1, 4-point tensor stencil) and quadratic (p=2, 9-point
+    tensor stencil) boundary interpolation, for one offset or elementwise
+    for arrays of offsets and spacings.
 
     l are the p+1 interpolation weights at offset theta (in units of the
-    stencil spacing); l_prime carry the 1/(spacing*h) factor.
-    """
-
-    l: tuple
-    l_prime: tuple
-
-
-def _weights(theta, p, h, spacing):
-    """Closed-form weights for linear (p=1, 4-point tensor stencil) and
-    quadratic (p=2, 9-point tensor stencil) boundary interpolation, for one
-    offset or elementwise for arrays of offsets and spacings.
-
-    spacing=2 evaluates the enlarged stencil of the ill-conditioning
-    mitigation (nodes 0, 2h, 4h).  The offset range is checked by the
-    callers: project_ghosts keeps primary ghosts in [0, 1) and ghost_rows
-    rejects offsets of 2 or more.
+    stencil spacing); l_prime carry the 1/(spacing*h) factor.  spacing=2
+    evaluates the enlarged stencil of the ill-conditioning mitigation
+    (nodes 0, 2h, 4h).  The offset range is checked by the callers:
+    project_ghosts keeps primary ghosts in [0, 1) and ghost_rows rejects
+    offsets of 2 or more.
     """
     if p == 1:
         l = (1.0 - theta, theta)
@@ -51,34 +42,18 @@ def _weights(theta, p, h, spacing):
     else:
         raise ConfigurationError(f"stencil order p must be 1 or 2, got {p}")
     scale = 1.0 / (spacing * h)
-    return LagrangeWeights(l, tuple(v * scale for v in lp))
-
-
-def _pairs(projections, field, dtype=float):
-    """One pair-valued field of every projection, as an (m, 2) array."""
-    return np.array([getattr(q, field) for q in projections], dtype=dtype).reshape(-1, 2)
-
-
-def _flags(projections, test):
-    return np.array([test(q) for q in projections], dtype=bool)
+    return l, tuple(v * scale for v in lp)
 
 
 def mitigate_ill_conditioning(projections, epsilon):
     """Enlarge the interpolation stencil of each Dirichlet projection whose
     offset approaches 1: doubling the spacing in the triggered direction
-    halves theta and restores a usable diagonal.  Returns the projections in
-    order, the triggered ones replaced; Neumann projections are returned
-    unchanged."""
-    theta = _pairs(projections, "theta")
-    spacing = _pairs(projections, "spacing", int)
-    hit = (_flags(projections, lambda q: q.bc_kind == "dirichlet")[:, None]
-           & (_pairs(projections, "signs", int) != 0)
-           & (np.abs(1.0 - theta) < epsilon))
-    theta = np.where(hit, theta / 2.0, theta).tolist()
-    spacing = np.where(hit, 2 * spacing, spacing).tolist()
-    return [replace(q, theta=tuple(th), spacing=tuple(sp), enlarged=True)
-            if row.any() else q
-            for q, th, sp, row in zip(projections, theta, spacing, hit)]
+    halves theta and restores a usable diagonal.  Updates theta and spacing
+    of the GhostProjections in place; Neumann rows are left unchanged."""
+    hit = (projections.dirichlet[:, None] & (projections.signs != 0)
+           & (np.abs(1.0 - projections.theta) < epsilon))
+    projections.theta = np.where(hit, projections.theta / 2.0, projections.theta)
+    projections.spacing = np.where(hit, 2 * projections.spacing, projections.spacing)
 
 
 def _stencil_nodes(projections, p):
@@ -87,12 +62,11 @@ def _stencil_nodes(projections, p):
     the tensor block, where a collapsed direction uses only its first
     column, or the slots mx == my of the diagonal column for diagonal
     projections (which keep unit spacing)."""
-    ghost = _pairs(projections, "ghost", int)
-    signs = _pairs(projections, "signs", int)
-    step = signs * _pairs(projections, "spacing", int)
+    ghost, signs = projections.ghost, projections.signs
+    step = signs * projections.spacing
     mx, my = np.divmod(np.arange((p + 1) ** 2), p + 1)
     tensor = ((signs[:, :1] != 0) | (mx == 0)) & ((signs[:, 1:] != 0) | (my == 0))
-    used = np.where(_flags(projections, lambda q: q.diagonal)[:, None], mx == my, tensor)
+    used = np.where(projections.diagonal[:, None], mx == my, tensor)
     return ghost[:, :1] + step[:, :1] * mx, ghost[:, 1:] + step[:, 1:] * my, used
 
 
@@ -113,20 +87,18 @@ def ghost_rows(projections, p, grid, domain, phi_node):
     line through G for diagonal projections).  Neumann: the interpolated
     gradient at B dotted with the boundary normal, from the same derivative
     stencil applied to the nodal level-set values, or the exact radial
-    direction on circles.
+    direction on circles.  The Neumann data g_N(B, normal) should use the
+    returned normal, so data and operator stay consistent where the
+    level-set normal is ambiguous (domain corners).
 
     Returns (owner, ii, jj, coeff, normal): the nonzero entries in row
-    order, entry e in the row of projections[owner[e]] at node
-    (ii[e], jj[e]), and per projection the normal its Neumann row uses (NaN
-    for value rows).  Errors are raised for the first offending projection.
+    order, entry e in row owner[e] of the GhostProjections at node
+    (ii[e], jj[e]), and per row the normal its Neumann row uses (NaN for
+    value rows).  Errors are raised for the first offending row.
     """
     h, n = grid.h, grid.n
-    ghost = _pairs(projections, "ghost", int)
-    theta = _pairs(projections, "theta")
-    signs = _pairs(projections, "signs")
-    spacing = _pairs(projections, "spacing", int)
-    diagonal = _flags(projections, lambda q: q.diagonal)
-    value = _flags(projections, lambda q: q.bc_kind == "dirichlet")
+    ghost, theta, signs = projections.ghost, projections.theta, projections.signs
+    spacing, diagonal, value = projections.spacing, projections.diagonal, projections.dirichlet
     ii, jj, used = _stencil_nodes(projections, p)
     errors = {}
 
@@ -142,11 +114,11 @@ def ghost_rows(projections, p, grid, domain, phi_node):
     # quadratic column and a mild extrapolation for p=1.
     fail(np.flatnonzero(theta.max(axis=1) >= 2.0), GeometryError, lambda g, k: (
         f"projection offset {theta[k].max():.3f} outside the stencil span at node {g}"))
-    wx = _weights(theta[:, 0], p, h, spacing[:, 0])
-    wy = _weights(theta[:, 1], p, h, spacing[:, 1])
+    lx, lpx = _weights(theta[:, 0], p, h, spacing[:, 0])
+    ly, lpy = _weights(theta[:, 1], p, h, spacing[:, 1])
     mx, my = np.divmod(np.arange((p + 1) ** 2), p + 1)
-    lx, lpx = np.array(wx.l)[mx].T, np.array(wx.l_prime)[mx].T
-    ly, lpy = np.array(wy.l)[my].T, np.array(wy.l_prime)[my].T
+    lx, lpx = np.array(lx)[mx].T, np.array(lpx)[mx].T
+    ly, lpy = np.array(ly)[my].T, np.array(lpy)[my].T
     fail(np.flatnonzero(diagonal & ~value), AssemblyError,
          lambda g, k: "diagonal stencils carry value rows only")
     # Neumann: spacing is never enlarged (mitigation is Dirichlet-only).
@@ -155,7 +127,7 @@ def ghost_rows(projections, p, grid, domain, phi_node):
 
     neu = np.flatnonzero(~value)
     if domain.is_circle:
-        bd = _pairs(projections, "point")[neu] - np.array(domain.circle_center)
+        bd = projections.point[neu] - np.array(domain.circle_center)
         dp = -bd
         norm = np.hypot(bd[:, 0], bd[:, 1])
     else:
@@ -172,7 +144,7 @@ def ghost_rows(projections, p, grid, domain, phi_node):
              lambda g, k: f"degenerate interpolated normal at ghost {g}")
     if errors:
         raise errors[min(errors)]
-    normal = np.full((len(projections), 2), np.nan)
+    normal = np.full((len(ghost), 2), np.nan)
     # phi grows inward, so the outward normal is the negated direction.
     normal[neu] = -dp / norm[:, None]
 
@@ -182,22 +154,6 @@ def ghost_rows(projections, p, grid, domain, phi_node):
                   + nb[:, 1:] * sy * lx[neu] * lpy[neu])
     keep = used & (coeff != 0.0)
     return np.nonzero(keep)[0], ii[keep], jj[keep], coeff[keep], normal
-
-
-def ghost_row(projection, p, grid, domain, phi_node, g_dirichlet, g_neumann):
-    """Boundary-condition row for one ghost node: ghost_rows for one
-    projection, with the right-hand side g_dirichlet(B) or
-    g_neumann(B, normal).  g_neumann receives the operator's own normal, so
-    data and operator stay consistent where the level-set normal is
-    ambiguous (domain corners).
-
-    Returns (nodes, coefficients, rhs).
-    """
-    _, ii, jj, coeffs, normal = ghost_rows([projection], p, grid, domain, phi_node)
-    nodes = list(zip(ii.tolist(), jj.tolist()))
-    if projection.bc_kind == "dirichlet":
-        return nodes, coeffs.tolist(), float(g_dirichlet(projection.point))
-    return nodes, coeffs.tolist(), float(g_neumann(projection.point, normal[0]))
 
 
 @dataclass
@@ -214,9 +170,9 @@ class FdSystem:
 
 
 def _extended_projections(nodes, domain, grid, tol_factor, active, p):
-    """Projections for the stencil nodes beyond the ghost layer (an (m, 2)
-    index array), in order; such nodes always receive a value-interpolation
-    (Dirichlet-type) row at their foot.
+    """GhostProjections for the stencil nodes beyond the ghost layer (an
+    (m, 2) index array), in order; such nodes always receive a
+    value-interpolation (Dirichlet-type) row at their foot.
 
     First choice is the shortest axis crossing within two cells: the
     single-column stencil it induces references only active nodes (the next
@@ -258,10 +214,8 @@ def _extended_projections(nodes, domain, grid, tol_factor, active, p):
     normal = np.where(diag, -ed / math.sqrt(2.0), -e)
     theta = np.where(diag, (td / step)[:, None], np.where(e != 0.0, t[:, None] / h, 0.0))
     signs = np.where(diag, ed, e).astype(int)
-    return [BoundaryProjection(tuple(node), pt, v, nrm, tuple(th), tuple(s), diagonal=dg)
-            for node, pt, v, nrm, th, s, dg in zip(
-                nodes.tolist(), point, np.where(diagonal, td, t).tolist(), normal,
-                theta.tolist(), signs.tolist(), diagonal.tolist())]
+    return GhostProjections(nodes, point, np.where(diagonal, td, t), normal, theta, signs,
+                            np.ones_like(diagonal), np.ones_like(signs), diagonal)
 
 
 def assemble_fd(grid, domain, case, bc, p=2, tol_factor=1e-4):
@@ -291,10 +245,8 @@ def assemble_fd(grid, domain, case, bc, p=2, tol_factor=1e-4):
     role = cls.node_role
 
     primary = project_ghosts(np.argwhere(role == NODE_GHOST), domain, grid, tol_factor)
-    point = _pairs(primary, "point")
-    dirichlet = bc.is_dirichlet(point[:, 0], point[:, 1])
-    primary = mitigate_ill_conditioning(
-        [q if d else replace(q, bc_kind="neumann") for q, d in zip(primary, dirichlet)], h)
+    primary.dirichlet = bc.is_dirichlet(primary.point[:, 0], primary.point[:, 1])
+    mitigate_ill_conditioning(primary, h)
 
     # Stencils may reach exterior nodes beyond the ghost layer: activate them
     # with boundary rows of their own (one extension layer only).
@@ -312,9 +264,9 @@ def assemble_fd(grid, domain, case, bc, p=2, tol_factor=1e-4):
                                      domain, grid, tol_factor, active, p)
     if stop < len(bad):
         if not on_grid[stop]:
-            raise GeometryError(
-                f"ghost stencil leaves the grid at node {primary[owner[stop]].ghost}; "
-                "the grid is too coarse for this geometry")
+            ghost = tuple(primary.ghost[owner[stop]].tolist())
+            raise GeometryError(f"ghost stencil leaves the grid at node {ghost}; "
+                                "the grid is too coarse for this geometry")
         raise GeometryError(
             f"stencil node ({si[stop]}, {sj[stop]}) lies beyond one layer of the "
             "active set; the grid is too coarse for this geometry")
@@ -323,12 +275,12 @@ def assemble_fd(grid, domain, case, bc, p=2, tol_factor=1e-4):
     bad = ~on_grid | ~active[si, sj]
     if bad.any():
         k = bad.argmax()
-        ghost = extended[owner[k]].ghost
+        ghost = tuple(extended.ghost[owner[k]].tolist())
         if not on_grid[k]:
             raise GeometryError(f"ghost stencil leaves the grid at node {ghost}")
         raise GeometryError(f"extended ghost {ghost} needs a second extension "
                             "layer; the grid is too coarse for this geometry")
-    projections = {q.ghost: q for q in primary + extended}
+    ghosts = primary + extended
 
     nodes = np.argwhere(active)
     n_rows = len(nodes)
@@ -370,14 +322,12 @@ def assemble_fd(grid, domain, case, bc, p=2, tol_factor=1e-4):
 
     # Ghost rows (including extended ghosts), with g_D = u at value rows and
     # g_N = grad(u) . n at derivative rows, n the row's own normal.
-    ghosts = list(projections.values())
     owner, si, sj, coeff, normal = ghost_rows(ghosts, p, grid, domain, cls.phi_node)
-    r = index[tuple(_pairs(ghosts, "ghost", int).T)]
+    r = index[ghosts.ghost[:, 0], ghosts.ghost[:, 1]]
     rows_parts.append(r[owner])
     cols_parts.append(index[si, sj])
     vals_parts.append(coeff)
-    point = _pairs(ghosts, "point")
-    value = _flags(ghosts, lambda q: q.bc_kind == "dirichlet")
+    point, value = ghosts.point, ghosts.dirichlet
     rhs[r[value]] = case.u(point[value, 0], point[value, 1])
     ux, uy = case.grad_u(point[~value, 0], point[~value, 1])
     rhs[r[~value]] = ux * normal[~value, 0] + uy * normal[~value, 1]
@@ -386,6 +336,7 @@ def assemble_fd(grid, domain, case, bc, p=2, tol_factor=1e-4):
         (np.concatenate(vals_parts),
          (np.concatenate(rows_parts), np.concatenate(cols_parts))),
         shape=(n_rows, n_rows)).tocsr()
+    projections = {q.ghost: q for q in ghosts.views()}
     return FdSystem(matrix, rhs, nodes, index, projections, cls, grid)
 
 

@@ -2,7 +2,7 @@
 projection and cut-cell polygon extraction shared by both discretizations."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -226,7 +226,6 @@ class GridClassification:
     """
 
     grid: Grid
-    neighborhood: str
     phi_node: np.ndarray
     node_role: np.ndarray
     cell_role: np.ndarray
@@ -283,7 +282,7 @@ def classify(grid, domain, neighborhood="four"):
     ghost = ~interior & _neighbor_any(interior, neighborhood == "eight")
     role = np.where(interior, NODE_INTERIOR,
                     np.where(ghost, NODE_GHOST, NODE_INACTIVE)).astype(np.int8)
-    return GridClassification(grid, neighborhood, phi, role, _cell_roles(phi))
+    return GridClassification(grid, phi, role, _cell_roles(phi))
 
 
 def snap_small_cells(classification, grid, domain, alpha):
@@ -328,8 +327,7 @@ def snap_small_cells(classification, grid, domain, alpha):
     supported[:-1, 1:] |= ok
     node_role = np.where(~supported, NODE_INACTIVE,
                          np.where(phi > 0.0, NODE_INTERIOR, NODE_GHOST)).astype(np.int8)
-    return GridClassification(grid, classification.neighborhood, phi, node_role,
-                              roles)
+    return GridClassification(grid, phi, node_role, roles)
 
 
 # ----------------------------------------------------------------------
@@ -338,14 +336,9 @@ def snap_small_cells(classification, grid, domain, alpha):
 
 @dataclass
 class BoundaryProjection:
-    """Closest-boundary-point data for one ghost node G.
-
-    B = G - normal * nu lies on Gamma within the bisection tolerance; theta
-    and signs parametrize the upwind interpolation stencil; spacing doubles in
-    a direction when the ill-conditioning mitigation was applied.  Extended
-    ghosts in concave corners may carry a diagonal single-column stencil
-    (diagonal=True, theta measured in units of sqrt(2) h) and offsets up to 2.
-    """
+    """Closest-boundary-point data for one ghost node G: one row of
+    GhostProjections, as FdSystem.projections and project_to_boundary
+    report it."""
 
     ghost: tuple
     point: np.ndarray
@@ -357,6 +350,46 @@ class BoundaryProjection:
     enlarged: bool = False
     spacing: tuple = (1, 1)
     diagonal: bool = False
+
+
+@dataclass
+class GhostProjections:
+    """Closest-boundary-point data for m ghost nodes G, one row each.
+
+    B = G - normal * nu lies on Gamma within the bisection tolerance; theta
+    and signs parametrize the upwind interpolation stencil; dirichlet marks
+    value rows (the others interpolate the normal derivative); spacing
+    doubles in a direction when the ill-conditioning mitigation enlarged
+    the stencil.  Extended ghosts in concave corners may carry a diagonal
+    single-column stencil (diagonal, theta measured in units of sqrt(2) h)
+    and offsets up to 2.
+    """
+
+    ghost: np.ndarray      # (m, 2) node indices
+    point: np.ndarray      # (m, 2) foot points B
+    nu: np.ndarray         # (m,) distances from G to B along -normal
+    normal: np.ndarray     # (m, 2)
+    theta: np.ndarray      # (m, 2) offsets in units of the spacing
+    signs: np.ndarray      # (m, 2) stencil directions, 0 where collapsed
+    dirichlet: np.ndarray  # (m,) bool
+    spacing: np.ndarray    # (m, 2) int
+    diagonal: np.ndarray   # (m,) bool
+
+    def __add__(self, other):
+        return GhostProjections(*(np.concatenate([getattr(self, f.name), getattr(other, f.name)])
+                                  for f in fields(self)))
+
+    def views(self):
+        """One BoundaryProjection per row, in order.  Rows that were not
+        enlarged share one spacing tuple."""
+        enlarged = (self.spacing != 1).any(axis=1).tolist()
+        return [BoundaryProjection(tuple(g), pt, v, nrm, tuple(th), tuple(s),
+                                   "dirichlet" if d else "neumann", e,
+                                   tuple(sp) if e else (1, 1), dg)
+                for g, pt, v, nrm, th, s, d, e, sp, dg in zip(
+                    self.ghost.tolist(), self.point, self.nu.tolist(), self.normal,
+                    self.theta.tolist(), self.signs.tolist(), self.dirichlet.tolist(),
+                    enlarged, self.spacing.tolist(), self.diagonal.tolist())]
 
 
 # Axis ray directions, in their order of preference on ties.
@@ -417,15 +450,16 @@ def _shortest_crossing(domain, x, y, owner, d, directions, t_max, tol):
 
 def project_ghosts(nodes, domain, grid, tol_factor=1e-4):
     """Project the exterior nodes G (an (m, 2) index array) onto Gamma, all
-    at once; returns their BoundaryProjections in order.
+    at once; returns their GhostProjections in order, all with value rows
+    and unit spacing.
 
     The primary route solves phi(G - normal * nu) = 0 along the outward
     normal by presampling the ray for a sign change and bisecting the first
     bracket down to tol_factor * h in distance.  When the normal ray misses
     Gamma within 2*sqrt(2)*h or its foot leaves the unit-offset range
     (concave corners), the projection falls back to the shortest axis
-    crossing toward an interior neighbor, which always yields offsets in
-    [0, 1).
+    crossing toward a neighbor where phi >= 0, at most one cell away (an
+    offset of exactly 1 is rejected below).
 
     Raises
     ------
@@ -470,7 +504,9 @@ def project_ghosts(nodes, domain, grid, tol_factor=1e-4):
                                   | (np.abs(by - gy) >= h)))
     probe = domain.phi(gx[axis, None] + AXES[:, 0] * h, gy[axis, None] + AXES[:, 1] * h)
     fail(axis[~np.isfinite(probe).all(axis=1)], nonfinite)
-    owner, d = np.nonzero(probe > 0.0)
+    # a neighbour on Gamma up to round-off (phi(G + h e) == 0 although the
+    # classification saw phi > 0 at the grid node) still brackets a crossing
+    owner, d = np.nonzero(probe >= 0.0)
     t, best, finite = _shortest_crossing(domain, gx[axis], gy[axis], owner, d,
                                          AXES, h, tol)
     fail(axis[~finite], nonfinite)
@@ -493,15 +529,15 @@ def project_ghosts(nodes, domain, grid, tol_factor=1e-4):
         f"theta=({theta[k, 0]:.3f}, {theta[k, 1]:.3f})"))
     if errors:
         raise errors[min(errors)]
-    return [BoundaryProjection(tuple(g), np.array([x, y]), v, n_hat, tuple(th),
-                               (int(a), int(b)))
-            for g, x, y, v, n_hat, th, a, b in zip(
-                nodes.tolist(), bx, by, nu.tolist(), normal, theta.tolist(), sx, sy)]
+    m = len(nodes)
+    return GhostProjections(nodes, np.column_stack([bx, by]), nu, normal, theta,
+                            np.column_stack([sx, sy]).astype(int), np.ones(m, dtype=bool),
+                            np.ones((m, 2), dtype=int), np.zeros(m, dtype=bool))
 
 
 def project_to_boundary(node, domain, grid, tol_factor=1e-4):
     """Project the exterior node G onto Gamma: project_ghosts for one node."""
-    return project_ghosts([node], domain, grid, tol_factor)[0]
+    return project_ghosts([node], domain, grid, tol_factor).views()[0]
 
 
 # ----------------------------------------------------------------------

@@ -263,9 +263,9 @@ def test_criterion_9_invariant_suites():
     for theta in rng.uniform(0.0, 1.0 - 1e-9, 1000):
         for p in (1, 2):
             for spacing in (1, 2):
-                w = _weights(theta, p, 0.05, spacing)
-                assert sum(w.l) == pytest.approx(1.0, abs=1e-12)
-                assert sum(w.l_prime) == pytest.approx(0.0, abs=1e-9)
+                l, l_prime = _weights(theta, p, 0.05, spacing)
+                assert sum(l) == pytest.approx(1.0, abs=1e-12)
+                assert sum(l_prime) == pytest.approx(0.0, abs=1e-9)
 
     # FD row sums: interior rows 0, Dirichlet ghost rows 1, for every row
     rows_checked = 0

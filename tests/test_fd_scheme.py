@@ -1,4 +1,4 @@
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,9 +10,9 @@ from uel import (Grid, assemble_fd, make_bc_spec, make_case, make_domain,
                  relative_error, solve_direct)
 from uel.analysis import fitted_order
 from uel.errors import ConfigurationError, GeometryError
-from uel.fd_scheme import (_stencil_nodes, _weights, fd_gradient, ghost_row,
+from uel.fd_scheme import (_stencil_nodes, _weights, fd_gradient, ghost_rows,
                            mitigate_ill_conditioning)
-from uel.geometry import (NODE_GHOST, NODE_INTERIOR, BoundaryProjection,
+from uel.geometry import (NODE_GHOST, NODE_INTERIOR, GhostProjections,
                           LevelSetDomain, classify, project_ghosts,
                           project_to_boundary)
 
@@ -22,29 +22,28 @@ from uel.geometry import (NODE_GHOST, NODE_INTERIOR, BoundaryProjection,
 # ----------------------------------------------------------------------
 
 def test_weights_p2_theta0():
-    w = _weights(0.0, 2, 0.1, 1)
-    assert w.l == pytest.approx((1.0, 0.0, 0.0))
-    assert tuple(0.1 * v for v in w.l_prime) == pytest.approx((-1.5, 2.0, -0.5))
+    l, l_prime = _weights(0.0, 2, 0.1, 1)
+    assert l == pytest.approx((1.0, 0.0, 0.0))
+    assert tuple(0.1 * v for v in l_prime) == pytest.approx((-1.5, 2.0, -0.5))
 
 
 def test_weights_p1_midpoint():
-    w = _weights(0.5, 1, 0.2, 1)
-    assert w.l == pytest.approx((0.5, 0.5))
+    l, _ = _weights(0.5, 1, 0.2, 1)
+    assert l == pytest.approx((0.5, 0.5))
 
 
 def test_weights_p2_midpoint():
-    w = _weights(0.5, 2, 1.0, 1)
-    assert w.l == pytest.approx((0.375, 0.75, -0.125))
+    l, _ = _weights(0.5, 2, 1.0, 1)
+    assert l == pytest.approx((0.375, 0.75, -0.125))
 
 
 def test_weights_reject_out_of_range_theta():
-    # ghost_row refuses an offset past the stencil span before weighting it
+    # ghost_rows refuses an offset past the stencil span before weighting it
     grid = Grid(20)
     domain = half_plane(0.3)
     for theta in ((2.0, 0.0), (0.5, 2.5)):
         with pytest.raises(GeometryError, match="outside the stencil span"):
-            ghost_row(make_proj(theta), 2, grid, domain,
-                      phi_node_of(grid, domain), lambda p: 0.0, None)
+            ghost_rows(make_proj(theta), 2, grid, domain, phi_node_of(grid, domain))
     with pytest.raises(ConfigurationError):
         _weights(0.5, 3, 0.1, 1)
 
@@ -54,9 +53,9 @@ def test_weights_reject_out_of_range_theta():
 def test_weights_partition_of_unity(p, spacing):
     rng = np.random.default_rng(11)
     for theta in rng.uniform(0.0, 1.0 - 1e-12, 200):
-        w = _weights(theta, p, 0.05, spacing)
-        assert sum(w.l) == pytest.approx(1.0, abs=1e-13)
-        assert sum(w.l_prime) == pytest.approx(0.0, abs=1e-10)
+        l, l_prime = _weights(theta, p, 0.05, spacing)
+        assert sum(l) == pytest.approx(1.0, abs=1e-13)
+        assert sum(l_prime) == pytest.approx(0.0, abs=1e-10)
 
 
 # ----------------------------------------------------------------------
@@ -140,27 +139,31 @@ def phi_node_of(grid, domain):
     return classify(grid, domain, "four").phi_node
 
 
+def make_proj(theta, kind="dirichlet", signs=(1, 1)):
+    """One-row GhostProjections at node (5, 5)."""
+    return GhostProjections(np.array([(5, 5)]), np.zeros((1, 2)), np.array([0.01]),
+                            np.array([(1.0, 0.0)]), np.array([theta], dtype=float),
+                            np.array([signs]), np.array([kind == "dirichlet"]),
+                            np.ones((1, 2), dtype=int), np.zeros(1, dtype=bool))
+
+
+def one_row(projections, p, grid, domain):
+    """(nodes, coefficients, normal) of the ghost row of a one-row record."""
+    _, ii, jj, coeffs, normal = ghost_rows(projections, p, grid, domain,
+                                           phi_node_of(grid, domain))
+    return list(zip(ii.tolist(), jj.tolist())), coeffs.tolist(), normal[0]
+
+
 def test_ghost_row_dirichlet_collapses_to_nodal_value():
-    proj = BoundaryProjection((5, 5), np.array([0.0, 0.0]), 0.0,
-                              np.array([1.0, 0.0]), (0.0, 0.0), (1, 1),
-                              bc_kind="dirichlet")
-    grid = Grid(10)
-    nodes, coeffs, rhs = ghost_row(proj, 2, grid, half_plane(0.3),
-                                   phi_node_of(grid, half_plane(0.3)),
-                                   lambda p: 7.0, None)
+    nodes, coeffs, normal = one_row(make_proj((0.0, 0.0)), 2, Grid(10), half_plane(0.3))
     assert nodes == [(5, 5)]
     assert coeffs == pytest.approx([1.0])
-    assert rhs == 7.0
+    assert np.isnan(normal).all()  # value rows use no normal
 
 
 def test_ghost_row_dirichlet_p1_two_point_stencil():
-    proj = BoundaryProjection((5, 5), np.array([0.0, 0.0]), 0.0,
-                              np.array([1.0, 0.0]), (0.5, 0.0), (1, 0),
-                              bc_kind="dirichlet")
-    grid = Grid(10)
-    nodes, coeffs, _ = ghost_row(proj, 1, grid, half_plane(0.3),
-                                 phi_node_of(grid, half_plane(0.3)),
-                                 lambda p: 0.0, None)
+    nodes, coeffs, _ = one_row(make_proj((0.5, 0.0), signs=(1, 0)), 1, Grid(10),
+                               half_plane(0.3))
     assert nodes == [(5, 5), (6, 5)]
     assert coeffs == pytest.approx([0.5, 0.5])
 
@@ -170,20 +173,13 @@ def test_ghost_row_neumann_reproduces_unit_slope():
     # (the interpolated level-set normal of the half plane is (1, 0))
     domain = half_plane(0.37)
     grid = Grid(20)  # h = 0.1; node (14, 10) = (0.4, 0.0) is exterior
-    proj = project_to_boundary((14, 10), domain, grid, tol_factor=1e-12)
-    proj = replace(proj, bc_kind="neumann")
-    captured = {}
-
-    def g_n(point, normal):
-        captured["normal"] = normal
-        return float(normal[0])  # grad(x) . n
-
-    nodes, coeffs, rhs = ghost_row(proj, 2, grid, domain,
-                                   phi_node_of(grid, domain), None, g_n)
+    proj = project_ghosts([(14, 10)], domain, grid, tol_factor=1e-12)
+    proj.dirichlet[:] = False
+    nodes, coeffs, normal = one_row(proj, 2, grid, domain)
     val = apply_row(nodes, coeffs, grid, lambda x, y: x)
     assert val == pytest.approx(1.0, abs=1e-11)
-    assert captured["normal"] == pytest.approx([1.0, 0.0], abs=1e-12)
-    assert rhs == pytest.approx(1.0, abs=1e-12)
+    assert normal == pytest.approx([1.0, 0.0], abs=1e-12)
+    assert normal @ (1.0, 0.0) == pytest.approx(1.0, abs=1e-12)  # g_N = grad(x) . n
 
 
 @pytest.mark.parametrize("p", (1, 2))
@@ -192,7 +188,6 @@ def test_ghost_row_polynomial_reproduction(p):
     # the p=2 derivative rows reproduce their normal derivative.
     domain = make_domain("circle")
     grid = Grid(20)
-    phi_node = phi_node_of(grid, domain)
 
     if p == 1:
         def u(x, y):
@@ -208,24 +203,20 @@ def test_ghost_row_polynomial_reproduction(p):
             return (1.0 + x) * (2.0 - y + 0.25 * y * y), \
                    (1.0 + x + 0.5 * x * x) * (-1.0 + 0.5 * y)
 
-    cls = classify(grid, domain, "four")
-    gi, gj = np.nonzero(cls.node_role == NODE_GHOST)
-    for i, j in zip(gi, gj):
-        proj = project_to_boundary((int(i), int(j)), domain, grid, 1e-12)
-        bx, by = proj.point
+    ghosts = np.argwhere(classify(grid, domain, "four").node_role == NODE_GHOST)
+    for i, j in ghosts:
+        proj = project_ghosts([(i, j)], domain, grid, 1e-12)
+        bx, by = proj.point[0]
         # value row
-        pd = replace(proj, bc_kind="dirichlet")
-        nodes, coeffs, _ = ghost_row(pd, p, grid, domain, phi_node,
-                                     lambda pt: 0.0, None)
+        nodes, coeffs, _ = one_row(proj, p, grid, domain)
         val = apply_row(nodes, coeffs, grid, u)
         assert val == pytest.approx(u(bx, by), rel=1e-10, abs=1e-11)
         if p == 2:
             # derivative row with the exact circle normal
-            pn = replace(proj, bc_kind="neumann")
-            nodes, coeffs, _ = ghost_row(pn, 2, grid, domain, phi_node,
-                                         None, lambda pt, nb: 0.0)
+            proj.dirichlet[:] = False
+            nodes, coeffs, _ = one_row(proj, 2, grid, domain)
             val = apply_row(nodes, coeffs, grid, u)
-            nb = proj.point / np.hypot(*proj.point)
+            nb = proj.point[0] / np.hypot(bx, by)
             gx, gy = grad_u(bx, by)
             assert val == pytest.approx(gx * nb[0] + gy * nb[1], rel=1e-9, abs=1e-10)
 
@@ -244,6 +235,25 @@ def test_ghost_row_sums():
             assert total == pytest.approx(1.0, abs=1e-12)
         else:
             assert abs(total) <= 1e-12 * max(1.0, abs(row).max())
+
+
+def test_ghost_row_rhs_is_boundary_data():
+    # value rows carry u(B), derivative rows grad(u)(B) . n with the circle's
+    # exact radial normal, which is the normal the circle rows use
+    case = make_case("paper_sin")
+    system = assemble_fd(Grid(20), make_domain("circle"), case,
+                         make_bc_spec("circle", "mixed"), p=2)
+    kinds = set()
+    for node, proj in system.projections.items():
+        rhs = system.rhs[system.index[node]]
+        kinds.add(proj.bc_kind)
+        if proj.bc_kind == "dirichlet":
+            assert rhs == case.u(*proj.point)
+        else:
+            nb = proj.point / np.hypot(*proj.point)
+            gx, gy = case.grad_u(*proj.point)
+            assert rhs == pytest.approx(gx * nb[0] + gy * nb[1], rel=1e-12, abs=1e-14)
+    assert kinds == {"dirichlet", "neumann"}
 
 
 @settings(derandomize=True, deadline=None, max_examples=15)
@@ -271,17 +281,33 @@ def test_value_rows_and_offsets_on_random_ellipses(cx, cy, a, b, n):
                 assert 0.5 * (1.0 - grid.h) < theta < 0.5
 
 
+def test_ghost_next_to_on_gamma_node_assembles():
+    # node (20, 14) of the N=40 grid lies on Gamma of this ellipse up to
+    # round-off (phi = 4.4e-16 > 0), so the axis ray of the ghost (20, 13)
+    # below it meets Gamma exactly one cell away
+    domain = ellipse_domain(0.0, 0.0, 0.5, 0.3)
+    case = make_case("paper_sin")
+    grid = Grid(40)
+    for kind in ("dirichlet", "mixed"):
+        for p in (1, 2):
+            system = assemble_fd(grid, domain, case, make_bc_spec("ellipse", kind), p=p)
+            proj = system.projections[(20, 13)]
+            assert proj.point == pytest.approx([0.0, -0.3], abs=1e-15)
+            assert proj.normal.tolist() == [0.0, -1.0]
+            u, report = solve_direct(system.matrix, system.rhs)
+            assert report.final_residual <= 1e-10
+            eu, eg = fd_errors(grid, system, u, case)
+            assert np.isfinite(eu + eg).all() and eu[2] < 1e-2
+
+
 # ----------------------------------------------------------------------
 # mitigation
 # ----------------------------------------------------------------------
 
-def make_proj(theta, kind="dirichlet", signs=(1, 1)):
-    return BoundaryProjection((5, 5), np.array([0.0, 0.0]), 0.01,
-                              np.array([1.0, 0.0]), theta, signs, bc_kind=kind)
-
-
 def test_mitigation_halves_theta():
-    [out] = mitigate_ill_conditioning([make_proj((0.99, 0.2))], 0.05)
+    proj = make_proj((0.99, 0.2))
+    mitigate_ill_conditioning(proj, 0.05)
+    [out] = proj.views()
     assert out.theta[0] == pytest.approx(0.495)
     assert out.theta[1] == 0.2
     assert out.spacing == (2, 1)
@@ -289,25 +315,30 @@ def test_mitigation_halves_theta():
 
 
 def test_mitigation_not_triggered():
-    [out] = mitigate_ill_conditioning([make_proj((0.5, 0.5))], 0.05)
-    assert out is make_proj((0.5, 0.5)) or not out.enlarged
+    proj = make_proj((0.5, 0.5))
+    mitigate_ill_conditioning(proj, 0.05)
+    [out] = proj.views()
+    assert not out.enlarged
     assert out.theta == (0.5, 0.5)
+    assert out.spacing == (1, 1)
 
 
 def test_mitigation_skips_neumann():
-    [out] = mitigate_ill_conditioning([make_proj((0.99, 0.99), kind="neumann")], 0.05)
+    proj = make_proj((0.99, 0.99), kind="neumann")
+    mitigate_ill_conditioning(proj, 0.05)
+    [out] = proj.views()
     assert not out.enlarged
     assert out.theta == (0.99, 0.99)
+    assert out.bc_kind == "neumann"
 
 
 def test_mitigated_diagonal_bounded():
     # after mitigation the diagonal of the constructed near-1 example is
     # l0(0.495) per direction, far above the unmitigated l0(0.99)
     grid = Grid(20)
-    domain = half_plane(0.37)
-    [proj] = mitigate_ill_conditioning([make_proj((0.99, 0.0), signs=(1, 0))], grid.h)
-    nodes, coeffs, _ = ghost_row(proj, 1, grid, domain,
-                                 phi_node_of(grid, domain), lambda p: 0.0, None)
+    proj = make_proj((0.99, 0.0), signs=(1, 0))
+    mitigate_ill_conditioning(proj, grid.h)
+    nodes, coeffs, _ = one_row(proj, 1, grid, half_plane(0.37))
     diag = coeffs[nodes.index((5, 5))]
     assert diag == pytest.approx(1.0 - 0.495)
     assert diag >= 0.05
@@ -425,7 +456,7 @@ def test_nonfinite_phi_on_a_projection_ray_raises():
 
 
 def test_stencil_nodes_respect_collapsed_directions():
-    ii, jj, used = _stencil_nodes([make_proj((0.3, 0.0), signs=(1, 0))], 2)
+    ii, jj, used = _stencil_nodes(make_proj((0.3, 0.0), signs=(1, 0)), 2)
     assert np.all(jj[used] == 5)
     assert ii[used].tolist() == [5, 6, 7]
 
@@ -469,24 +500,14 @@ def projection_bytes(proj):
 
 def check_batched_projections(domain, n):
     """Project all ghosts at once and compare each with its one-node call,
-    byte for byte (or error for error); check that phi changes sign within tol_factor*h of every
+    byte for byte; check that phi changes sign within tol_factor*h of every
     foot point along its ray, for the ghosts and the extended ghosts of the
     p=2 system.  Returns the number of axis-fallback and diagonal routes."""
     grid = Grid(n)
     ghosts = np.argwhere(classify(grid, domain, "four").node_role == NODE_GHOST)
-    singles = []
-    for g in ghosts:
-        try:
-            singles.append(projection_bytes(project_to_boundary(tuple(g), domain, grid)))
-        except GeometryError as exc:
-            singles.append(str(exc))
-    try:
-        batch = project_ghosts(ghosts, domain, grid)
-    except GeometryError as exc:
-        # e.g. a node interior by round-off next to a tangent Gamma: the
-        # batch names its first failing ghost, as the one-node calls do
-        assert str(exc) == next(s for s in singles if isinstance(s, str))
-        return 0, 0
+    singles = [projection_bytes(project_to_boundary(tuple(g), domain, grid))
+               for g in ghosts]
+    batch = project_ghosts(ghosts, domain, grid).views()
     assert [projection_bytes(q) for q in batch] == singles
     try:
         system = assemble_fd(grid, domain, make_case("paper_sin"),

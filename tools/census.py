@@ -1,0 +1,117 @@
+"""Byte-identity census of the assembled FD and FEM systems.
+
+    PYTHONPATH=src python3 tools/census.py > census.txt
+
+Assembles a fixed set of systems with the `uel` found on PYTHONPATH and
+prints one JSON line per system: the SHA-256 of the matrix (data, indices,
+indptr), the right-hand side and every field of the FD projections or the
+FEM cut cells, field types included, or the text of the error the assembly
+raised.  A refactor that must not change any number is gated by `diff`
+between the outputs of the two source trees.
+
+FD: the four built-in domains, 40 seeded random ellipses and the centred
+ellipse 1 - (x/0.5)^2 - (y/0.3)^2, each with both boundary-condition
+splits and p in {1, 2}.  FEM: the built-in domains with both splits and
+alpha in {1.5, 2}.
+"""
+
+import dataclasses
+import hashlib
+import json
+
+import numpy as np
+
+from uel import Grid, assemble_fd, assemble_fem, make_bc_spec, make_case, make_domain
+from uel.errors import UelError
+from uel.geometry import DOMAIN_NAMES, LevelSetDomain
+
+GRIDS = (8, 12, 16, 24, 32, 40, 64, 80, 160, 320)
+ELLIPSE_GRIDS = (16, 24, 40, 64)
+BCS = ("dirichlet", "mixed")
+SEED = 2024
+
+
+def ellipse(cx, cy, a, b):
+    def phi(x, y):
+        return 1.0 - ((x - cx) / a) ** 2 - ((y - cy) / b) ** 2
+
+    def grad(x, y):
+        return -2.0 * (x - cx) / a ** 2, -2.0 * (y - cy) / b ** 2
+
+    return LevelSetDomain("ellipse", phi, grad)
+
+
+def feed(digest, value):
+    """Hash a value together with its type, recursing into containers."""
+    digest.update(type(value).__name__.encode())
+    if isinstance(value, np.ndarray):
+        digest.update(f"{value.dtype.str}{value.shape}".encode())
+        digest.update(np.ascontiguousarray(value).tobytes())
+    elif dataclasses.is_dataclass(value):
+        for field in dataclasses.fields(value):
+            feed(digest, getattr(value, field.name))
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            feed(digest, key)
+            feed(digest, item)
+    elif isinstance(value, (list, tuple)):
+        digest.update(str(len(value)).encode())
+        for item in value:
+            feed(digest, item)
+    else:
+        digest.update(repr(value).encode())
+
+
+def fingerprint(system, parts):
+    digest = hashlib.sha256()
+    matrix = system.matrix
+    for value in (matrix.data, matrix.indices, matrix.indptr, system.rhs, parts):
+        feed(digest, value)
+    return digest.hexdigest()
+
+
+def record(label, build, parts):
+    try:
+        system = build()
+    except UelError as exc:
+        line = {**label, "error": f"{type(exc).__name__}: {exc}"}
+    else:
+        line = {**label, "sha256": fingerprint(system, parts(system))}
+    print(json.dumps(line), flush=True)
+
+
+def fd_systems():
+    case = make_case("paper_sin")
+    rng = np.random.default_rng(SEED)
+    draws = [tuple(rng.uniform((-0.2, -0.2, 0.3, 0.3), (0.2, 0.2, 0.7, 0.7)).tolist())
+             for _ in range(40)]
+    setups = ([(name, make_domain(name), GRIDS) for name in DOMAIN_NAMES]
+              + [(f"ellipse{d!r}", ellipse(*d), ELLIPSE_GRIDS) for d in draws]
+              + [("ellipse(0.0, 0.0, 0.5, 0.3)", ellipse(0.0, 0.0, 0.5, 0.3), (20, 40, 80))])
+    for name, domain, grids in setups:
+        for kind in BCS:
+            bc = make_bc_spec(name, kind)
+            for p in (1, 2):
+                for n in grids:
+                    record({"scheme": "fd", "domain": name, "bc": kind, "p": p, "n": n},
+                           lambda: assemble_fd(Grid(n), domain, case, bc, p=p),
+                           lambda system: system.projections)
+
+
+def fem_systems():
+    case = make_case("paper_sin")
+    for name in DOMAIN_NAMES:
+        domain = make_domain(name)
+        for kind in BCS:
+            bc = make_bc_spec(name, kind)
+            for alpha in (1.5, 2.0):
+                for n in GRIDS:
+                    record({"scheme": "fem", "domain": name, "bc": kind, "alpha": alpha,
+                            "n": n},
+                           lambda: assemble_fem(Grid(n), domain, case, bc, alpha=alpha),
+                           lambda system: system.cells)
+
+
+if __name__ == "__main__":
+    fd_systems()
+    fem_systems()
