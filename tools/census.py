@@ -3,16 +3,22 @@
     PYTHONPATH=src python3 tools/census.py > census.txt
 
 Assembles a fixed set of systems with the `uel` found on PYTHONPATH and
-prints one JSON line per system: the SHA-256 of the matrix (data, indices,
-indptr), the right-hand side and every field of the FD projections or the
-FEM cut cells, field types included, or the text of the error the assembly
-raised.  A refactor that must not change any number is gated by `diff`
-between the outputs of the two source trees.
+prints one JSON line per system with two SHA-256 hashes, or the text of the
+error the assembly raised:
+
+* `system`: the matrix (data, indices, indptr) and the right-hand side;
+* `parts`: every field of the FD projections or the FEM cut-cell views,
+  field types included.
+
+A refactor that must not change any number is gated by `diff` between the
+outputs of the two source trees.  Keeping the hashes apart shows whether a
+round-off move in a geometric field (say a cut-cell area) reached A and F.
 
 FD: the four built-in domains, 40 seeded random ellipses and the centred
 ellipse 1 - (x/0.5)^2 - (y/0.3)^2, each with both boundary-condition
-splits and p in {1, 2}.  FEM: the built-in domains with both splits and
-alpha in {1.5, 2}.
+splits and p in {1, 2}.  FEM: the built-in domains and the same 40
+ellipses, with both splits and alpha in {1.5, 2}.  The whole census takes
+well under two minutes on one core.
 """
 
 import dataclasses
@@ -62,10 +68,9 @@ def feed(digest, value):
         digest.update(repr(value).encode())
 
 
-def fingerprint(system, parts):
+def sha256(*values):
     digest = hashlib.sha256()
-    matrix = system.matrix
-    for value in (matrix.data, matrix.indices, matrix.indptr, system.rhs, parts):
+    for value in values:
         feed(digest, value)
     return digest.hexdigest()
 
@@ -76,19 +81,26 @@ def record(label, build, parts):
     except UelError as exc:
         line = {**label, "error": f"{type(exc).__name__}: {exc}"}
     else:
-        line = {**label, "sha256": fingerprint(system, parts(system))}
+        matrix = system.matrix
+        line = {**label,
+                "system": sha256(matrix.data, matrix.indices, matrix.indptr, system.rhs),
+                "parts": sha256(parts(system))}
     print(json.dumps(line), flush=True)
+
+
+def setups():
+    """(name, domain, grids) of the built-in domains and the seeded ellipses."""
+    rng = np.random.default_rng(SEED)
+    draws = [tuple(rng.uniform((-0.2, -0.2, 0.3, 0.3), (0.2, 0.2, 0.7, 0.7)).tolist())
+             for _ in range(40)]
+    return ([(name, make_domain(name), GRIDS) for name in DOMAIN_NAMES]
+            + [(f"ellipse{d!r}", ellipse(*d), ELLIPSE_GRIDS) for d in draws])
 
 
 def fd_systems():
     case = make_case("paper_sin")
-    rng = np.random.default_rng(SEED)
-    draws = [tuple(rng.uniform((-0.2, -0.2, 0.3, 0.3), (0.2, 0.2, 0.7, 0.7)).tolist())
-             for _ in range(40)]
-    setups = ([(name, make_domain(name), GRIDS) for name in DOMAIN_NAMES]
-              + [(f"ellipse{d!r}", ellipse(*d), ELLIPSE_GRIDS) for d in draws]
-              + [("ellipse(0.0, 0.0, 0.5, 0.3)", ellipse(0.0, 0.0, 0.5, 0.3), (20, 40, 80))])
-    for name, domain, grids in setups:
+    centred = ("ellipse(0.0, 0.0, 0.5, 0.3)", ellipse(0.0, 0.0, 0.5, 0.3), (20, 40, 80))
+    for name, domain, grids in setups() + [centred]:
         for kind in BCS:
             bc = make_bc_spec(name, kind)
             for p in (1, 2):
@@ -100,12 +112,11 @@ def fd_systems():
 
 def fem_systems():
     case = make_case("paper_sin")
-    for name in DOMAIN_NAMES:
-        domain = make_domain(name)
+    for name, domain, grids in setups():
         for kind in BCS:
             bc = make_bc_spec(name, kind)
             for alpha in (1.5, 2.0):
-                for n in GRIDS:
+                for n in grids:
                     record({"scheme": "fem", "domain": name, "bc": kind, "alpha": alpha,
                             "n": n},
                            lambda: assemble_fem(Grid(n), domain, case, bc, alpha=alpha),
