@@ -10,7 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import AssemblyError, ConfigurationError
-from .geometry import (CELL_INSIDE, NODE_INTERIOR, classify,
+from .geometry import (CELL_INSIDE, CELL_SNAPPED, NODE_INTERIOR, classify,
                        extract_cut_cells, snap_small_cells)
 
 
@@ -116,9 +116,9 @@ def _stiffness_blocks(gx, gy, w, owner, n_cells):
     return 0.5 * (S + S.transpose(0, 2, 1))
 
 
-def _boundary_blocks(grid, bc, case, lam, cuts, ij):
-    """Boundary blocks (P, D, rhs), each (C, ...), of cut cells cuts lying in
-    cells ij (C, 2), summed over each cell's segments in order: the Dirichlet
+def _boundary_blocks(grid, bc, case, lam, band):
+    """Boundary blocks (P, D, rhs), each (C, ...), of the C cells of a
+    BoundaryBand, summed over each cell's segments in order: the Dirichlet
     mass, the Dirichlet consistency D[a, b] = int phi_b dphi_a/dn, and the
     right-hand-side pieces with g_D, g_N evaluated at the quadrature points.
 
@@ -129,9 +129,7 @@ def _boundary_blocks(grid, bc, case, lam, cuts, ij):
     Dirichlet/Neumann interface are split there, so each piece is classified
     by one predicate value; pieces no longer than 1e-13 h are dropped.
     """
-    segs = [(s.p0, s.p1, s.normal) for cut in cuts for s in cut.boundary_segments]
-    p0, p1, normal = np.array(segs).reshape(-1, 3, 2).transpose(1, 0, 2)
-    owner = np.repeat(np.arange(len(cuts)), [len(cut.boundary_segments) for cut in cuts])
+    p0, p1, normal, owner = band.p0, band.p1, band.normal, band.segment_owner
     c = bc.interface
     x0, x1 = p0[:, 0], p1[:, 0]
     cross = np.flatnonzero(((x0 < c) & (c < x1)) | ((x1 < c) & (c < x0)))
@@ -147,7 +145,7 @@ def _boundary_blocks(grid, bc, case, lam, cuts, ij):
 
     pts = q0[:, None] + RULE.seg_points[:, None] * d[:, None]
     w = RULE.seg_weights * length[:, None]
-    vals, gx, gy = _cell_basis(grid, ij[owner[seg]][:, None], pts)
+    vals, gx, gy = _cell_basis(grid, band.cells[owner[seg]][:, None], pts)
     nx, ny = normal[seg, 0][:, None], normal[seg, 1][:, None]
     dn = gx * nx[..., None] + gy * ny[..., None]
     x, y = pts[..., 0], pts[..., 1]
@@ -159,9 +157,10 @@ def _boundary_blocks(grid, bc, case, lam, cuts, ij):
     wd = w[dirichlet][:, None, None]
     vd = vals[dirichlet]
     cell = np.broadcast_to(owner[seg][:, None], w.shape)
-    P = _sum_by_cell(wd * (vd[:, :, None] * vd[:, None, :]), cell[dirichlet], len(cuts))
-    D = _sum_by_cell(wd * (dn[dirichlet][:, :, None] * vd[:, None, :]), cell[dirichlet], len(cuts))
-    rhs = _sum_by_cell(rhs_terms.reshape(-1, 4), cell.ravel(), len(cuts))
+    n_cells = len(band.cells)
+    P = _sum_by_cell(wd * (vd[:, :, None] * vd[:, None, :]), cell[dirichlet], n_cells)
+    D = _sum_by_cell(wd * (dn[dirichlet][:, :, None] * vd[:, None, :]), cell[dirichlet], n_cells)
+    rhs = _sum_by_cell(rhs_terms.reshape(-1, 4), cell.ravel(), n_cells)
     return 0.5 * (P + P.transpose(0, 2, 1)), D, rhs
 
 
@@ -169,7 +168,7 @@ def _boundary_blocks(grid, bc, case, lam, cuts, ij):
 class FemSystem:
     """Assembled penalized FEM system A u = F over the active nodes, with
     A = S - S_T + lam * P (stiffness, Nitsche terms S_T = D + D^T, and the
-    Dirichlet mass P).  cells is the boundary band of extract_cut_cells; the
+    Dirichlet mass P).  band is the BoundaryBand of extract_cut_cells; the
     other inside cells exist only in classification.cell_role."""
 
     matrix: sp.csr_matrix
@@ -177,8 +176,13 @@ class FemSystem:
     nodes: np.ndarray
     index: np.ndarray
     classification: object
-    cells: dict
+    band: object
     grid: object
+
+    @property
+    def cells(self):
+        """The band as {cell: CutCell}, built anew for the tracing harness."""
+        return self.band.views()
 
 
 # Reference quadrature layout for full cells: both fan triangles of the unit
@@ -213,9 +217,11 @@ def assemble_fem(grid, domain, case, bc, alpha=2.0, classification=None):
     cls = classification
     h = grid.h
     lam = PENALTY_SAFETY * h ** (-alpha)
-    cells = extract_cut_cells(cls, domain)
-    if not cells:
-        raise ConfigurationError("no active cells: the domain does not intersect the grid")
+    band = extract_cut_cells(cls, domain)
+    if not len(band.cells):
+        raise ConfigurationError("no active cells: " + (
+            f"snapping at alpha={alpha} disregarded every cut cell"
+            if CELL_SNAPPED in cls.cell_role else "the domain does not intersect the grid"))
 
     nodes = cls.active_nodes()
     n_rows = len(nodes)
@@ -238,24 +244,23 @@ def assemble_fem(grid, domain, case, bc, alpha=2.0, classification=None):
 
     # ---- band cells, in key order: cut cells carry polygon quadrature,
     # every cell with boundary segments carries boundary terms ----
-    keys, band, cut, t_own, pts, w, vals, gx, gy = _band_quadrature(cells, cls, index)
-    if band.min() < 0:
-        ci, cj = keys[np.argmax(band.min(axis=1) < 0)]
+    keys, band_rows, cut, t_own, pts, w, vals, gx, gy = _band_quadrature(band, cls, index)
+    if band_rows.min() < 0:
+        ci, cj = keys[np.argmax(band_rows.min(axis=1) < 0)]
         raise AssemblyError(f"inactive node on cut cell ({ci}, {cj})")
     S_cut = _stiffness_blocks(gx, gy, w, t_own, len(keys))[cut]
     # cut cells covering the whole square take the closed form
-    areas = np.array([c.area for c in cells.values()])[cut]
-    S_cut[areas == h * h] = S_FULL
+    S_cut[band.area[cut] == h * h] = S_FULL
     f = _at(case.f(pts[..., 0], pts[..., 1]), pts[..., 0])
     tri_rhs = np.matmul((f * w)[:, None], vals)[:, 0]
 
-    P, D, bnd_rhs = _boundary_blocks(grid, bc, case, lam, cells.values(), keys)
-    seg_cells = np.flatnonzero([bool(c.boundary_segments) for c in cells.values()])
+    P, D, bnd_rhs = _boundary_blocks(grid, bc, case, lam, band)
+    seg_cells = np.unique(band.segment_owner)
 
     # rhs in per-cell order (triangles, then boundary total), fixing F's round-off
     owner = np.concatenate([t_own, seg_cells])
     order = np.argsort(2 * owner + (np.arange(len(owner)) >= len(t_own)), kind="stable")
-    np.add.at(rhs, band[owner[order]].ravel(),
+    np.add.at(rhs, band_rows[owner[order]].ravel(),
               np.concatenate([tri_rhs, bnd_rhs[seg_cells]])[order].ravel())
 
     def build(blocks):
@@ -264,30 +269,29 @@ def assemble_fem(grid, domain, case, bc, alpha=2.0, classification=None):
         data = np.concatenate([local.ravel() for _, local in blocks])
         return sp.coo_matrix((data, (rows, cols)), shape=(n_rows, n_rows)).tocsr()
 
-    S = build([(g, np.tile(S_FULL, (len(g), 1, 1))), (band[cut], S_cut)])
-    P = build([(band[seg_cells], P[seg_cells])])
-    D = build([(band[seg_cells], D[seg_cells])])
+    S = build([(g, np.tile(S_FULL, (len(g), 1, 1))), (band_rows[cut], S_cut)])
+    P = build([(band_rows[seg_cells], P[seg_cells])])
+    D = build([(band_rows[seg_cells], D[seg_cells])])
     if P.count_nonzero() == 0:
         raise ConfigurationError(
             "no Dirichlet boundary found: pure-Neumann problems need a "
             "compatibility condition and are not supported")
     S_T = (D + D.T).tocsr()
     A = (S - S_T + lam * P).tocsr()
-    return FemSystem(A, rhs, nodes, index, cls, cells, grid)
+    return FemSystem(A, rhs, nodes, index, cls, band, grid)
 
 
-def _band_quadrature(cells, classification, index):
+def _band_quadrature(band, classification, index):
     """Band cells (C, 2) in key order, their corner rows (C, 4), the
     positions of the cut ones (band cells with role CELL_INSIDE only carry
     exposed sides), and the band position owning each of their fan
     triangles (T,), followed by the _triangle_quadrature arrays."""
-    keys = np.array(list(cells), dtype=np.int64).reshape(-1, 2)
-    cut = np.flatnonzero(classification.cell_role[keys[:, 0], keys[:, 1]] != CELL_INSIDE)
-    cuts = list(cells.values())
-    tris = np.array([tri for p in cut for tri in cuts[p].triangles]).reshape(-1, 3, 2)
-    owner = np.repeat(cut, [len(cuts[p].triangles) for p in cut])
-    return ((keys, _cell_rows(index, keys[:, 0], keys[:, 1]), cut, owner)
-            + _triangle_quadrature(classification.grid, tris, keys[owner]))
+    keys = band.cells
+    cut = classification.cell_role[keys[:, 0], keys[:, 1]] != CELL_INSIDE
+    on_cut = cut[band.triangle_owner]
+    owner = band.triangle_owner[on_cut]
+    return ((keys, _cell_rows(index, keys[:, 0], keys[:, 1]), np.flatnonzero(cut), owner)
+            + _triangle_quadrature(classification.grid, band.triangles[on_cut], keys[owner]))
 
 
 def _omega_h_blocks(system, u):
@@ -299,7 +303,7 @@ def _omega_h_blocks(system, u):
     h = system.grid.h
     inside = np.argwhere(system.classification.cell_role == CELL_INSIDE)
     _, rows, _, owner, pts, w, vals, gx, gy = _band_quadrature(
-        system.cells, system.classification, system.index)
+        system.band, system.classification, system.index)
     return [((system.grid.xs[inside][:, None] + REF_PTS * h).reshape(-1, 2),
              np.tile(REF_W * h * h, len(inside)), u[_cell_rows(system.index, *inside.T)],
              REF_VALS, REF_GS / h, REF_GT / h),

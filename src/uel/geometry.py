@@ -311,9 +311,8 @@ def snap_small_cells(classification, grid, domain, alpha):
     area_tol = max(AREA_EPS, h ** (alpha - 1.0)) * h * h
     # Cut candidates need an actual area check; cells the band touched but
     # that keep no positive vertex are snapped rather than outside.
-    for ci, cj in np.argwhere(roles == CELL_CUT):
-        if _cut_polygons((ci, cj), grid, phi)[1] < area_tol:
-            roles[ci, cj] = CELL_SNAPPED
+    cut = np.argwhere(roles == CELL_CUT)
+    roles[tuple(cut[_march(grid, phi, cut)[-1] < area_tol].T)] = CELL_SNAPPED
     cell_touched = (touched[:-1, :-1] | touched[1:, :-1]
                     | touched[1:, 1:] | touched[:-1, 1:])
     roles[(roles == CELL_OUTSIDE) & cell_touched] = CELL_SNAPPED
@@ -556,17 +555,48 @@ class Segment:
 
 @dataclass
 class CutCell:
-    """Polygonal intersection of one cell with {phi_h >= 0}.
-
-    polygons is a list of CCW vertex arrays (two entries for the disconnected
-    saddle configuration), triangles their fan triangulations, and
-    boundary_segments the Gamma_h portions owned by this cell.
-    """
+    """One band cell of a BoundaryBand, as FemSystem.cells reports it: its
+    CCW polygons (two for the disconnected saddle), their fan triangles,
+    the Gamma_h pieces it owns and its area."""
 
     polygons: list
     triangles: list
     boundary_segments: list
     area: float
+
+
+@dataclass
+class BoundaryBand:
+    """The boundary band of extract_cut_cells, one row per band cell,
+    polygon, fan triangle or boundary segment, each row tagged with the
+    position of its cell (owner) and in the order of its cell's walk.
+    """
+
+    cells: np.ndarray           # (C, 2) cell indices in lexicographic order
+    area: np.ndarray            # (C,) area of the cell's polygons
+    polygons: np.ndarray        # (P, 6, 2) CCW vertices, zero past the size
+    polygon_size: np.ndarray    # (P,) vertex count
+    polygon_owner: np.ndarray   # (P,)
+    triangles: np.ndarray       # (T, 3, 2)
+    triangle_owner: np.ndarray  # (T,)
+    p0: np.ndarray              # (S, 2) segment ends
+    p1: np.ndarray              # (S, 2)
+    normal: np.ndarray          # (S, 2) outward unit normals
+    length: np.ndarray          # (S,)
+    segment_owner: np.ndarray   # (S,)
+
+    def views(self):
+        """One CutCell per band cell, keyed by cell index in order."""
+        cuts = [CutCell([], [], [], a) for a in self.area.tolist()]
+        for k, poly, m in zip(self.polygon_owner.tolist(), self.polygons,
+                              self.polygon_size.tolist()):
+            cuts[k].polygons.append(poly[:m])
+        for k, tri in zip(self.triangle_owner.tolist(), self.triangles):
+            cuts[k].triangles.append(tri)
+        for k, *seg in zip(self.segment_owner.tolist(), self.p0, self.p1, self.normal,
+                           self.length.tolist()):
+            cuts[k].boundary_segments.append(Segment(*seg))
+        return dict(zip(map(tuple, self.cells.tolist()), cuts))
 
 
 # Cell sides in marching-squares order (bottom, right, top, left): side k
@@ -577,162 +607,127 @@ CORNER_SIDES = (0b1001, 0b0011, 0b0110, 0b1100)
 SIDE_NORMALS = ((0, -1), (1, 0), (0, 1), (-1, 0))
 
 
-def _shoelace(poly):
-    x, y = poly[:, 0], poly[:, 1]
-    n = len(poly)
-    nxt = np.arange(1, n + 1) % n
-    return 0.5 * float(np.dot(x, y[nxt]) - np.dot(y, x[nxt]))
+def _march(grid, phi, cells):
+    """Marching-squares polygons of the cells (K, 2) intersected with
+    {phi_h >= 0}, from the nodal values phi (snapped ones after snapping).
 
-
-def _fan_triangles(poly, tiny):
-    tris = []
-    for k in range(1, len(poly) - 1):
-        tri = np.array([poly[0], poly[k], poly[k + 1]])
-        a = _shoelace(tri)
-        if a > tiny:
-            tris.append(tri)
-    return tris
-
-
-def _dedupe(points, tol):
-    """Drop each vertex within tol of the last kept one (cyclically), merging
-    its side mask into that vertex."""
-    out = []
-    for p, sides in points:
-        if out and np.hypot(*(p - out[-1][0])) <= tol:
-            out[-1][1] |= sides
-        else:
-            out.append([p, sides])
-    if len(out) > 1 and np.hypot(*(out[0][0] - out[-1][0])) <= tol:
-        out[0][1] |= out.pop()[1]
-    return out
-
-
-def _cut_polygons(cell, grid, phi):
-    """Marching-squares polygons of cell ∩ {phi_h >= 0} with linear edge
-    roots, from the nodal level-set values phi (snapped ones after snapping).
-
-    Returns (polygons, area): polygons is a list of (vertices, sides) pairs,
-    a CCW vertex array and the side mask of each vertex, and area their
-    total area.  The ambiguous saddle configuration is resolved by the
-    bilinear value at the cell center.
+    Each cell has 8 vertex slots: corner a where phi >= 0, then the linear
+    root on side a where its end values have strictly opposite signs.  A
+    saddle with a negative bilinear center value falls apart into one
+    triangle per positive corner.  A vertex within 1e-12 h of the last kept
+    one (or the last of the first) merges into it, joining their side
+    masks; polygons left with under 3 vertices or area at most AREA_EPS h^2
+    are dropped.  Returns per polygon, in cell order, its cell (owner), CCW
+    vertices (P, 6, 2) zero past their count size, and side masks (P, 6);
+    and per cell the area of its polygons, h^2 where all corners are in.
     """
-    ci, cj = cell
     h = grid.h
-    x0, y0 = grid.node(ci, cj)
-    x1, y1 = grid.node(ci + 1, cj + 1)
-    vals = [phi[ci, cj], phi[ci + 1, cj], phi[ci + 1, cj + 1], phi[ci, cj + 1]]
-    corners = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]])
+    nodes = cells[:, None] + np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
+    vals, corners = phi[nodes[..., 0], nodes[..., 1]], grid.xs[nodes]
+    pos, neg = vals > 0.0, vals < 0.0
+    cross = (pos & np.roll(neg, -1, axis=1)) | (neg & np.roll(pos, -1, axis=1))
+    t = np.divide(vals, vals - np.roll(vals, -1, axis=1), out=np.zeros_like(vals), where=cross)
+    roots = corners + t[..., None] * (np.roll(corners, -1, axis=1) - corners)
+    valid = np.stack([vals >= 0.0, cross], 2).reshape(-1, 8) & pos.any(axis=1)[:, None]
+    split = (((pos[:, 0] & pos[:, 2] & neg[:, 1] & neg[:, 3])
+              | (neg[:, 0] & neg[:, 2] & pos[:, 1] & pos[:, 3]))
+             & (0.25 * (vals[:, 0] + vals[:, 1] + vals[:, 2] + vals[:, 3]) < 0.0))
+    # kept slots in walk order, two polygon rows per cell: a split saddle is
+    # slots 0-2 and 3-5, and starts at the root on side 3 if corner 0 is in
+    key = np.where(valid, np.arange(8), 8)
+    key[split & pos[:, 0], 7] = -1
+    order = np.argsort(key, axis=1, kind="stable")[:, :6]
+    order = np.stack([order, np.roll(order, -3, axis=1)], 1).reshape(-1, 6)
+    owner = np.repeat(np.arange(len(cells)), 2)
+    verts = np.stack([corners, roots], 2).reshape(-1, 8, 2)[owner[:, None], order]
+    sides = np.array([(c, 1 << a) for a, c in enumerate(CORNER_SIDES)]).ravel()[order]
+    size = np.column_stack([np.where(split, 3, valid.sum(axis=1)), 3 * split]).ravel()
 
-    if all(v > 0.0 for v in vals):
-        return [(corners, list(CORNER_SIDES))], h * h
-    if not any(v > 0.0 for v in vals):
-        return [], 0.0
+    rows, slot = np.arange(len(owner)), np.arange(6)
+    keep = slot < np.minimum(size, 1)[:, None]
+    last = np.zeros(len(owner), dtype=np.int64)
+    for j in range(1, 6):
+        d = verts[:, j] - verts[rows, last]
+        near = (j < size) & (np.hypot(d[:, 0], d[:, 1]) <= 1e-12 * h)
+        sides[rows[near], last[near]] |= sides[near, j]
+        keep[:, j] = (j < size) & ~near
+        last[keep[:, j]] = j
+    d = verts[:, 0] - verts[rows, last]
+    wrap = (keep.sum(axis=1) > 1) & (np.hypot(d[:, 0], d[:, 1]) <= 1e-12 * h)
+    sides[wrap, 0] |= sides[wrap, last[wrap]]
+    keep[wrap, last[wrap]] = False
 
-    def crossing(a):
-        # the root on side a, between corners a and a+1
-        b = (a + 1) % 4
-        t = vals[a] / (vals[a] - vals[b])
-        return corners[a] + t * (corners[b] - corners[a]), 1 << a
-
-    strict = [(v > 0.0, v < 0.0) for v in vals]
-    saddle = (strict[0][0] and strict[2][0] and strict[1][1] and strict[3][1]) or \
-             (strict[0][1] and strict[2][1] and strict[1][0] and strict[3][0])
-    center = 0.25 * sum(vals)
-
-    walks = []
-    if saddle and center < 0.0:
-        # Disconnected cut: one triangle per positive corner.
-        for k in range(4):
-            if vals[k] > 0.0:
-                walks.append([crossing((k + 3) % 4), (corners[k], CORNER_SIDES[k]), crossing(k)])
-    else:
-        walk = []
-        for a in range(4):
-            va, vb = vals[a], vals[(a + 1) % 4]
-            if va >= 0.0:
-                walk.append((corners[a], CORNER_SIDES[a]))
-            if (va > 0.0 and vb < 0.0) or (va < 0.0 and vb > 0.0):
-                walk.append(crossing(a))
-        walks.append(walk)
-
-    tiny = 1e-12 * h
-    polygons = []
-    area = 0.0
-    for walk in walks:
-        walk = _dedupe(walk, tiny)
-        if len(walk) < 3:
-            continue
-        poly = np.array([p for p, _ in walk])
-        a = _shoelace(poly)
-        if a <= AREA_EPS * h * h:
-            continue
-        polygons.append((poly, [sides for _, sides in walk]))
-        area += a
-    return polygons, area
+    order, size = np.argsort(~keep, axis=1, kind="stable"), keep.sum(axis=1)
+    verts = np.where((slot < size[:, None])[..., None], verts[rows[:, None], order], 0.0)
+    x, y = verts[..., 0], verts[..., 1]
+    nxt = (slot + 1) % np.maximum(size, 1)[:, None]
+    a = 0.5 * ((x * np.take_along_axis(y, nxt, 1)).sum(1)
+               - (y * np.take_along_axis(x, nxt, 1)).sum(1))
+    ok = (size >= 3) & (a > AREA_EPS * h * h)
+    area = np.bincount(owner[ok], weights=a[ok], minlength=len(cells))
+    area[pos.all(axis=1)] = h * h
+    return owner[ok], verts[ok], sides[rows[:, None], order][ok], size[ok], area
 
 
-def _cut_cell(polygons, area, exposed, h):
-    """CutCell of the _cut_polygons output.  A polygon edge whose endpoints
-    share no cell side is a Gamma_h chord; one whose endpoints share side k
-    runs along that side and is a boundary segment when bit k of exposed is
-    set.  Segments come as the chords of each polygon in edge order, then
-    the exposed side edges, bottom, right, top, left."""
-    tiny = 1e-12 * h
-    triangles = [tri for poly, _ in polygons for tri in _fan_triangles(poly, tiny * h)]
-    edges = []
-    for poly, sides in polygons:
-        for k in range(len(poly)):
-            nxt = (k + 1) % len(poly)
-            d = poly[nxt] - poly[k]
-            length = float(np.hypot(*d))
-            if length > tiny:
-                edges.append((poly[k], poly[nxt], d, length, sides[k] & sides[nxt]))
-    segments = [Segment(pa, pb, np.array([d[1], -d[0]]) / length, length)
-                for pa, pb, d, length, shared in edges if not shared]
-    for k, normal in enumerate(SIDE_NORMALS):
-        if exposed >> k & 1:
-            segments += [Segment(pa, pb, np.array(normal, dtype=float), length)
-                         for pa, pb, _, length, shared in edges if shared >> k & 1]
-    return CutCell([poly for poly, _ in polygons], triangles, segments, area)
+def _band(grid, phi, cells, exposed):
+    """BoundaryBand of the cells (C, 2) in lexicographic order; bit k of
+    exposed (C,) is set where the neighbor across side k carries no area.
+    A polygon edge whose ends share no cell side is a Gamma_h chord; one
+    along side k is a boundary segment where bit k of exposed is set.  Fan
+    triangles of area at most 1e-12 h^2 and edges up to 1e-12 h are dropped.
+    Segments come per cell as the chords, then bottom, right, top, left."""
+    tiny = 1e-12 * grid.h
+    owner, verts, sides, size, area = _march(grid, phi, cells)
+    slot = np.arange(6)
+    fans = np.stack([np.broadcast_to(verts[:, :1], verts[:, 1:5].shape), verts[:, 1:5],
+                     verts[:, 2:6]], axis=2)
+    e1, e2 = fans[:, :, 1] - fans[:, :, 0], fans[:, :, 2] - fans[:, :, 0]
+    tri = ((slot[1:5] < size[:, None] - 1)
+           & (0.5 * (e1[..., 0] * e2[..., 1] - e2[..., 0] * e1[..., 1]) > tiny * grid.h))
+
+    nxt = (slot + 1) % np.maximum(size, 1)[:, None]
+    ends = np.take_along_axis(verts, nxt[..., None], axis=1)
+    d = ends - verts
+    length = np.hypot(d[..., 0], d[..., 1])
+    shared = sides & np.take_along_axis(sides, nxt, axis=1)
+    # per edge: a chord (kind 0), or a piece along exposed side k (kind k + 1)
+    along = (shared & exposed[owner, None])[..., None] >> slot[:4] & 1 == 1
+    edge = (slot < size[:, None]) & (length > tiny)
+    p, j, k = np.nonzero(np.concatenate([(shared == 0)[..., None], along], -1) & edge[..., None])
+    seg = np.argsort(5 * owner[p] + k, kind="stable")
+    p, j, k = p[seg], j[seg], k[seg]
+    chord = np.column_stack([d[p, j, 1], -d[p, j, 0]]) / length[p, j, None]
+    normal = np.where(k[:, None] == 0, chord, np.array(((0, 0),) + SIDE_NORMALS, dtype=float)[k])
+    return BoundaryBand(cells, area, verts, size, owner, fans[tri],
+                        np.broadcast_to(owner[:, None], tri.shape)[tri],
+                        verts[p, j], ends[p, j], normal, length[p, j], owner[p])
 
 
 def extract_cut_cells(classification, domain=None):
-    """Cut-cell geometry of the boundary band of a classification.
-
-    Returns a dict keyed by cell index in lexicographic order.  The band is
-    every CELL_CUT cell with positive area plus every CELL_INSIDE cell that
-    shares an edge with an empty cell (outside, snapped, zero-area cut, or
-    off the grid); the other inside cells are full squares described by
-    cell_role alone.  Besides the interior chords, the pieces of a polygon
-    boundary that run along a cell edge become boundary segments whenever
-    the sharing neighbor is empty: Omega_h then has a closed boundary
-    covered exactly once by the segments.  The trace of a marching-squares
-    polygon on a cell edge depends only on that edge's vertex values, so two
-    positive-area neighbors always cover a shared edge identically and emit
-    nothing there.
+    """Cut-cell geometry of the boundary band of a classification, as one
+    BoundaryBand (domain is not read).  The band is every CELL_CUT cell with
+    positive area plus every CELL_INSIDE cell that shares an edge with an
+    empty cell (outside, snapped, zero-area cut, or off the grid); the other
+    inside cells are full squares described by cell_role alone.  Besides the
+    interior chords, the pieces of a polygon boundary that run along a cell
+    edge become boundary segments whenever the sharing neighbor is empty:
+    Omega_h then has a closed boundary covered exactly once by the segments.
+    The trace of a marching-squares polygon on a cell edge depends only on
+    that edge's vertex values, so two positive-area neighbors always cover a
+    shared edge identically and emit nothing there.
     """
-    grid = classification.grid
+    grid, phi, role = classification.grid, classification.phi_node, classification.cell_role
     n = grid.n
-    phi = classification.phi_node
-    role = classification.cell_role
-    walks = {}
-    for ci, cj in np.argwhere(role == CELL_CUT):
-        polygons, area = _cut_polygons((ci, cj), grid, phi)
-        if area > 0.0:
-            walks[(int(ci), int(cj))] = polygons, area
+    cut = np.argwhere(role == CELL_CUT)
     # cells that carry area, framed by a ring of empty off-grid cells
     occupied = np.zeros((n + 2, n + 2), dtype=bool)
     occupied[1:-1, 1:-1] = role == CELL_INSIDE
-    for ci, cj in walks:
-        occupied[ci + 1, cj + 1] = True
+    occupied[1:-1, 1:-1][tuple(cut[_march(grid, phi, cut)[-1] > 0.0].T)] = True
     # bit k set: the neighbor across side k carries no area
     exposed = sum(~occupied[1 + di:n + 1 + di, 1 + dj:n + 1 + dj] << k
                   for k, (di, dj) in enumerate(SIDE_NORMALS))
-    for ci, cj in np.argwhere((role == CELL_INSIDE) & (exposed != 0)):
-        walks[(int(ci), int(cj))] = _cut_polygons((ci, cj), grid, phi)
-    return {cell: _cut_cell(*walks[cell], int(exposed[cell]), grid.h)
-            for cell in sorted(walks)}
+    cells = np.argwhere(occupied[1:-1, 1:-1] & ((role == CELL_CUT) | (exposed != 0)))
+    return _band(grid, phi, cells, exposed[cells[:, 0], cells[:, 1]])
 
 
 # ----------------------------------------------------------------------

@@ -33,12 +33,13 @@ def ellipse_domain(cx, cy, a, b):
     return LevelSetDomain("ellipse", phi, grad)
 
 
-def omega_h_area(classification, cells):
-    """area(Omega_h) from a boundary band: the band areas plus a full h^2
+def omega_h_area(classification, band):
+    """area(Omega_h) from a BoundaryBand: the band areas plus a full h^2
     for every inside cell the band leaves out."""
-    inside = np.argwhere(classification.cell_role == CELL_INSIDE)
-    n_full = sum(1 for ci, cj in inside if (int(ci), int(cj)) not in cells)
-    return sum(c.area for c in cells.values()) + n_full * classification.grid.h ** 2
+    role = classification.cell_role
+    n_full = (np.count_nonzero(role == CELL_INSIDE)
+              - np.count_nonzero(role[band.cells[:, 0], band.cells[:, 1]] == CELL_INSIDE))
+    return sum(band.area.tolist()) + n_full * classification.grid.h ** 2
 
 
 def run_fd(domain_name, case_name, bc_kind, n, p=2, tol_factor=1e-4):

@@ -14,9 +14,8 @@ from uel.errors import ConfigurationError
 from uel.fem_scheme import (RULE, S_FULL, _boundary_blocks, _cell_basis,
                             _stiffness_blocks, _triangle_quadrature,
                             fem_gradient, solution_samples)
-from uel.geometry import (CELL_CUT, CELL_INSIDE, BCSpec, LevelSetDomain,
-                          _cut_cell, _cut_polygons, classify, extract_cut_cells,
-                          snap_small_cells)
+from uel.geometry import (CELL_CUT, CELL_INSIDE, BCSpec, LevelSetDomain, _band,
+                          classify, extract_cut_cells, snap_small_cells)
 
 DOMAINS = ("circle", "leaf", "flower", "hourglass")
 
@@ -89,9 +88,8 @@ def test_full_cell_matrices_against_gauss_oracle():
 
 def full_cell_triangles(grid, cell):
     """Fan triangles (T, 3, 2) of a cell lying wholly inside Omega."""
-    cut = _cut_cell(*_cut_polygons(cell, grid, np.ones((grid.n + 1, grid.n + 1))),
-                    0, grid.h)
-    return np.array(cut.triangles)
+    return _band(grid, np.ones((grid.n + 1, grid.n + 1)), np.array([cell]),
+                 np.zeros(1, dtype=np.int64)).triangles
 
 
 def stiffness_of(grid, tris, cell):
@@ -112,8 +110,10 @@ def test_full_area_cut_cells_take_the_closed_form():
                           make_bc_spec("circle", "dirichlet"), alpha=2.0)
     around = ((3, 3), (4, 3), (4, 4), (3, 4))
     assert all(system.classification.cell_role[c] == CELL_CUT for c in around)
-    assert all(system.cells[c].area == grid.h ** 2 for c in around)
-    assert not any(system.cells[c].boundary_segments for c in around)
+    keys = list(map(tuple, system.band.cells.tolist()))
+    at = [keys.index(c) for c in around]
+    assert np.all(system.band.area[at] == grid.h ** 2)
+    assert not np.isin(system.band.segment_owner, at).any()
     row = system.matrix[system.index[4, 4]].toarray().ravel()
     # S_FULL summed over the four cells: 4 * 4/6 on the diagonal, 2 * -1/6
     # to the edge neighbors and -2/6 to the diagonal ones
@@ -156,10 +156,9 @@ def test_empty_cell_contributes_nothing():
 # boundary terms
 # ----------------------------------------------------------------------
 
-def boundary_blocks(cells, grid, bc, case):
+def boundary_blocks(band, grid, bc, case):
     """(P, D, rhs) of every band cell, each (C, ...), with lambda = 1."""
-    return _boundary_blocks(grid, bc, case, 1.0, list(cells.values()),
-                            np.array(list(cells)).reshape(-1, 2))
+    return _boundary_blocks(grid, bc, case, 1.0, band)
 
 
 def test_neumann_segment_leaves_dirichlet_blocks_empty():
@@ -168,9 +167,9 @@ def test_neumann_segment_leaves_dirichlet_blocks_empty():
     case = make_case("constant")
     all_neumann = BCSpec(-math.inf)
     cls = classify(grid, domain, "eight")
-    cells = extract_cut_cells(cls, domain)
-    assert any(c.boundary_segments for c in cells.values())
-    P, D, _ = boundary_blocks(cells, grid, all_neumann, case)
+    band = extract_cut_cells(cls, domain)
+    assert len(band.p0)
+    P, D, _ = boundary_blocks(band, grid, all_neumann, case)
     assert np.all(P == 0.0) and np.all(D == 0.0)
 
 
@@ -188,9 +187,9 @@ def test_neumann_rhs_obeys_divergence_theorem(name, n, snapped):
     cls = classify(grid, domain, "eight")
     if snapped:
         cls = snap_small_cells(cls, grid, domain, 2.0)
-    cells = extract_cut_cells(cls, domain)
-    flux = boundary_blocks(cells, grid, all_neumann, case)[2].sum()
-    assert flux == pytest.approx(4.0 * omega_h_area(cls, cells), rel=1e-12)
+    band = extract_cut_cells(cls, domain)
+    flux = boundary_blocks(band, grid, all_neumann, case)[2].sum()
+    assert flux == pytest.approx(4.0 * omega_h_area(cls, band), rel=1e-12)
 
 
 def test_dirichlet_mass_total_equals_length():
@@ -200,10 +199,10 @@ def test_dirichlet_mass_total_equals_length():
     domain = make_domain("circle")
     case = make_case("constant")
     bc = make_bc_spec("circle", "dirichlet")
-    cells = extract_cut_cells(classify(grid, domain, "eight"), domain)
-    P, _, _ = boundary_blocks(cells, grid, bc, case)
-    for cut, P_cell in zip(cells.values(), P):
-        length = sum(s.length for s in cut.boundary_segments)
+    band = extract_cut_cells(classify(grid, domain, "eight"), domain)
+    P, _, _ = boundary_blocks(band, grid, bc, case)
+    lengths = np.bincount(band.segment_owner, band.length, minlength=len(band.cells))
+    for length, P_cell in zip(lengths, P):
         assert P_cell.sum() == pytest.approx(length, rel=1e-12)
 
 
@@ -249,8 +248,8 @@ def test_matrix_symmetry_on_random_ellipses(cx, cy, a, b, n):
             assert abs(A - A.T).max() <= 1e-12 * abs(A).max()
             u_I = case.u(grid.xs[system.nodes[:, 0]], grid.xs[system.nodes[:, 1]])
             assert np.abs(A @ u_I - system.rhs).max() <= 1e-12 * np.abs(system.rhs).max()
-            assert dirichlet_mass(system.cells, grid, bc, case) == pytest.approx(
-                dirichlet_length(system.cells, cx), rel=1e-10)
+            assert dirichlet_mass(system.band, grid, bc, case) == pytest.approx(
+                dirichlet_length(system.band, cx), rel=1e-10)
 
 
 def test_linear_case_is_exact():
@@ -270,20 +269,19 @@ def test_circle_l2_convergence():
     assert fitted_order(hs, errs) >= 1.7
 
 
-def dirichlet_length(cells, c):
+def dirichlet_length(band, c):
     """Length of the boundary segments left of the line x = c, each clipped
     at the line (segments on the line count as left, as for a non-strict
     interface): an oracle for the Dirichlet part that splits nothing."""
     total = 0.0
-    for cut in cells.values():
-        for seg in cut.boundary_segments:
-            lo, hi = sorted((seg.p0[0], seg.p1[0]))
-            total += seg.length * (1.0 if hi <= c else 0.0 if lo >= c else (c - lo) / (hi - lo))
+    for p0, p1, length in zip(band.p0, band.p1, band.length):
+        lo, hi = sorted((p0[0], p1[0]))
+        total += length * (1.0 if hi <= c else 0.0 if lo >= c else (c - lo) / (hi - lo))
     return total
 
 
-def dirichlet_mass(cells, grid, bc, case):
-    return boundary_blocks(cells, grid, bc, case)[0].sum()
+def dirichlet_mass(band, grid, bc, case):
+    return boundary_blocks(band, grid, bc, case)[0].sum()
 
 
 def test_mass_matrix_totals():
@@ -292,10 +290,9 @@ def test_mass_matrix_totals():
     # test_solution_sample_weights_cover_domain)
     grid, system, _, _, case = run_fem("circle", "paper_sin", "mixed", 40)
     bc = make_bc_spec("circle", "mixed")
-    dlen = dirichlet_length(system.cells, bc.interface)
-    assert 0.0 < dlen < sum(seg.length for cut in system.cells.values()
-                            for seg in cut.boundary_segments)
-    assert dirichlet_mass(system.cells, grid, bc, case) == pytest.approx(dlen, rel=1e-10)
+    dlen = dirichlet_length(system.band, bc.interface)
+    assert 0.0 < dlen < system.band.length.sum()
+    assert dirichlet_mass(system.band, grid, bc, case) == pytest.approx(dlen, rel=1e-10)
 
 
 def test_stiffness_rows_sum_to_zero_in_the_interior():
@@ -303,11 +300,12 @@ def test_stiffness_rows_sum_to_zero_in_the_interior():
     grid, system, _, _, _ = run_fem("circle", "paper_sin", "dirichlet", 24)
     inside = system.classification.cell_role == CELL_INSIDE
     sums = np.asarray(system.matrix.sum(axis=1)).ravel()
+    band = set(map(tuple, system.band.cells.tolist()))
     checked = 0
     for k, (i, j) in enumerate(system.nodes):
         cells = [(i - 1, j - 1), (i, j - 1), (i - 1, j), (i, j)]
         if all(0 <= a < grid.n and 0 <= b < grid.n and inside[a, b]
-               and (a, b) not in system.cells for a, b in cells):
+               and (a, b) not in band for a, b in cells):
             assert abs(sums[k]) <= 1e-12
             checked += 1
     assert checked > 0
@@ -326,6 +324,39 @@ def test_alpha_validated():
     with pytest.raises(ConfigurationError):
         assemble_fem(grid, make_domain("circle"), make_case("constant"),
                      make_bc_spec("circle", "dirichlet"), alpha=2.5)
+
+
+def small_disk(r):
+    c = 0.0625
+    return LevelSetDomain(
+        "disk", lambda x, y: r - np.sqrt((x - c) ** 2 + (y - c) ** 2),
+        lambda x, y: (-(x - c) / np.hypot(x - c, y - c), -(y - c) / np.hypot(x - c, y - c)))
+
+
+@pytest.mark.parametrize("r, message", [
+    # 4 interior nodes, but all 9 cut cells fall to the snapping
+    (0.1, "snapping at alpha=2.0 disregarded every cut cell"),
+    # no interior node, nothing snapped
+    (0.05, "the domain does not intersect the grid")])
+def test_empty_band_error_names_its_cause(r, message):
+    with pytest.raises(ConfigurationError, match=f"no active cells: {message}"):
+        assemble_fem(Grid(16), small_disk(r), make_case("constant"),
+                     make_bc_spec("circle", "dirichlet"), alpha=2.0)
+
+
+@pytest.mark.parametrize("name, alpha", [("circle", 2.0), ("flower", 1.5)])
+def test_cells_view_agrees_with_the_band(name, alpha):
+    # what the benchmark tracing harness reads of FemSystem.cells: its keys
+    # and size, which cells carry boundary segments, and their total length
+    grid, system, _, _, _ = run_fem(name, "paper_sin", "mixed", 40, alpha=alpha)
+    band, cells = system.band, system.cells
+    assert list(cells) == list(map(tuple, band.cells.tolist()))
+    assert len(cells) == len(band.cells)
+    carries = np.zeros(len(band.cells), dtype=bool)
+    carries[band.segment_owner] = True
+    assert [bool(c.boundary_segments) for c in cells.values()] == carries.tolist()
+    assert sum(s.length for c in cells.values() for s in c.boundary_segments) == \
+        pytest.approx(band.length.sum(), rel=1e-14)
 
 
 # ----------------------------------------------------------------------
@@ -361,7 +392,7 @@ def test_fem_gradient_bilinear_at_centers():
 def test_solution_sample_weights_cover_domain():
     grid, system, _, _, _ = run_fem("circle", "paper_sin", "dirichlet", 40)
     _, w, _ = solution_samples(system, np.zeros(len(system.nodes)))
-    area = omega_h_area(system.classification, system.cells)
+    area = omega_h_area(system.classification, system.band)
     assert w.sum() == pytest.approx(area, rel=1e-12)
 
 

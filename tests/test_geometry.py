@@ -11,7 +11,7 @@ from uel.analysis import fitted_order
 from uel.errors import ConfigurationError, GeometryError
 from uel.geometry import (CELL_CUT, CELL_INSIDE, CELL_OUTSIDE, CELL_SNAPPED,
                           NODE_GHOST, NODE_INACTIVE, NODE_INTERIOR,
-                          LevelSetDomain, _cut_cell, _cut_polygons, classify,
+                          LevelSetDomain, _band, _march, classify,
                           extract_cut_cells, project_to_boundary,
                           snap_small_cells)
 
@@ -255,21 +255,21 @@ def test_projection_consistency_invariants(name):
 # cut cells
 # ----------------------------------------------------------------------
 
-def cut_cell(cell, grid, phi):
-    """CutCell of one cell from nodal values phi, with its Gamma_h chords as
-    the only boundary segments (no side of the cell exposed)."""
-    return _cut_cell(*_cut_polygons(cell, grid, phi), 0, grid.h)
+def cut_cell(cell, grid, phi, exposed=0):
+    """One-cell BoundaryBand of a cell from nodal values phi; only the sides
+    set in exposed add boundary segments to its Gamma_h chords."""
+    return _band(grid, phi, np.array([cell]), np.array([exposed]))
 
 
 def test_cut_cell_full_and_empty():
     grid = Grid(8)
     h = grid.h
     full = cut_cell((3, 3), grid, np.full((9, 9), 1.0))
-    assert full.area == pytest.approx(h * h)
-    assert not full.boundary_segments
+    assert full.area[0] == pytest.approx(h * h)
+    assert not len(full.p0)
     empty = cut_cell((3, 3), grid, np.full((9, 9), -1.0))
-    assert empty.area == 0.0
-    assert not empty.polygons
+    assert empty.area[0] == 0.0
+    assert not len(empty.polygons)
 
 
 def test_cut_cell_vertical_midcell_cut():
@@ -279,24 +279,21 @@ def test_cut_cell_vertical_midcell_cut():
     x_left = grid.xs[0]
     phi = np.broadcast_to(((x_left + h / 2.0) - grid.xs)[:, None], (9, 9))
     cell = cut_cell((0, 0), grid, phi)
-    assert cell.area == pytest.approx(h * h / 2.0, rel=1e-12)
-    assert len(cell.boundary_segments) == 1
-    seg = cell.boundary_segments[0]
-    assert seg.length == pytest.approx(h, rel=1e-12)
-    assert np.allclose(seg.normal, [1.0, 0.0], atol=1e-12)
+    assert cell.area[0] == pytest.approx(h * h / 2.0, rel=1e-12)
+    assert len(cell.p0) == 1
+    assert cell.length[0] == pytest.approx(h, rel=1e-12)
+    assert np.allclose(cell.normal[0], [1.0, 0.0], atol=1e-12)
 
 
 def test_segment_normals_point_to_decreasing_phi():
     domain = make_domain("circle")
     grid = Grid(40)
-    cells = extract_cut_cells(classify(grid, domain, "four"), domain)
+    band = extract_cut_cells(classify(grid, domain, "four"), domain)
     eps = 1e-7
-    for cut in cells.values():
-        for seg in cut.boundary_segments:
-            mid = 0.5 * (seg.p0 + seg.p1)
-            outside = float(domain.phi(*(mid + eps * seg.normal)))
-            inside = float(domain.phi(*(mid - eps * seg.normal)))
-            assert outside < inside
+    mid = 0.5 * (band.p0 + band.p1)
+    outside = domain.phi(*(mid + eps * band.normal).T)
+    inside = domain.phi(*(mid - eps * band.normal).T)
+    assert len(mid) and np.all(outside < inside)
 
 
 def test_saddle_cell_disconnected_polygons():
@@ -307,8 +304,54 @@ def test_saddle_cell_disconnected_polygons():
     phi[1, 1] = 0.4
     cell = cut_cell((0, 0), grid, phi)
     assert len(cell.polygons) == 2
-    assert cell.area == pytest.approx(2 * 0.5 * (0.4 / 1.4 * grid.h) ** 2, rel=1e-12)
-    assert len(cell.boundary_segments) == 2
+    assert cell.area[0] == pytest.approx(2 * 0.5 * (0.4 / 1.4 * grid.h) ** 2, rel=1e-12)
+    assert len(cell.p0) == 2
+
+
+def test_saddle_cell_connected_hexagon():
+    # the same corner signs with a non-negative center: one hexagon, the
+    # square minus the two negative corner triangles, cut by two chords
+    grid = Grid(4)
+    h = grid.h
+    phi = np.full((5, 5), -0.2)
+    phi[0, 0] = 0.4
+    phi[1, 1] = 0.4
+    cell = cut_cell((0, 0), grid, phi)
+    assert len(cell.polygons) == 1
+    assert cell.polygon_size[0] == 6
+    corner = 0.5 * (0.2 / 0.6 * h) ** 2
+    assert cell.area[0] == pytest.approx(h * h - 2 * corner, rel=1e-12)
+    assert len(cell.p0) == 2
+    assert cell.length == pytest.approx([math.sqrt(2.0) * 0.2 / 0.6 * h] * 2, rel=1e-12)
+
+
+def test_root_next_to_a_corner_merges_into_it():
+    # corner 1 sits 1e-13 above zero and corner 0 well below: the bottom
+    # root lies within 1e-12 h of corner 1, which merges into it and lends
+    # it the right-side bit, so the edge up the right side is a side piece,
+    # not a chord, and an exposed right side yields exactly one segment
+    grid = Grid(4)
+    h = grid.h
+    phi = np.full((5, 5), 1.0)
+    phi[0, 0] = -1.0
+    phi[1, 0] = 1e-13
+    for exposed, n_segments in ((0b0000, 1), (0b0010, 2)):
+        cell = cut_cell((0, 0), grid, phi, exposed)
+        assert len(cell.polygons) == 1 and cell.polygon_size[0] == 4
+        assert cell.area[0] == pytest.approx(0.75 * h * h, rel=1e-10)
+        assert len(cell.p0) == n_segments
+        assert np.hypot(*(cell.p1[0] - grid.node(1, 0))) <= 1e-12 * h
+    assert np.array_equal(cell.normal[1], [1.0, 0.0])
+    assert np.hypot(*(cell.p0[1] - grid.node(1, 0))) <= 1e-12 * h
+    assert tuple(cell.p1[1]) == grid.node(1, 1)
+    assert cell.length[1] == pytest.approx(h, rel=1e-10)
+    # mirrored: the root comes after its corner in the walk and merges into
+    # it; the exposed left side runs into that corner exactly
+    phi[0, 0], phi[1, 0] = 1e-13, -1.0
+    cell = cut_cell((0, 0), grid, phi, 0b1000)
+    assert cell.polygon_size[0] == 4 and len(cell.p0) == 2
+    assert np.array_equal(cell.normal[1], [-1.0, 0.0])
+    assert tuple(cell.p1[1]) == grid.node(0, 0)
 
 
 def test_circle_area_and_perimeter_convergence():
@@ -317,9 +360,9 @@ def test_circle_area_and_perimeter_convergence():
     for n in (40, 80, 160):
         grid = Grid(n)
         cls = classify(grid, domain, "four")
-        cells = extract_cut_cells(cls, domain)
-        area = omega_h_area(cls, cells)
-        peri = sum(s.length for c in cells.values() for s in c.boundary_segments)
+        band = extract_cut_cells(cls, domain)
+        area = omega_h_area(cls, band)
+        peri = band.length.sum()
         hs.append(grid.h)
         ea.append(abs(area - math.pi * 0.64))
         ep.append(abs(peri - 1.6 * math.pi))
@@ -329,7 +372,8 @@ def test_circle_area_and_perimeter_convergence():
 
 def boundary_band(classification):
     """Reference band, cell by cell: positive-area cut cells, and inside
-    cells with an edge neighbor that is off the grid or carries no area."""
+    cells with an edge neighbor that is off the grid or carries no area.
+    Only the area of a cut cell comes from the marching-squares kernel."""
     grid = classification.grid
     role = classification.cell_role
     n = grid.n
@@ -338,7 +382,7 @@ def boundary_band(classification):
         if not (0 <= ci < n and 0 <= cj < n):
             return False
         if role[ci, cj] == CELL_CUT:
-            return _cut_polygons((ci, cj), grid, classification.phi_node)[1] > 0.0
+            return _march(grid, classification.phi_node, np.array([[ci, cj]]))[-1][0] > 0.0
         return role[ci, cj] == CELL_INSIDE
 
     band = set()
@@ -362,9 +406,9 @@ def test_extract_cut_cells_is_the_boundary_band(name, n, snapped):
     cls = classify(grid, domain, "eight")
     if snapped:
         cls = snap_small_cells(cls, grid, domain, 2.0)
-    cells = extract_cut_cells(cls, domain)
-    assert set(cells) == boundary_band(cls)
-    assert list(cells) == sorted(cells)
+    keys = list(map(tuple, extract_cut_cells(cls, domain).cells.tolist()))
+    assert set(keys) == boundary_band(cls)
+    assert keys == sorted(keys)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -375,14 +419,13 @@ def test_band_geometry_on_random_ellipses(cx, cy, a, b, n, alpha):
     grid = Grid(n)
     raw = classify(grid, domain, "eight")
     for cls in (raw, snap_small_cells(raw, grid, domain, alpha)):
-        cells = extract_cut_cells(cls, domain)
+        band = extract_cut_cells(cls, domain)
         # Gamma_h is closed
-        total = sum((s.length * s.normal for c in cells.values()
-                     for s in c.boundary_segments), np.zeros(2))
+        total = (band.length[:, None] * band.normal).sum(axis=0)
         assert np.abs(total).max() <= 1e-12
         # the keys are the band: every segment sits on a band cell, and
         # every cut cell with positive area is a key
-        assert set(cells) == boundary_band(cls)
+        assert set(map(tuple, band.cells.tolist())) == boundary_band(cls)
     assert abs(omega_h_area(raw, extract_cut_cells(raw, domain))
                - math.pi * a * b) <= 4.0 * grid.h ** 2
 
@@ -470,11 +513,8 @@ def test_extracted_boundary_is_closed_after_snapping():
     domain = make_domain("circle")
     grid = Grid(40)
     cls = snap_small_cells(classify(grid, domain, "eight"), grid, domain, 2.0)
-    cells = extract_cut_cells(cls, domain)
-    total = np.zeros(2)
-    for cut in cells.values():
-        for seg in cut.boundary_segments:
-            total += seg.length * seg.normal
+    band = extract_cut_cells(cls, domain)
+    total = (band.length[:, None] * band.normal).sum(axis=0)
     assert np.allclose(total, 0.0, atol=1e-12)
 
 
@@ -489,13 +529,12 @@ def test_boundary_on_grid_lines_is_covered_once(snapped):
     cls = classify(grid, square, "eight")
     if snapped:
         cls = snap_small_cells(cls, grid, square, 2.0)
-    segs = [s for c in extract_cut_cells(cls, square).values()
-            for s in c.boundary_segments]
-    assert sum(s.length for s in segs) == pytest.approx(4.0, abs=1e-12)
-    total = sum((s.length * s.normal for s in segs), np.zeros(2))
+    band = extract_cut_cells(cls, square)
+    assert band.length.sum() == pytest.approx(4.0, abs=1e-12)
+    total = (band.length[:, None] * band.normal).sum(axis=0)
     assert np.abs(total).max() <= 1e-12
-    ends = {frozenset((tuple(s.p0), tuple(s.p1))) for s in segs}
-    assert len(ends) == len(segs)
+    ends = {frozenset((tuple(p0), tuple(p1))) for p0, p1 in zip(band.p0, band.p1)}
+    assert len(ends) == len(band.p0)
 
 
 def test_bc_spec_regions():
