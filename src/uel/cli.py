@@ -256,7 +256,9 @@ def run_single(config, n, domain, case, bc):
     cond2 = cond2_lower_bound = None
     cond2_note = ""
     if _want_cond(config, n):
-        estimate = estimate_cond2(system.matrix)
+        # a direct solve's LU serves the estimate too (report.factor is None
+        # after CG)
+        estimate = estimate_cond2(system.matrix, factor=report.factor)
         cond2, cond2_lower_bound = estimate.value, not estimate.converged
         cond2_note = estimate.note
 

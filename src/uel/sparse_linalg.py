@@ -4,10 +4,13 @@
 Every general LU goes through ``_factor``: SuperLU with the minimum-degree
 ordering of A^T + A, symmetric mode and no pivoting (the ghost-point and
 Nitsche matrices are nearly structurally symmetric, so this keeps the fill
-at about half of COLAMD's), followed by one step of iterative refinement.
-A factor whose refined solve is non-finite or leaves a relative residual
-above ``_REFINED_RESIDUAL_MAX`` is discarded and A is refactored with
-COLAMD and partial pivoting; the report's note says so.
+at about half of COLAMD's), panels of ``PANEL_SIZE`` columns, followed by
+one step of iterative refinement.  A factor whose refined solve is
+non-finite or leaves a relative residual above ``_REFINED_RESIDUAL_MAX`` is
+discarded and A is refactored with COLAMD and partial pivoting; the
+factor's note says so.  ``solve_direct`` hands its factor on in
+``SolveReport.factor``, and ``estimate_cond2`` takes it instead of
+factoring A again.
 """
 
 import time
@@ -25,11 +28,27 @@ DIRECT_FALLBACK_SIZE = 200_000
 # FEM systems; a larger one means a tiny pivot blew up the factor.
 _REFINED_RESIDUAL_MAX = 1e-8
 
+# SuperLU's panel width (its default is 20).  On the 5- to 13-point FD and
+# FEM stencils, 2 to 6 factor in the same time, 8 is slower and 20 slowest,
+# with the same fill: FD circle N=640 factors in 1.45 s against 1.87 s.
+# Measured by tools/lu_panel.py.
+PANEL_SIZE = 4
+
+
+@dataclass
+class LUFactor:
+    """A SuperLU factor of A; note names a fallback to COLAMD and is empty
+    for the no-pivot MMD factor."""
+
+    lu: spla.SuperLU
+    note: str = ""
+
 
 @dataclass
 class SolveReport:
     """Outcome of one linear solve; final_residual is the recomputed relative
-    2-norm residual ||Ax - b|| / ||b||."""
+    2-norm residual ||Ax - b|| / ||b||.  factor is the LU a direct solve
+    used (None for CG and BiCGSTAB), for estimate_cond2 to reuse."""
 
     method: str
     iterations: int
@@ -37,6 +56,7 @@ class SolveReport:
     converged: bool
     wall_time: float
     note: str = ""
+    factor: LUFactor = None
 
 
 def _true_residual(A, x, b):
@@ -53,55 +73,60 @@ def _join_notes(*notes):
 def _factor(A, b):
     """Sparse LU of A checked on the solve of A x = b.
 
-    Returns (lu, x, note).  The no-pivot MMD factor is kept when its once
-    refined solution has a finite relative residual of at most
-    _REFINED_RESIDUAL_MAX; otherwise (or when SuperLU raises) A is
-    refactored with COLAMD and partial pivoting, x is that factor's plain
-    solve, and note names the fallback.  Raises SolverError when the
-    fallback factor is singular too.
+    Returns (LUFactor, x, residual), residual being the relative residual
+    of x.  The no-pivot MMD factor is kept when its once refined solution
+    has a finite relative residual of at most _REFINED_RESIDUAL_MAX;
+    otherwise (or when SuperLU raises) A is refactored with COLAMD and
+    partial pivoting, x is that factor's plain solve, and the factor's note
+    names the fallback.  Raises SolverError when the fallback factor is
+    singular too.
     """
     A = sp.csc_matrix(A)
     b = np.asarray(b, dtype=float)
     try:
         lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       options={"SymmetricMode": True})
+                       panel_size=PANEL_SIZE, options={"SymmetricMode": True})
         with np.errstate(all="ignore"):
             x = lu.solve(b)
             x += lu.solve(b - A @ x)
             res = _true_residual(A, x, b)
         # a non-finite x gives a non-finite residual
         if res <= _REFINED_RESIDUAL_MAX:
-            return lu, x, ""
+            return LUFactor(lu), x, res
         reason = f"refined residual {res:.1e}"
     except RuntimeError as exc:
         reason = str(exc)
     try:
-        lu = spla.splu(A)
+        lu = spla.splu(A, panel_size=PANEL_SIZE)
     except RuntimeError as exc:
         raise SolverError(f"sparse LU factorization failed: {exc}") from exc
     note = (f"no-pivot MMD factor rejected ({reason}); "
             "fell back to COLAMD with partial pivoting")
-    return lu, lu.solve(b), note
+    x = lu.solve(b)
+    with np.errstate(all="ignore"):
+        res = _true_residual(A, x, b)
+    return LUFactor(lu, note), x, res
 
 
 def solve_direct(A, b):
     """Sparse LU solve.
 
-    SuperLU factors A once with the MMD ordering of A^T + A and no pivoting,
-    and the solve takes one refinement step x += LU^-1 (b - A x).  If that
-    factor fails or its refined residual is above 1e-8, A is refactored with
-    COLAMD and partial pivoting and report.note says so.
+    SuperLU factors A once with the MMD ordering of A^T + A, no pivoting
+    and panels of PANEL_SIZE columns, and the solve takes one refinement
+    step x += LU^-1 (b - A x).  If that factor fails or its refined
+    residual is above 1e-8, A is refactored with COLAMD and partial
+    pivoting and report.note says so.  report.factor is the factor used;
+    pass it to estimate_cond2 to estimate cond_2(A) without a second LU.
 
     Returns (x, SolveReport); raises SolverError on a singular factorization
     or a non-finite solution.
     """
     t0 = time.perf_counter()
-    x, note = _factor(A, b)[1:]
+    factor, x, res = _factor(A, b)
     if not np.all(np.isfinite(x)):
         raise SolverError("direct solve produced non-finite entries (singular system?)")
-    res = _true_residual(A, x, b)
     return x, SolveReport("direct", 1, res, res <= 1e-10,
-                          time.perf_counter() - t0, note)
+                          time.perf_counter() - t0, factor.note, factor)
 
 
 def _jacobi_apply(A):
@@ -236,24 +261,29 @@ class CondEstimate:
     note: str = ""
 
 
-def estimate_cond2(A, tol=1e-3, maxit=500, seed=0):
+def estimate_cond2(A, tol=1e-3, maxit=500, seed=0, factor=None):
     """Estimate cond_2(A) = sigma_max / sigma_min.
 
     sigma_max comes from power iteration on A^T A; sigma_min from inverse
-    power iteration on (A^T A)^-1 through one sparse LU of A.  That LU is
-    the one solve_direct uses (MMD ordering, no pivoting), checked first on
-    the probe system A x = A 1; if it fails the check, A is refactored with
-    COLAMD and partial pivoting and the estimate's note says so.
+    power iteration on (A^T A)^-1 through one sparse LU of A.  factor is
+    the LUFactor of A that a direct solve already made (SolveReport.factor);
+    without it A is factored here the way solve_direct factors it (MMD
+    ordering, no pivoting), checked on the probe system A x = A 1, and
+    refactored with COLAMD and partial pivoting if it fails the check.
+    Either way the estimate's note names a COLAMD fallback.
     """
     A = sp.csr_matrix(A)
     n = A.shape[0]
     if n == 0:
         raise ConfigurationError("cannot estimate the condition of an empty matrix")
     At = A.T.tocsr()
-    try:
-        lu, _, factor_note = _factor(A, A @ np.ones(n))
-    except SolverError as exc:
-        raise SolverError(f"condition estimate needs a nonsingular matrix: {exc}") from exc
+    if factor is None:
+        try:
+            factor = _factor(A, A @ np.ones(n))[0]
+        except SolverError as exc:
+            raise SolverError(
+                f"condition estimate needs a nonsingular matrix: {exc}") from exc
+    lu = factor.lu
     rng = np.random.default_rng(seed)
 
     def power(step):
@@ -279,6 +309,6 @@ def estimate_cond2(A, tol=1e-3, maxit=500, seed=0):
     mu_inv, ok_min = power(lambda v: lu.solve(lu.solve(v, trans="T"), trans="N"))
     sigma_min = float(1.0 / np.sqrt(mu_inv))
     converged = ok_max and ok_min
-    note = _join_notes(factor_note, "" if converged else
+    note = _join_notes(factor.note, "" if converged else
                        "iteration cap reached; value is a lower bound")
     return CondEstimate(sigma_max / sigma_min, converged, note)

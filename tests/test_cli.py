@@ -155,7 +155,7 @@ def test_json_mirrors_csv(tmp_path):
 def test_json_outcomes_flag_a_cond2_lower_bound(tmp_path, monkeypatch):
     import uel.cli as cli
 
-    def capped(matrix):
+    def capped(matrix, factor=None):
         return CondEstimate(123.0, False, "iteration cap reached")
 
     monkeypatch.setattr(cli, "estimate_cond2", capped)
@@ -177,7 +177,7 @@ def test_json_outcomes_carry_the_cond2_note(tmp_path, monkeypatch):
     note = ("no-pivot MMD factor rejected (refined residual 1.0e-06); "
             "fell back to COLAMD with partial pivoting")
 
-    def refactored(matrix):
+    def refactored(matrix, factor=None):
         return CondEstimate(45.0, True, note)
 
     monkeypatch.setattr(cli, "estimate_cond2", refactored)
@@ -185,6 +185,51 @@ def test_json_outcomes_carry_the_cond2_note(tmp_path, monkeypatch):
     payload = json.loads((tmp_path / "report.json").read_text())
     assert [o["cond2_note"] for o in payload["outcomes"]] == [note, note]
     assert [o["cond2_lower_bound"] for o in payload["outcomes"]] == [False, False]
+
+
+def counted_splu(monkeypatch):
+    """Wrap SuperLU's splu; returns the list of the orderings it is called
+    with ("COLAMD" when the caller leaves SuperLU's default)."""
+    import uel.sparse_linalg as sparse_linalg
+    calls = []
+    real = sparse_linalg.spla.splu
+
+    def splu(*args, **kwargs):
+        calls.append(kwargs.get("permc_spec", "COLAMD"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sparse_linalg.spla, "splu", splu)
+    return calls
+
+
+@pytest.mark.parametrize("solver", ("direct", "krylov"))
+def test_fd_cond_sweep_factors_each_grid_once(tmp_path, monkeypatch, solver):
+    # the condition estimate reuses the LU of the solve
+    from uel import Grid, assemble_fd, make_bc_spec, make_case, make_domain
+    from uel.sparse_linalg import estimate_cond2
+    calls = counted_splu(monkeypatch)
+    report = run(small_config(tmp_path, solver=solver, compute_cond=True))
+    assert calls == ["MMD_AT_PLUS_A"] * 2
+    for row in report.rows:
+        system = assemble_fd(Grid(row.n), make_domain("circle"),
+                             make_case("paper_sin"),
+                             make_bc_spec("circle", "dirichlet"), p=2)
+        assert row.cond2 == estimate_cond2(system.matrix).value
+        assert row.cond2_note == ""
+
+
+def test_solve_fallback_to_colamd_reaches_the_cond2_note(tmp_path, monkeypatch):
+    import uel.sparse_linalg as sparse_linalg
+    # no refined residual passes: every no-pivot factor is rejected
+    monkeypatch.setattr(sparse_linalg, "_REFINED_RESIDUAL_MAX", -1.0)
+    calls = counted_splu(monkeypatch)
+    run(small_config(tmp_path, fmt="json", compute_cond=True))
+    assert calls == ["MMD_AT_PLUS_A", "COLAMD"] * 2
+    payload = json.loads((tmp_path / "report.json").read_text())
+    for outcome in payload["outcomes"]:
+        assert outcome["solver_note"].endswith(
+            "fell back to COLAMD with partial pivoting")
+        assert outcome["cond2_note"] == outcome["solver_note"]
 
 
 def test_json_outcomes_carry_the_solver_note(tmp_path):

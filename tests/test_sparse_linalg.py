@@ -7,7 +7,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import solve_triangular
 
 from conftest import jacobi_eigenvalues, run_fd, run_fem
-from uel import Grid, assemble_fd, make_bc_spec, make_case, make_domain
+from uel import (Grid, assemble_fd, assemble_fem, make_bc_spec, make_case,
+                 make_domain)
 from uel.errors import ConfigurationError, SolverError
 from uel.sparse_linalg import (_factor, _ssor_apply, estimate_cond2, solve_cg,
                                solve_direct, solve_nonsymmetric)
@@ -101,10 +102,30 @@ def test_no_pivot_factor_is_never_less_accurate_than_colamd():
 def test_factor_fill_is_below_colamd():
     # FD circle, mixed BC, p=2, N=160: measured 576k against 1.07M
     system = fd_system("circle", "mixed", 2, 160)
-    lu, _, note = _factor(system.matrix, system.rhs)
+    factor = _factor(system.matrix, system.rhs)[0]
     colamd = spla.splu(sp.csc_matrix(system.matrix))
-    assert note == ""
-    assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+    assert factor.note == ""
+    assert factor.lu.L.nnz + factor.lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+
+
+@pytest.mark.parametrize("domain", ("circle", "leaf", "flower", "hourglass"))
+@pytest.mark.parametrize("bc_kind", ("dirichlet", "mixed"))
+def test_no_pivot_factor_is_kept_with_narrow_panels(domain, bc_kind):
+    # PANEL_SIZE changes the time of the factor, not its fill or its
+    # acceptance, on every FD and FEM system
+    systems = [fd_system(domain, bc_kind, p, 40) for p in (1, 2)]
+    systems += [assemble_fem(Grid(40), make_domain(domain), make_case("paper_sin"),
+                             make_bc_spec(domain, bc_kind), alpha=alpha)
+                for alpha in (1.5, 2.0)]
+    for system in systems:
+        A, b = system.matrix, system.rhs
+        factor, x, res = _factor(A, b)
+        assert factor.note == ""
+        assert res <= 1e-10
+        assert res == np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+        default = spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
+                            diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        assert factor.lu.L.nnz + factor.lu.U.nnz == default.L.nnz + default.U.nnz
 
 
 # ----------------------------------------------------------------------
