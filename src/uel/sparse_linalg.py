@@ -28,10 +28,10 @@ DIRECT_FALLBACK_SIZE = 200_000
 # FEM systems; a larger one means a tiny pivot blew up the factor.
 _REFINED_RESIDUAL_MAX = 1e-8
 
-# SuperLU's panel width (its default is 20).  On the 5- to 13-point FD and
-# FEM stencils, 2 to 6 factor in the same time, 8 is slower and 20 slowest,
-# with the same fill: FD circle N=640 factors in 1.45 s against 1.87 s.
-# Measured by tools/lu_panel.py.
+# SuperLU's panel width (its default is 20).  On the benchmark's FD and FEM
+# matrices, 2, 4 and 6 factor in about the same time, 8 is slower and 20
+# slowest, all with the same fill: FD circle N=640 takes 1.57 s and 241 MiB
+# against 1.89 s and 291 MiB (tools/lu_panel.py, 2 vCPUs, one BLAS thread).
 PANEL_SIZE = 4
 
 
