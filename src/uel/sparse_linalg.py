@@ -4,11 +4,15 @@
 Every general LU goes through ``_factor``: SuperLU with the minimum-degree
 ordering of A^T + A, symmetric mode and no pivoting (the ghost-point and
 Nitsche matrices are nearly structurally symmetric, so this keeps the fill
-at about half of COLAMD's), panels of ``PANEL_SIZE`` columns, followed by
-one step of iterative refinement.  A factor whose refined solve is
-non-finite or leaves a relative residual above ``_REFINED_RESIDUAL_MAX`` is
-discarded and A is refactored with COLAMD and partial pivoting; the
-factor's note says so.  ``solve_direct`` hands its factor on in
+at about half of COLAMD's) and panels of ``PANEL_SIZE`` columns.  The
+factor is made in single precision when every stored value of A is a
+normal float32, and its solve is refined against the float64 A
+(mixed-precision iterative refinement), so the answer has double-precision
+accuracy from a factor whose values take half the memory.  A factor whose refined
+solve is non-finite or leaves a relative residual above
+``_REFINED_RESIDUAL_MAX`` is discarded for the next one: the same factor in
+double precision, then COLAMD with partial pivoting; the factor's note
+names each one rejected.  ``solve_direct`` hands its factor on in
 ``SolveReport.factor``, and ``estimate_cond2`` takes it instead of
 factoring A again.
 """
@@ -28,20 +32,42 @@ DIRECT_FALLBACK_SIZE = 200_000
 # FEM systems; a larger one means a tiny pivot blew up the factor.
 _REFINED_RESIDUAL_MAX = 1e-8
 
+# Refinement stops when a step no longer halves the relative residual; the
+# single-precision factors of the FD and FEM systems stop after 3-5 steps
+# (FD N=40..640, FEM N=40..320), at the double-precision residual.
+_REFINE_STEPS_MAX = 10
+
 # SuperLU's panel width (its default is 20).  On the benchmark's FD and FEM
 # matrices, 2, 4 and 6 factor in about the same time, 8 is slower and 20
 # slowest, all with the same fill: FD circle N=640 takes 1.57 s and 241 MiB
-# against 1.89 s and 291 MiB (tools/lu_panel.py, 2 vCPUs, one BLAS thread).
+# against 1.89 s and 291 MiB in double precision (tools/lu_panel.py,
+# 2 vCPUs, one BLAS thread).
 PANEL_SIZE = 4
+
+_NO_PIVOT = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+             "options": {"SymmetricMode": True}}
+
+_SINGLE = np.finfo(np.float32)
 
 
 @dataclass
 class LUFactor:
-    """A SuperLU factor of A; note names a fallback to COLAMD and is empty
-    for the no-pivot MMD factor."""
+    """A SuperLU factor of A in precision dtype (float32 or float64).
+
+    note names the factors rejected before this one and is empty for the
+    first one tried; refinements counts the refinement steps of the solve
+    that accepted it."""
 
     lu: spla.SuperLU
+    dtype: type = np.float64
     note: str = ""
+    refinements: int = 0
+
+    def solve(self, r, trans="N"):
+        """LU^-1 r (LU^-T r for trans="T") as float64; a single-precision
+        factor solves r rounded to float32."""
+        return np.asarray(self.lu.solve(r.astype(self.dtype, copy=False),
+                                        trans=trans), dtype=float)
 
 
 @dataclass
@@ -70,53 +96,99 @@ def _join_notes(*notes):
     return "; ".join(n for n in notes if n)
 
 
+def _fits_single(values):
+    """True when every value is zero or a normal float32 in magnitude, so
+    casting to float32 neither overflows nor underflows.  Checked a block
+    at a time, with no full-size temporary."""
+    block = 1 << 16
+    for start in range(0, len(values), block):
+        a = np.abs(values[start:start + block])
+        if not np.all((a == 0.0) | ((a >= _SINGLE.tiny) & (a <= _SINGLE.max))):
+            return False
+    return True
+
+
+def _refined_solve(A, b, factor):
+    """Solve A x = b with factor, then refine x += LU^-1 (b - A x) against A
+    while a step at least halves the relative residual, for at most
+    _REFINE_STEPS_MAX steps.  A step that does not lower the residual is
+    discarded.  Returns (x, residual, steps taken)."""
+    bn = np.linalg.norm(b) or 1.0
+    x = factor.solve(b)
+    r = b - A @ x
+    res = float(np.linalg.norm(r) / bn)
+    steps = 0
+    # a non-finite x gives a non-finite residual, which fails res > 0
+    while res > 0.0 and steps < _REFINE_STEPS_MAX:
+        steps += 1
+        y = x + factor.solve(r)
+        r_y = b - A @ y
+        res_y = float(np.linalg.norm(r_y) / bn)
+        if not res_y < res:
+            break
+        x, r, res, prev = y, r_y, res_y, res
+        if res > 0.5 * prev:
+            break
+    return x, res, steps
+
+
 def _factor(A, b):
     """Sparse LU of A checked on the solve of A x = b.
 
+    Tries, in order: the no-pivot MMD factor of A rounded to float32 (only
+    when every stored value of A is zero or a normal float32), the same
+    factor in float64, and COLAMD with partial pivoting.  Each factor's
+    solve is refined against the float64 A (_refined_solve), and a factor
+    is kept when its refined relative residual is finite and at most
+    _REFINED_RESIDUAL_MAX; the last one is kept whatever its residual.
+    The kept factor's note names each factor rejected before it and why.
+
     Returns (LUFactor, x, residual), residual being the relative residual
-    of x.  The no-pivot MMD factor is kept when its once refined solution
-    has a finite relative residual of at most _REFINED_RESIDUAL_MAX;
-    otherwise (or when SuperLU raises) A is refactored with COLAMD and
-    partial pivoting, x is that factor's plain solve, and the factor's note
-    names the fallback.  Raises SolverError when the fallback factor is
-    singular too.
+    of x.  Raises SolverError when the COLAMD factor is singular too.
     """
     A = sp.csc_matrix(A)
+    A.sum_duplicates()
     b = np.asarray(b, dtype=float)
-    try:
-        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                       panel_size=PANEL_SIZE, options={"SymmetricMode": True})
+    attempts = [("double-precision no-pivot MMD factor", np.float64, _NO_PIVOT),
+                ("COLAMD with partial pivoting", np.float64, {})]
+    if _fits_single(A.data):
+        attempts.insert(0, ("single-precision no-pivot MMD factor",
+                            np.float32, _NO_PIVOT))
+    rejected = []
+    for name, dtype, options in attempts:
+        last = name == attempts[-1][0]
+        # a float32 copy shares A's canonical index arrays (4.5 MiB less
+        # peak memory at FD circle N=640 than astype's copy)
+        M = A if dtype == A.dtype else sp.csc_matrix(
+            (A.data.astype(dtype), A.indices, A.indptr), shape=A.shape)
+        try:
+            lu = spla.splu(M, panel_size=PANEL_SIZE, **options)
+        except RuntimeError as exc:
+            if last:
+                raise SolverError(f"sparse LU factorization failed: {exc}") from exc
+            rejected.append(f"{name} rejected ({exc})")
+            continue
+        factor = LUFactor(lu, dtype, _join_notes(
+            *rejected, f"fell back to {name}" if rejected else ""))
         with np.errstate(all="ignore"):
-            x = lu.solve(b)
-            x += lu.solve(b - A @ x)
-            res = _true_residual(A, x, b)
-        # a non-finite x gives a non-finite residual
-        if res <= _REFINED_RESIDUAL_MAX:
-            return LUFactor(lu), x, res
-        reason = f"refined residual {res:.1e}"
-    except RuntimeError as exc:
-        reason = str(exc)
-    try:
-        lu = spla.splu(A, panel_size=PANEL_SIZE)
-    except RuntimeError as exc:
-        raise SolverError(f"sparse LU factorization failed: {exc}") from exc
-    note = (f"no-pivot MMD factor rejected ({reason}); "
-            "fell back to COLAMD with partial pivoting")
-    x = lu.solve(b)
-    with np.errstate(all="ignore"):
-        res = _true_residual(A, x, b)
-    return LUFactor(lu, note), x, res
+            x, res, factor.refinements = _refined_solve(A, b, factor)
+        if res <= _REFINED_RESIDUAL_MAX or last:
+            return factor, x, res
+        rejected.append(f"{name} rejected (refined residual {res:.1e})")
 
 
 def solve_direct(A, b):
     """Sparse LU solve.
 
-    SuperLU factors A once with the MMD ordering of A^T + A, no pivoting
-    and panels of PANEL_SIZE columns, and the solve takes one refinement
-    step x += LU^-1 (b - A x).  If that factor fails or its refined
-    residual is above 1e-8, A is refactored with COLAMD and partial
-    pivoting and report.note says so.  report.factor is the factor used;
-    pass it to estimate_cond2 to estimate cond_2(A) without a second LU.
+    _factor factors A with the MMD ordering of A^T + A, no pivoting and
+    panels of PANEL_SIZE columns, in single precision when A's values fit,
+    and refines the solve against A until a step no longer halves the
+    relative residual.  If that factor fails or its refined residual is
+    above 1e-8, the next factor is tried (double precision, then COLAMD
+    with partial pivoting) and report.note names the fallback.
+    report.iterations counts the factor's solves (1 + refinement steps).
+    report.factor is the factor used; pass it to estimate_cond2 to
+    estimate cond_2(A) without a second LU.
 
     Returns (x, SolveReport); raises SolverError on a singular factorization
     or a non-finite solution.
@@ -125,7 +197,7 @@ def solve_direct(A, b):
     factor, x, res = _factor(A, b)
     if not np.all(np.isfinite(x)):
         raise SolverError("direct solve produced non-finite entries (singular system?)")
-    return x, SolveReport("direct", 1, res, res <= 1e-10,
+    return x, SolveReport("direct", 1 + factor.refinements, res, res <= 1e-10,
                           time.perf_counter() - t0, factor.note, factor)
 
 
@@ -267,10 +339,11 @@ def estimate_cond2(A, tol=1e-3, maxit=500, seed=0, factor=None):
     sigma_max comes from power iteration on A^T A; sigma_min from inverse
     power iteration on (A^T A)^-1 through one sparse LU of A.  factor is
     the LUFactor of A that a direct solve already made (SolveReport.factor);
-    without it A is factored here the way solve_direct factors it (MMD
-    ordering, no pivoting), checked on the probe system A x = A 1, and
-    refactored with COLAMD and partial pivoting if it fails the check.
-    Either way the estimate's note names a COLAMD fallback.
+    without it A is factored here the way solve_direct factors it, checked
+    on the probe system A x = A 1.  Each solve with a single-precision
+    factor takes one refinement step against A^T or A, which keeps the
+    estimate within about 1e-6 relative of a double-precision factor's.
+    Either way the estimate's note names a precision or COLAMD fallback.
     """
     A = sp.csr_matrix(A)
     n = A.shape[0]
@@ -283,8 +356,14 @@ def estimate_cond2(A, tol=1e-3, maxit=500, seed=0, factor=None):
         except SolverError as exc:
             raise SolverError(
                 f"condition estimate needs a nonsingular matrix: {exc}") from exc
-    lu = factor.lu
+    refine = factor.dtype == np.float32
     rng = np.random.default_rng(seed)
+
+    def solve(M, r, trans):
+        x = factor.solve(r, trans)
+        if refine:
+            x += factor.solve(r - M @ x, trans)
+        return x
 
     def power(step):
         v = rng.standard_normal(n)
@@ -306,7 +385,7 @@ def estimate_cond2(A, tol=1e-3, maxit=500, seed=0, factor=None):
 
     mu_max, ok_max = power(lambda v: At @ (A @ v))
     sigma_max = float(np.sqrt(mu_max))
-    mu_inv, ok_min = power(lambda v: lu.solve(lu.solve(v, trans="T"), trans="N"))
+    mu_inv, ok_min = power(lambda v: solve(A, solve(At, v, "T"), "N"))
     sigma_min = float(1.0 / np.sqrt(mu_inv))
     converged = ok_max and ok_min
     note = _join_notes(factor.note, "" if converged else

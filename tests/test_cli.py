@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from uel.cli import (CSV_COLUMNS, ExperimentConfig, main, parse_config, run,
@@ -224,12 +225,27 @@ def test_solve_fallback_to_colamd_reaches_the_cond2_note(tmp_path, monkeypatch):
     monkeypatch.setattr(sparse_linalg, "_REFINED_RESIDUAL_MAX", -1.0)
     calls = counted_splu(monkeypatch)
     run(small_config(tmp_path, fmt="json", compute_cond=True))
-    assert calls == ["MMD_AT_PLUS_A", "COLAMD"] * 2
+    assert calls == ["MMD_AT_PLUS_A", "MMD_AT_PLUS_A", "COLAMD"] * 2
     payload = json.loads((tmp_path / "report.json").read_text())
     for outcome in payload["outcomes"]:
+        assert outcome["solver_note"].startswith(
+            "single-precision no-pivot MMD factor rejected (refined residual ")
+        assert "; double-precision no-pivot MMD factor rejected (" in outcome["solver_note"]
         assert outcome["solver_note"].endswith(
             "fell back to COLAMD with partial pivoting")
         assert outcome["cond2_note"] == outcome["solver_note"]
+
+
+def test_fd_row_iters_count_the_refinement_solves(tmp_path):
+    from uel import Grid, assemble_fd, make_bc_spec, make_case, make_domain
+    from uel.sparse_linalg import solve_direct
+    report = run(small_config(tmp_path, grids=(32,)))
+    system = assemble_fd(Grid(32), make_domain("circle"), make_case("paper_sin"),
+                         make_bc_spec("circle", "dirichlet"), p=2)
+    _, solve = solve_direct(system.matrix, system.rhs)
+    assert solve.factor.dtype == np.float32
+    assert report.rows[0].iters == solve.iterations == 1 + solve.factor.refinements
+    assert report.rows[0].iters >= 2
 
 
 def test_json_outcomes_carry_the_solver_note(tmp_path):

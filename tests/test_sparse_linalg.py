@@ -10,8 +10,9 @@ from conftest import jacobi_eigenvalues, run_fd, run_fem
 from uel import (Grid, assemble_fd, assemble_fem, make_bc_spec, make_case,
                  make_domain)
 from uel.errors import ConfigurationError, SolverError
-from uel.sparse_linalg import (_factor, _ssor_apply, estimate_cond2, solve_cg,
-                               solve_direct, solve_nonsymmetric)
+from uel.sparse_linalg import (PANEL_SIZE, LUFactor, _factor, _ssor_apply,
+                               estimate_cond2, solve_cg, solve_direct,
+                               solve_nonsymmetric)
 
 
 def laplacian_1d(n, h):
@@ -83,6 +84,15 @@ def fd_system(domain, bc_kind, p, n):
                        make_bc_spec(domain, bc_kind), p=p)
 
 
+def paper_systems(domain, bc_kind, n):
+    """(A, b) of FD p=1, 2 and FEM alpha=1.5, 2 on one domain and BC."""
+    args = (Grid(n), make_domain(domain), make_case("paper_sin"),
+            make_bc_spec(domain, bc_kind))
+    systems = [assemble_fd(*args, p=p) for p in (1, 2)]
+    systems += [assemble_fem(*args, alpha=alpha) for alpha in (1.5, 2.0)]
+    return [(system.matrix, system.rhs) for system in systems]
+
+
 def test_no_pivot_factor_is_never_less_accurate_than_colamd():
     # the refined no-pivot solve against SuperLU's default COLAMD solve on
     # every FD configuration up to N=64 (worst measured ratio 0.91)
@@ -112,20 +122,116 @@ def test_factor_fill_is_below_colamd():
 @pytest.mark.parametrize("bc_kind", ("dirichlet", "mixed"))
 def test_no_pivot_factor_is_kept_with_narrow_panels(domain, bc_kind):
     # PANEL_SIZE changes the time of the factor, not its fill or its
-    # acceptance, on every FD and FEM system
-    systems = [fd_system(domain, bc_kind, p, 40) for p in (1, 2)]
-    systems += [assemble_fem(Grid(40), make_domain(domain), make_case("paper_sin"),
-                             make_bc_spec(domain, bc_kind), alpha=alpha)
-                for alpha in (1.5, 2.0)]
-    for system in systems:
-        A, b = system.matrix, system.rhs
+    # acceptance, on every FD and FEM system; the fill is compared at the
+    # factor's own precision (leaf Dirichlet FD N=40 stores 10,497 entries
+    # in float32 and 10,498 in float64: one exact cancellation)
+    for A, b in paper_systems(domain, bc_kind, 40):
         factor, x, res = _factor(A, b)
         assert factor.note == ""
         assert res <= 1e-10
         assert res == np.linalg.norm(b - A @ x) / np.linalg.norm(b)
-        default = spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
-                            diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        default = spla.splu(sp.csc_matrix(A).astype(factor.dtype),
+                            permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                            options={"SymmetricMode": True})
         assert factor.lu.L.nnz + factor.lu.U.nnz == default.L.nnz + default.U.nnz
+
+
+@pytest.mark.parametrize("domain", ("circle", "leaf", "flower", "hourglass"))
+@pytest.mark.parametrize("bc_kind", ("dirichlet", "mixed"))
+def test_paper_systems_factor_in_single_precision(domain, bc_kind):
+    # the float32 factor, refined against the float64 A, reaches the
+    # double-precision answer (measured: at most 4e-13 from splu's)
+    for A, b in paper_systems(domain, bc_kind, 40):
+        factor, x, res = _factor(A, b)
+        assert factor.dtype == np.float32 and factor.lu.L.dtype == np.float32
+        assert factor.note == ""
+        assert 2 <= factor.refinements < 10
+        assert res <= 1e-10
+        ref = spla.splu(sp.csc_matrix(A)).solve(b)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def counted_splu(monkeypatch):
+    """Wrap SuperLU's splu; returns the list of (dtype, ordering) it is
+    called with ("COLAMD" when the caller leaves SuperLU's default)."""
+    import uel.sparse_linalg as sl
+    calls = []
+    real = sl.spla.splu
+
+    def splu(A, **kwargs):
+        calls.append((A.dtype, kwargs.get("permc_spec", "COLAMD")))
+        return real(A, **kwargs)
+
+    monkeypatch.setattr(sl.spla, "splu", splu)
+    return calls
+
+
+def test_single_precision_singular_factor_falls_back_to_double(monkeypatch):
+    # 1 + 2**-30 rounds to 1 in float32, so the single factor is singular
+    A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + 2.0 ** -30]]))
+    with pytest.raises(RuntimeError, match="singular"):
+        spla.splu(sp.csc_matrix(A).astype(np.float32), permc_spec="MMD_AT_PLUS_A",
+                  diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    calls = counted_splu(monkeypatch)
+    factor, x, res = _factor(A, np.array([1.0, 2.0]))
+    assert calls == [(np.float32, "MMD_AT_PLUS_A"), (np.float64, "MMD_AT_PLUS_A")]
+    assert factor.dtype == np.float64
+    assert factor.note == ("single-precision no-pivot MMD factor rejected "
+                           "(Factor is exactly singular); fell back to "
+                           "double-precision no-pivot MMD factor")
+    assert res <= 1e-10
+    assert np.allclose(x, [1.0 - 2.0 ** 30, 2.0 ** 30], rtol=1e-6, atol=0.0)
+
+
+@pytest.mark.parametrize("value", (1e-50, -1e-40, 1e39))
+def test_values_outside_float32_go_straight_to_double(value, monkeypatch):
+    calls = counted_splu(monkeypatch)
+    A = sp.csr_matrix(np.array([[4.0, value], [1.0, 3.0]]))
+    factor, _, res = _factor(A, np.array([1.0, 2.0]))
+    assert calls == [(np.float64, "MMD_AT_PLUS_A")]
+    assert factor.dtype == np.float64 and factor.note == ""
+    assert res <= 1e-15
+    # a value that fits is factored in single precision
+    calls.clear()
+    A[0, 1] = 1e-30
+    factor = _factor(A, np.array([1.0, 2.0]))[0]
+    assert calls == [(np.float32, "MMD_AT_PLUS_A")]
+    assert factor.dtype == np.float32 and factor.note == ""
+
+
+def test_fits_single_checks_every_block():
+    from uel.sparse_linalg import _fits_single
+    # more than three of the 65,536-value blocks, the bad value in the last
+    values = np.ones(3 * 65536 + 5)
+    assert _fits_single(values) and _fits_single(np.zeros(0))
+    for bad in (1e-39, 4e38, np.nan, -np.inf):
+        values[-1] = bad
+        assert not _fits_single(values)
+    values[-1] = -3e38
+    assert _fits_single(values)
+
+
+@pytest.mark.parametrize("scheme", ("fd", "fem"))
+@pytest.mark.parametrize("n", (80, 160))
+def test_cond2_with_single_factor_matches_double_factor(scheme, n):
+    # one refinement step per inverse-power solve (measured: at most 4.5e-7)
+    args = (Grid(n), make_domain("flower"), make_case("paper_sin"),
+            make_bc_spec("flower", "mixed"))
+    if scheme == "fd":
+        A = assemble_fd(*args, p=2).matrix
+    else:
+        A = assemble_fem(*args, alpha=1.5).matrix
+    factor = _factor(A, A @ np.ones(A.shape[0]))[0]
+    assert factor.dtype == np.float32
+    double = LUFactor(spla.splu(sp.csc_matrix(A), panel_size=PANEL_SIZE,
+                                permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                options={"SymmetricMode": True}))
+    single = estimate_cond2(A, factor=factor)
+    ref = estimate_cond2(A, factor=double)
+    assert single.converged and ref.converged
+    assert single.note == ref.note == ""
+    assert single.value == pytest.approx(ref.value, rel=1e-5)
+    assert estimate_cond2(A).value == single.value
 
 
 # ----------------------------------------------------------------------

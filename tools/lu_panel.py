@@ -8,14 +8,18 @@ mixed BC, at N=80, 160 and 320) and saves them to a temporary directory.
 Each (matrix, panel size) sample is `sparse_linalg._factor` with
 `PANEL_SIZE` set to the candidate, run in a fresh interpreter with
 single-threaded BLAS, so its `ru_maxrss` is the peak of that one factor.
+Each matrix also gets a baseline sample: one float64 no-pivot MMD `splu`
+with panels of `PANEL_SIZE`, without a solve.
 Linux carries a parent's peak RSS into the children it starts, so the
 driving interpreter imports neither numpy nor `uel`: the assembly runs in
 a child too.
-Within a repeat the panel sizes of one matrix run back to back, in an
-order rotated from repeat to repeat.  Prints one line per matrix and panel
-size: the median `_factor` seconds (splu and the refined solve), the
-median peak RSS in MiB, the fill nnz(L) + nnz(U), and the fallback note if
-the no-pivot factor was rejected.  20 is SuperLU's default panel size.
+Within a repeat the samples of one matrix run back to back, in an order
+rotated from repeat to repeat.  Prints one line per matrix and panel
+size: the median `_factor` seconds (the factor and its refined solve), the
+median peak RSS in MiB, the fill nnz(L) + nnz(U), the factor's precision,
+its refinement steps and the fallback note if the first factor tried was
+rejected; then the baseline's median seconds, peak RSS and fill.  20 is
+SuperLU's default panel size.
 """
 
 import argparse
@@ -50,19 +54,27 @@ def save_system(index, path):
 
 
 def factor_once(path, panel):
-    """One sample: load the system, factor it, print a JSON line."""
+    """One sample: load the system, factor it, print a JSON line.  panel
+    "f64" is the baseline: a float64 no-pivot MMD splu with PANEL_SIZE."""
     import numpy as np
     import scipy.sparse as sp
     from uel import sparse_linalg
     A = sp.load_npz(path + ".npz")
     b = np.load(path + ".npy")
-    sparse_linalg.PANEL_SIZE = panel
     t0 = time.perf_counter()
-    factor = sparse_linalg._factor(A, b)[0]
+    if panel == "f64":
+        lu = sparse_linalg.spla.splu(A, panel_size=sparse_linalg.PANEL_SIZE,
+                                     **sparse_linalg._NO_PIVOT)
+        factor = sparse_linalg.LUFactor(lu)
+    else:
+        sparse_linalg.PANEL_SIZE = int(panel)
+        factor = sparse_linalg._factor(A, b)[0]
     seconds = time.perf_counter() - t0
     print(json.dumps({"seconds": seconds,
                       "rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
                       "fill": int(factor.lu.L.nnz + factor.lu.U.nnz),
+                      "dtype": np.dtype(factor.dtype).name,
+                      "refinements": factor.refinements,
                       "note": factor.note}))
 
 
@@ -87,9 +99,9 @@ def main():
         save_system(int(args.save[0]), args.save[1])
         return
     if args.sample:
-        factor_once(args.sample[0], int(args.sample[1]))
+        factor_once(*args.sample)
         return
-    panels = [int(tok) for tok in args.panels.split(",")]
+    panels = [int(tok) for tok in args.panels.split(",")] + ["f64"]
     with tempfile.TemporaryDirectory() as tmp:
         for index, (scheme, domain_name, order, n) in enumerate(SYSTEMS):
             path = os.path.join(tmp, str(index))
@@ -103,10 +115,16 @@ def main():
             label = f"{scheme} {domain_name} {'p' if scheme == 'fd' else 'alpha'}={order} N={n}"
             for panel in panels:
                 s = runs[panel]
-                print(f"{label:28s} panel={panel:2d}  "
-                      f"factor_s={statistics.median(x['seconds'] for x in s):.4f}  "
-                      f"rss_mib={statistics.median(x['rss_mib'] for x in s):.1f}  "
-                      f"fill={s[0]['fill']}  note={s[0]['note'] or '-'}", flush=True)
+                seconds = statistics.median(x['seconds'] for x in s)
+                rss = statistics.median(x['rss_mib'] for x in s)
+                if panel == "f64":
+                    print(f"{label:28s} float64 splu baseline  splu_s={seconds:.4f}  "
+                          f"rss_mib={rss:.1f}  fill={s[0]['fill']}", flush=True)
+                    continue
+                print(f"{label:28s} panel={panel:2d}  factor_s={seconds:.4f}  "
+                      f"rss_mib={rss:.1f}  fill={s[0]['fill']}  {s[0]['dtype']}  "
+                      f"refinements={s[0]['refinements']}  "
+                      f"note={s[0]['note'] or '-'}", flush=True)
 
 
 if __name__ == "__main__":
