@@ -10,8 +10,8 @@ R = [-1, 1]^2:
 * a penalized nodal finite element method on cut cells with a symmetric
   Nitsche formulation and small-cut snapping.
 
-A solver layer (direct, preconditioned CG, nonsymmetric Krylov, condition
-estimation), manufactured-solution error analysis, and a CLI experiment
+A solver layer (sparse LU, preconditioned CG, condition estimation),
+manufactured-solution error analysis, and a CLI experiment
 harness complete the package.  The package root exports the names of the
 README library sketch; everything else is imported from its submodule
 (uel.geometry, uel.fd_scheme, uel.fem_scheme, uel.sparse_linalg,

@@ -3,10 +3,8 @@ scheme + solver + error analysis, and emit CSV/JSON convergence reports."""
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -19,13 +17,15 @@ from .fem_scheme import (assemble_fem, fem_gradient, nodal_interior_values,
                          solution_samples)
 from .geometry import (DOMAIN_NAMES, NODE_INTERIOR, Grid, make_bc_spec,
                        make_domain)
-from .sparse_linalg import (estimate_cond2, solve_cg, solve_direct,
-                            solve_nonsymmetric)
+from .sparse_linalg import estimate_cond2, solve_cg, solve_direct
 
 CSV_COLUMNS = ("scheme,domain,bc,p,alpha,N,h,"
                "err_u_l1,err_u_l2,err_u_linf,err_g_l1,err_g_l2,err_g_linf,"
                "order_u_linf,order_g_linf,cond2,solver,precond,iters,residual,"
                "assemble_s,solve_s")
+
+SOLVERS = ("direct", "cg")
+PRECONDS = ("none", "jacobi", "sor")
 
 # Condition estimates above this grid are skipped unless forced.
 COND_N_CAP = 320
@@ -84,8 +84,8 @@ def _build_parser():
     ap.add_argument("--alpha", type=float,
                     help="FEM snapping/penalty exponent in [1.5, 2]")
     ap.add_argument("--grids", help="comma-separated cell counts, e.g. 40,80,160,320")
-    ap.add_argument("--solver", choices=("direct", "cg", "krylov"))
-    ap.add_argument("--precond", choices=("none", "jacobi", "sor"))
+    ap.add_argument("--solver", choices=SOLVERS)
+    ap.add_argument("--precond", choices=PRECONDS)
     ap.add_argument("--omega", type=float, help="SOR relaxation factor")
     ap.add_argument("--cond", action="store_const", const=True, dest="compute_cond",
                     help=f"estimate cond_2 of each system (skipped above N={COND_N_CAP})")
@@ -154,6 +154,11 @@ def parse_config(argv):
         raise ConfigurationError(f"unknown bc {cfg.bc!r}")
     if cfg.case not in CASE_NAMES:
         raise ConfigurationError(f"unknown case {cfg.case!r}")
+    if cfg.solver is not None and cfg.solver not in SOLVERS:
+        raise ConfigurationError(
+            f"unknown solver {cfg.solver!r}: use direct, or cg for the fem scheme")
+    if cfg.precond is not None and cfg.precond not in PRECONDS:
+        raise ConfigurationError(f"unknown preconditioner {cfg.precond!r}")
     if cfg.scheme == "fd":
         if cfg.alpha is not None:
             raise ConfigurationError("--alpha applies to the fem scheme only")
@@ -164,7 +169,7 @@ def parse_config(argv):
         if cfg.solver == "cg":
             raise ConfigurationError(
                 "solver=cg needs a symmetric system; the fd scheme is "
-                "nonsymmetric (use direct or krylov)")
+                "nonsymmetric (use direct)")
     else:
         if cfg.p is not None:
             raise ConfigurationError("--p applies to the fd scheme only")
@@ -189,14 +194,10 @@ def _solve(config, matrix, rhs):
     A CG run that stops at --maxit before reaching --tol raises, so its
     errors never reach a report row.  Direct solves are not gated on their
     residual: SuperLU already raises on a singular or non-finite result, and
-    its residual grows with N past any fixed limit.  The krylov path falls
-    back to LU whenever BiCGSTAB reports non-convergence.
+    its residual grows with N past any fixed limit.
     """
     if config.solver == "direct":
         return solve_direct(matrix, rhs)
-    if config.solver == "krylov":
-        return solve_nonsymmetric(matrix, rhs, tol=config.solver_tol,
-                                  maxit=config.maxit)
     u, report = solve_cg(matrix, rhs, preconditioner=config.precond,
                          tol=config.solver_tol, maxit=config.maxit,
                          omega=config.omega)
@@ -266,7 +267,7 @@ def run_single(config, n, domain, case, bc):
         scheme=config.scheme, domain=config.domain, bc=config.bc,
         p=config.p, alpha=config.alpha, n=n, h=h,
         err_u=err_u, err_g=err_g, cond2=cond2,
-        solver=report.method.split("+")[0] if config.solver != "cg" else "cg",
+        solver=config.solver,
         precond=config.precond, iters=report.iterations,
         residual=report.final_residual,
         assemble_s=assemble_s if config.timings else None,
@@ -278,37 +279,21 @@ def run_single(config, n, domain, case, bc):
 def run(config):
     """Run the configured grid sweep and write the report files.
 
-    Returns the ConvergenceReport.  Grid entries may run concurrently
-    (UEL_THREADS caps the worker count); rows are ordered by N regardless.
+    Returns the ConvergenceReport.  The grids run one after another, in
+    the order given (increasing N).
     """
     domain = make_domain(config.domain)
     case = make_case(config.case)
     bc = make_bc_spec(config.domain, config.bc)
 
-    workers = 1
-    env = os.environ.get("UEL_THREADS")
-    if env:
+    report = ConvergenceReport()
+    for n in config.grids:
         try:
-            workers = max(1, int(env))
-        except ValueError as exc:
-            raise ConfigurationError(f"UEL_THREADS must be an integer, got {env!r}") from exc
-
-    def job(n):
-        try:
-            return run_single(config, n, domain, case, bc)
+            row = run_single(config, n, domain, case, bc)
         except UelError as exc:
             raise UelError(
                 f"{config.scheme}/{config.domain} (bc={config.bc}, N={n}): {exc}"
             ) from exc
-
-    if workers > 1 and len(config.grids) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(job, config.grids))
-    else:
-        rows = [job(n) for n in config.grids]
-
-    report = ConvergenceReport()
-    for row in rows:
         report.add(row)
 
     if config.fmt in ("csv", "both"):

@@ -158,15 +158,22 @@ def ghost_rows(projections, p, grid, domain, phi_node):
 
 @dataclass
 class FdSystem:
-    """Assembled ghost-point system A u = f over the active nodes."""
+    """Assembled ghost-point system A u = f over the active nodes; ghosts
+    holds one GhostProjections row per ghost row, extended ghosts last."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     nodes: np.ndarray          # (M, 2) active node indices, row order
     index: np.ndarray          # (N+1, N+1) row index per node, -1 if inactive
-    projections: dict          # ghost node -> BoundaryProjection
+    ghosts: GhostProjections
     classification: object
     grid: object
+
+    @property
+    def projections(self):
+        """The ghosts as {ghost node: BoundaryProjection}, built anew on each
+        access for the tracing harness and tools/census.py."""
+        return {q.ghost: q for q in self.ghosts.views()}
 
 
 def _extended_projections(nodes, domain, grid, tol_factor, active, p):
@@ -336,8 +343,7 @@ def assemble_fd(grid, domain, case, bc, p=2, tol_factor=1e-4):
         (np.concatenate(vals_parts),
          (np.concatenate(rows_parts), np.concatenate(cols_parts))),
         shape=(n_rows, n_rows)).tocsr()
-    projections = {q.ghost: q for q in ghosts.views()}
-    return FdSystem(matrix, rhs, nodes, index, projections, cls, grid)
+    return FdSystem(matrix, rhs, nodes, index, ghosts, cls, grid)
 
 
 def fd_gradient(system, u):

@@ -1,5 +1,6 @@
-"""Sparse direct and Krylov solvers with Jacobi/SSOR preconditioning, plus a
-2-norm condition-number estimator (power iteration on A^T A).
+"""Sparse LU and conjugate-gradient solvers (CG with Jacobi/SSOR
+preconditioning), plus a 2-norm condition-number estimator (power iteration
+on A^T A).
 
 Every general LU goes through ``_factor``: SuperLU with the minimum-degree
 ordering of A^T + A, symmetric mode and no pivoting (the ghost-point and
@@ -25,8 +26,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConfigurationError, SolverError
-
-DIRECT_FALLBACK_SIZE = 200_000
 
 # About 500x the worst refined residual of the no-pivot factor on the FD and
 # FEM systems; a larger one means a tiny pivot blew up the factor.
@@ -74,7 +73,7 @@ class LUFactor:
 class SolveReport:
     """Outcome of one linear solve; final_residual is the recomputed relative
     2-norm residual ||Ax - b|| / ||b||.  factor is the LU a direct solve
-    used (None for CG and BiCGSTAB), for estimate_cond2 to reuse."""
+    used (None for CG), for estimate_cond2 to reuse."""
 
     method: str
     iterations: int
@@ -284,42 +283,10 @@ def solve_cg(A, b, preconditioner="none", tol=1e-12, maxit=10000, omega=1.5):
                           time.perf_counter() - t0)
 
 
-def solve_nonsymmetric(A, b, tol=1e-12, maxit=10000):
-    """Solver for general (ghost-point) systems: sparse LU below
-    DIRECT_FALLBACK_SIZE rows, BiCGSTAB with an incomplete-LU preconditioner
-    above it, with a direct fallback on breakdown.
-
-    Returns (x, SolveReport).
-    """
-    A = sp.csr_matrix(A)
-    n = A.shape[0]
-    if n < DIRECT_FALLBACK_SIZE:
-        x, report = solve_direct(A, b)
-        report.note = _join_notes(f"direct fallback below n={DIRECT_FALLBACK_SIZE}",
-                                  report.note)
-        return x, report
-    t0 = time.perf_counter()
-    b = np.asarray(b, dtype=float)
-    try:
-        ilu = spla.spilu(sp.csc_matrix(A), drop_tol=1e-5, fill_factor=10.0)
-        M = spla.LinearOperator(A.shape, ilu.solve)
-        count = {"k": 0}
-
-        def cb(_):
-            count["k"] += 1
-
-        x, info = spla.bicgstab(A, b, rtol=tol, atol=0.0, maxiter=maxit, M=M,
-                                callback=cb)
-        if info != 0:
-            raise SolverError(f"BiCGSTAB did not converge (info={info})")
-        res = _true_residual(A, x, b)
-        return x, SolveReport("bicgstab+ilu", count["k"], res, res <= tol,
-                              time.perf_counter() - t0)
-    except (SolverError, RuntimeError) as exc:
-        x, report = solve_direct(A, b)
-        report.note = _join_notes(f"BiCGSTAB breakdown, direct fallback ({exc})",
-                                  report.note)
-        return x, report
+# Only the benchmark's tracing mirror imports this name.  Its third _solve
+# branch, the one that calls it, is unreachable now that parse_config
+# rejects solver=krylov; ROADMAP item 1 deletes both.
+solve_nonsymmetric = solve_direct
 
 
 @dataclass

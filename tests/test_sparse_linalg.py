@@ -11,8 +11,7 @@ from uel import (Grid, assemble_fd, assemble_fem, make_bc_spec, make_case,
                  make_domain)
 from uel.errors import ConfigurationError, SolverError
 from uel.sparse_linalg import (PANEL_SIZE, LUFactor, _factor, _ssor_apply,
-                               estimate_cond2, solve_cg, solve_direct,
-                               solve_nonsymmetric)
+                               estimate_cond2, solve_cg, solve_direct)
 
 
 def laplacian_1d(n, h):
@@ -70,10 +69,6 @@ def test_blown_up_pivot_falls_back_to_partial_pivoting_with_a_note():
     assert np.allclose(x, [2.0, 1.0], rtol=0.0, atol=1e-14)
     assert report.converged
     assert "fell back to COLAMD with partial pivoting" in report.note
-    # the small-n path of the general solver keeps both notes
-    _, report = solve_nonsymmetric(A, b)
-    assert report.note.startswith("direct fallback below n=")
-    assert "fell back to COLAMD" in report.note
     est = estimate_cond2(A)
     assert est.value == pytest.approx(1.0, rel=1e-12)
     assert est.converged and "fell back to COLAMD" in est.note
@@ -334,13 +329,13 @@ def test_preconditioner_ordering_on_fem_system():
 
 
 # ----------------------------------------------------------------------
-# nonsymmetric solver
+# direct solver on general matrices
 # ----------------------------------------------------------------------
 
 def test_nonsymmetric_agrees_with_cg_on_spd():
     A = sp.csr_matrix(random_spd(30, seed=5))
     b = np.ones(30)
-    x1, _ = solve_nonsymmetric(A, b)
+    x1, _ = solve_direct(A, b)
     x2, _ = solve_cg(A, b, "jacobi", tol=1e-14)
     assert np.allclose(x1, x2, atol=1e-8)
 
@@ -349,27 +344,11 @@ def test_nonsymmetric_permuted_identity():
     n = 6
     P = sp.csr_matrix(np.eye(n)[np.random.default_rng(0).permutation(n)])
     b = np.arange(1.0, n + 1.0)
-    x, report = solve_nonsymmetric(P, b)
+    x, report = solve_direct(P, b)
     assert np.allclose(P @ x, b, atol=1e-12)
-
-
-def test_nonsymmetric_on_fd_system():
-    _, system, _, _, _ = run_fd("circle", "paper_sin", "dirichlet", 80)
-    x, report = solve_nonsymmetric(system.matrix, system.rhs)
-    assert report.final_residual <= 1e-10
-
-
-def test_bicgstab_path_exercised(monkeypatch):
-    # force the Krylov branch by lowering the direct-fallback threshold
-    import uel.sparse_linalg as sl
-
-    monkeypatch.setattr(sl, "DIRECT_FALLBACK_SIZE", 1)
-    A = sp.csr_matrix(random_spd(60, seed=9))
-    b = np.ones(60)
-    x, report = solve_nonsymmetric(A, b, tol=1e-11)
-    assert report.method == "bicgstab+ilu"
-    assert report.final_residual <= 1e-11
-    assert report.converged
+    # SuperLU pivots off a zero diagonal even at diag_pivot_thresh=0, so the
+    # single-precision no-pivot factor stands and no fallback is noted
+    assert report.factor.dtype == np.float32 and report.note == ""
 
 
 # ----------------------------------------------------------------------
