@@ -138,7 +138,7 @@ class ReportRow:
     err_u_linf_nodal: float = None
     cond2_lower_bound: bool = None   # None when cond2 was not estimated
     solver_note: str = ""
-    cond2_note: str = ""             # the estimate's LU fallback or cap note
+    cond2_note: str = ""             # the estimate's LU fallback or lower-bound note
 
 
 @dataclass

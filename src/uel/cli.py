@@ -208,12 +208,6 @@ def _solve(config, matrix, rhs):
     return u, report
 
 
-def _want_cond(config, n):
-    if config.force_cond:
-        return True
-    return config.compute_cond and n <= COND_N_CAP
-
-
 def run_single(config, n, domain, case, bc):
     """One grid of the sweep; returns a ReportRow."""
     grid = Grid(n)
@@ -256,7 +250,7 @@ def run_single(config, n, domain, case, bc):
 
     cond2 = cond2_lower_bound = None
     cond2_note = ""
-    if _want_cond(config, n):
+    if config.force_cond or (config.compute_cond and n <= COND_N_CAP):
         # a direct solve's LU serves the estimate too (report.factor is None
         # after CG)
         estimate = estimate_cond2(system.matrix, factor=report.factor)
@@ -280,8 +274,11 @@ def run(config):
     """Run the configured grid sweep and write the report files.
 
     Returns the ConvergenceReport.  The grids run one after another, in
-    the order given (increasing N).
+    the order given (increasing N); an unknown solver fails before them.
     """
+    if config.solver not in SOLVERS:
+        raise ConfigurationError(f"unknown solver {config.solver!r}: use direct, "
+                                 "or cg for the fem scheme")
     domain = make_domain(config.domain)
     case = make_case(config.case)
     bc = make_bc_spec(config.domain, config.bc)

