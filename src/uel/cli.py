@@ -217,9 +217,23 @@ def run_single(config, n, domain, case, bc):
     if config.scheme == "fd":
         system = assemble_fd(grid, domain, case, bc, p=config.p,
                              tol_factor=config.tol_factor)
-        assemble_s = time.perf_counter() - t0
-        u, report = _solve(config, system.matrix, system.rhs)
+    else:
+        system = assemble_fem(grid, domain, case, bc, alpha=config.alpha)
+    assemble_s = time.perf_counter() - t0
+    u, report = _solve(config, system.matrix, system.rhs)
 
+    cond2 = cond2_lower_bound = None
+    cond2_note = ""
+    if config.force_cond or (config.compute_cond and n <= COND_N_CAP):
+        # a direct solve's LU serves the estimate too (report.factor is None
+        # after CG)
+        estimate = estimate_cond2(system.matrix, factor=report.factor)
+        cond2, cond2_lower_bound = estimate.value, not estimate.converged
+        cond2_note = estimate.note
+    # the LU is not needed past this point: free it before post-processing
+    report.factor = None
+
+    if config.scheme == "fd":
         role = system.classification.node_role
         ii, jj = np.nonzero(role == NODE_INTERIOR)
         u_h = u[system.index[ii, jj]]
@@ -233,10 +247,6 @@ def run_single(config, n, domain, case, bc):
         err_g = tuple(relative_error(grads, g_ex, b, wg) for b in (1, 2, "inf"))
         nodal_linf = err_u[2]
     else:
-        system = assemble_fem(grid, domain, case, bc, alpha=config.alpha)
-        assemble_s = time.perf_counter() - t0
-        u, report = _solve(config, system.matrix, system.rhs)
-
         pts, w, u_h = solution_samples(system, u)
         u_ex = case.u(pts[:, 0], pts[:, 1])
         err_u = tuple(relative_error(u_h, u_ex, b, w) for b in (1, 2, "inf"))
@@ -247,15 +257,6 @@ def run_single(config, n, domain, case, bc):
         nodes, vals = nodal_interior_values(system, u)
         nodal_linf = relative_error(vals, case.u(xs[nodes[:, 0]], xs[nodes[:, 1]]),
                                     "inf")
-
-    cond2 = cond2_lower_bound = None
-    cond2_note = ""
-    if config.force_cond or (config.compute_cond and n <= COND_N_CAP):
-        # a direct solve's LU serves the estimate too (report.factor is None
-        # after CG)
-        estimate = estimate_cond2(system.matrix, factor=report.factor)
-        cond2, cond2_lower_bound = estimate.value, not estimate.converged
-        cond2_note = estimate.note
 
     return ReportRow(
         scheme=config.scheme, domain=config.domain, bc=config.bc,

@@ -164,7 +164,7 @@ class FdSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
     nodes: np.ndarray          # (M, 2) active node indices, row order
-    index: np.ndarray          # (N+1, N+1) row index per node, -1 if inactive
+    index: np.ndarray          # (N+1, N+1) int32 row per node, -1 if inactive
     ghosts: GhostProjections
     classification: object
     grid: object
@@ -223,6 +223,14 @@ def _extended_projections(nodes, domain, grid, tol_factor, active, p):
     signs = np.where(diag, ed, e).astype(int)
     return GhostProjections(nodes, point, np.where(diagonal, td, t), normal, theta, signs,
                             np.ones_like(diagonal), np.ones_like(signs), diagonal)
+
+
+def _concatenate_and_clear(parts):
+    """np.concatenate(parts), emptying the list so that the parts it held
+    alone are freed."""
+    whole = np.concatenate(parts)
+    parts.clear()
+    return whole
 
 
 def assemble_fd(grid, domain, case, bc, p=2, tol_factor=1e-4):
@@ -291,7 +299,9 @@ def assemble_fd(grid, domain, case, bc, p=2, tol_factor=1e-4):
 
     nodes = np.argwhere(active)
     n_rows = len(nodes)
-    index = np.full((n + 1, n + 1), -1, dtype=np.int64)
+    # int32, the CSR matrix's index type: the row and column gathers below
+    # come out int32, so a COO entry takes 16 bytes instead of 24
+    index = np.full((n + 1, n + 1), -1, dtype=np.int32)
     index[nodes[:, 0], nodes[:, 1]] = np.arange(n_rows)
 
     rows_parts, cols_parts, vals_parts = [], [], []
@@ -306,13 +316,12 @@ def assemble_fd(grid, domain, case, bc, p=2, tol_factor=1e-4):
     ic, jc = ii[~on_frame], jj[~on_frame]
     if len(ic):
         r = index[ic, jc]
-        neighbor_cols = np.stack([index[ic, jc], index[ic + 1, jc], index[ic - 1, jc],
-                                  index[ic, jc + 1], index[ic, jc - 1]])
-        if neighbor_cols.min() < 0:
+        cols_parts.append(np.concatenate([r, index[ic + 1, jc], index[ic - 1, jc],
+                                          index[ic, jc + 1], index[ic, jc - 1]]))
+        if cols_parts[-1].min() < 0:
             raise AssemblyError("interior node with an inactive neighbor; "
                                 "classification invariant violated")
         rows_parts.append(np.tile(r, 5))
-        cols_parts.append(neighbor_cols.ravel())
         stamp = np.array([4.0, -1.0, -1.0, -1.0, -1.0]) * inv_h2
         vals_parts.append(np.repeat(stamp, len(ic)))
         rhs[r] = case.f(xs[ic], xs[jc])
@@ -339,10 +348,9 @@ def assemble_fd(grid, domain, case, bc, p=2, tol_factor=1e-4):
     ux, uy = case.grad_u(point[~value, 0], point[~value, 1])
     rhs[r[~value]] = ux * normal[~value, 0] + uy * normal[~value, 1]
 
-    matrix = sp.coo_matrix(
-        (np.concatenate(vals_parts),
-         (np.concatenate(rows_parts), np.concatenate(cols_parts))),
-        shape=(n_rows, n_rows)).tocsr()
+    rows, cols, vals = (_concatenate_and_clear(parts)
+                        for parts in (rows_parts, cols_parts, vals_parts))
+    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n_rows, n_rows)).tocsr()
     return FdSystem(matrix, rhs, nodes, index, ghosts, cls, grid)
 
 

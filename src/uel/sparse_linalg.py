@@ -2,20 +2,23 @@
 preconditioning), plus a 2-norm condition-number estimator (ARPACK Lanczos
 on A^T A and on its inverse).
 
-Every general LU goes through ``_factor``: SuperLU with the minimum-degree
-ordering of A^T + A, symmetric mode and no pivoting (the ghost-point and
-Nitsche matrices are nearly structurally symmetric, so this keeps the fill
-at about half of COLAMD's) and panels of ``PANEL_SIZE`` columns.  The
-factor is made in single precision when every stored value of A is a
-normal float32, and its solve is refined against the float64 A
-(mixed-precision iterative refinement), so the answer has double-precision
-accuracy from a factor whose values take half the memory.  A factor whose
-refined solve is non-finite or leaves a relative residual above
-``_REFINED_RESIDUAL_MAX`` is discarded for the next one: the same factor in
-double precision, then COLAMD with partial pivoting; the factor's note
-names each one rejected.  ``solve_direct`` hands its factor on in
-``SolveReport.factor``, and ``estimate_cond2`` takes it instead of
-factoring A again.
+Every general LU goes through ``_factor``.  It takes A as canonical CSR
+and hands SuperLU, which reads compressed columns, the CSC reading of A's
+arrays: that is A^T, so the factor copies nothing of A, and ``LUFactor``
+solves with A through SuperLU's transposed solve.  The factor uses the
+minimum-degree ordering of A^T + A, symmetric mode and no pivoting (the
+ghost-point and Nitsche matrices are nearly structurally symmetric, so
+this keeps the fill at about half of COLAMD's) and panels of
+``PANEL_SIZE`` columns.  The factor is made in single precision when
+every stored value of A is a normal float32, and its solve is refined
+against the float64 A (mixed-precision iterative refinement), so the
+answer has double-precision accuracy from a factor whose values take half
+the memory.  A factor whose refined solve is non-finite or leaves a
+relative residual above ``_REFINED_RESIDUAL_MAX`` is discarded for the
+next one: the same factor in double precision, then COLAMD with partial
+pivoting; the factor's note names each one rejected.  ``solve_direct``
+hands its factor on in ``SolveReport.factor``, and ``estimate_cond2``
+takes it instead of factoring A again.
 """
 
 import time
@@ -38,9 +41,10 @@ _REFINE_STEPS_MAX = 10
 
 # SuperLU's panel width (its default is 20).  On the benchmark's FD and FEM
 # matrices, 2, 4 and 6 factor in about the same time, 8 is slower and 20
-# slowest, all with the same fill: FD circle N=640 takes 1.57 s and 241 MiB
-# against 1.89 s and 291 MiB in double precision (tools/lu_panel.py,
-# 2 vCPUs, one BLAS thread).
+# slowest, all with the same fill: at FD circle N=640, _factor takes 0.92 s
+# and 190 MiB with panels of 4 and 1.30 s and 228 MiB with 20, and one
+# float64 splu 1.41 s and 241 MiB (tools/lu_panel.py, 2 vCPUs, one BLAS
+# thread).
 PANEL_SIZE = 4
 
 _NO_PIVOT = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
@@ -48,10 +52,15 @@ _NO_PIVOT = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
 
 _SINGLE = np.finfo(np.float32)
 
+# LUFactor holds a factor of A^T, so a solve with A is SuperLU's transposed one
+_FLIP = {"N": "T", "T": "N"}
+
 
 @dataclass
 class LUFactor:
-    """A SuperLU factor of A in precision dtype (float32 or float64).
+    """A SuperLU factor of A^T, from the CSC reading of A's CSR arrays, in
+    precision dtype (float32 or float64); solve flips trans, so that it
+    solves with A.
 
     note names the factors rejected before this one and is empty for the
     first one tried; refinements counts the refinement steps of the solve
@@ -63,10 +72,10 @@ class LUFactor:
     refinements: int = 0
 
     def solve(self, r, trans="N"):
-        """LU^-1 r (LU^-T r for trans="T") as float64; a single-precision
+        """A^-1 r (A^-T r for trans="T") as float64; a single-precision
         factor solves r rounded to float32."""
         return np.asarray(self.lu.solve(r.astype(self.dtype, copy=False),
-                                        trans=trans), dtype=float)
+                                        trans=_FLIP[trans]), dtype=float)
 
 
 @dataclass
@@ -134,19 +143,25 @@ def _refined_solve(A, b, factor):
 def _factor(A, b):
     """Sparse LU of A checked on the solve of A x = b.
 
-    Tries, in order: the no-pivot MMD factor of A rounded to float32 (only
-    when every stored value of A is zero or a normal float32), the same
-    factor in float64, and COLAMD with partial pivoting.  Each factor's
-    solve is refined against the float64 A (_refined_solve), and a factor
-    is kept when its refined relative residual is finite and at most
-    _REFINED_RESIDUAL_MAX; the last one is kept whatever its residual.
-    The kept factor's note names each factor rejected before it and why.
+    A is taken as canonical CSR, and SuperLU factors the CSC reading of its
+    arrays, which is A^T: the float32 attempt shares A's indices and
+    indptr, the float64 attempt copies nothing, and LUFactor.solve flips
+    trans to solve with A.  Tries, in order: the no-pivot MMD factor of A^T
+    rounded to float32 (only when every stored value of A is zero or a
+    normal float32), the same factor in float64, and COLAMD with partial
+    pivoting.  Each factor's solve is refined against the float64 CSR A
+    (_refined_solve), and a factor is kept when its refined relative
+    residual is finite and at most _REFINED_RESIDUAL_MAX; the last one is
+    kept whatever its residual.  The kept factor's note names each factor
+    rejected before it and why.
 
     Returns (LUFactor, x, residual), residual being the relative residual
     of x.  Raises SolverError when the COLAMD factor is singular too.
     """
-    A = sp.csc_matrix(A)
-    A.sum_duplicates()
+    A = sp.csr_matrix(A)
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
     b = np.asarray(b, dtype=float)
     attempts = [("double-precision no-pivot MMD factor", np.float64, _NO_PIVOT),
                 ("COLAMD with partial pivoting", np.float64, {})]
@@ -156,12 +171,10 @@ def _factor(A, b):
     rejected = []
     for name, dtype, options in attempts:
         last = name == attempts[-1][0]
-        # a float32 copy shares A's canonical index arrays (4.5 MiB less
-        # peak memory at FD circle N=640 than astype's copy)
-        M = A if dtype == A.dtype else sp.csc_matrix(
-            (A.data.astype(dtype), A.indices, A.indptr), shape=A.shape)
         try:
-            lu = spla.splu(M, panel_size=PANEL_SIZE, **options)
+            lu = spla.splu(sp.csc_matrix((A.data.astype(dtype, copy=False),
+                                          A.indices, A.indptr), shape=A.shape),
+                           panel_size=PANEL_SIZE, **options)
         except RuntimeError as exc:
             if last:
                 raise SolverError(f"sparse LU factorization failed: {exc}") from exc
@@ -179,13 +192,14 @@ def _factor(A, b):
 def solve_direct(A, b):
     """Sparse LU solve.
 
-    _factor factors A with the MMD ordering of A^T + A, no pivoting and
-    panels of PANEL_SIZE columns, in single precision when A's values fit,
-    and refines the solve against A until a step no longer halves the
-    relative residual.  If that factor fails or its refined residual is
-    above 1e-8, the next factor is tried (double precision, then COLAMD
-    with partial pivoting) and report.note names the fallback.
-    report.iterations counts the factor's solves (1 + refinement steps).
+    _factor factors A^T, read from A's CSR arrays without a copy, with the
+    MMD ordering of A^T + A, no pivoting and panels of PANEL_SIZE columns,
+    in single precision when A's values fit, and refines the solve against
+    A until a step no longer halves the relative residual.  If that factor
+    fails or its refined residual is above 1e-8, the next factor is tried
+    (double precision, then COLAMD with partial pivoting) and report.note
+    names the fallback.  report.iterations counts the factor's solves
+    (1 + refinement steps).
     report.factor is the factor used; pass it to estimate_cond2 to
     estimate cond_2(A) without a second LU.
 

@@ -1,5 +1,7 @@
 """Shared helpers for the uel test suite."""
 
+import tracemalloc
+
 import numpy as np
 from hypothesis import strategies as st
 
@@ -40,6 +42,25 @@ def omega_h_area(classification, band):
     n_full = (np.count_nonzero(role == CELL_INSIDE)
               - np.count_nonzero(role[band.cells[:, 0], band.cells[:, 1]] == CELL_INSIDE))
     return sum(band.area.tolist()) + n_full * classification.grid.h ** 2
+
+
+def traced_peak(call):
+    """(call(), peak): peak is the most memory tracemalloc traced during
+    call, above what it traced at the start.  call runs once untraced
+    first, so lazy imports and caches do not count."""
+    call()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def csr_bytes(A):
+    """Bytes of a CSR matrix's data, indices and indptr arrays."""
+    return A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
 
 
 def run_fd(domain_name, case_name, bc_kind, n, p=2, tol_factor=1e-4):

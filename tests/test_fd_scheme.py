@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ELLIPSES, ellipse_domain, fd_errors, full_square_domain, run_fd
+from conftest import (ELLIPSES, csr_bytes, ellipse_domain, fd_errors, full_square_domain,
+                      run_fd, traced_peak)
 from uel import (Grid, assemble_fd, make_bc_spec, make_case, make_domain,
                  relative_error, solve_direct)
 from uel.analysis import fitted_order
@@ -353,6 +354,17 @@ def test_assemble_circle_n4_size():
     assert system.matrix.shape == (21, 21)
     assert np.count_nonzero(system.classification.node_role == NODE_INTERIOR) == 9
     assert len(system.projections) == 12
+
+
+def test_assembly_peak_memory_is_a_small_multiple_of_the_matrix():
+    # int32 COO parts, each list freed once concatenated: circle, mixed BC,
+    # p=2, N=160 peaks at 3.8x the CSR matrix's bytes (6.1x with int64 parts
+    # concatenated while all alive)
+    args = (Grid(160), make_domain("circle"), make_case("paper_sin"),
+            make_bc_spec("circle", "mixed"))
+    system, peak = traced_peak(lambda: assemble_fd(*args, p=2))
+    assert system.index.dtype == system.matrix.indices.dtype == np.int32
+    assert peak <= 4.5 * csr_bytes(system.matrix)
 
 
 def test_full_square_recovers_classical_five_point():

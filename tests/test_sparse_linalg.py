@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import solve_triangular
 
-from conftest import jacobi_eigenvalues, run_fd, run_fem
+from conftest import csr_bytes, jacobi_eigenvalues, run_fd, run_fem, traced_peak
 from uel import (Grid, assemble_fd, assemble_fem, make_bc_spec, make_case,
                  make_domain, sparse_linalg)
 from uel.errors import ConfigurationError, SolverError
@@ -59,18 +59,19 @@ def test_direct_singular_raises():
 
 
 def test_blown_up_pivot_falls_back_to_partial_pivoting_with_a_note():
-    A = sp.csr_matrix(np.array([[1e-300, 1.0], [1.0, 1e-300]]))
-    b = np.array([1.0, 2.0])
-    # the premise: without pivoting the 1e-300 pivot wrecks the solve
-    raw = spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
-                    diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-    assert not abs(raw.solve(b)[1]) < 1e200
+    A = sp.csr_matrix(np.array([[1e-300, 1.0, 2.0], [1.0, 1e-300, 3.0],
+                                [2.0, 1.0, 1e-300]]))
+    b = np.array([1.0, 2.0, 3.0])
+    # the premise: _factor's no-pivot factor (of the CSC reading of A's CSR
+    # arrays, A^T) is wrecked by the 1e-300 pivot
+    raw = LUFactor(spla.splu(A.T, panel_size=PANEL_SIZE, **sparse_linalg._NO_PIVOT))
+    assert not np.abs(raw.solve(b)).max() < 1e200
     x, report = solve_direct(A, b)
-    assert np.allclose(x, [2.0, 1.0], rtol=0.0, atol=1e-14)
+    assert np.allclose(x, [1.25, 0.5, 0.25], rtol=0.0, atol=1e-14)
     assert report.converged
     assert "fell back to COLAMD with partial pivoting" in report.note
     est = estimate_cond2(A)
-    assert est.value == pytest.approx(1.0, rel=1e-12)
+    assert est.value == pytest.approx(np.linalg.cond(A.toarray()), rel=1e-12)
     assert est.converged and "fell back to COLAMD" in est.note
 
 
@@ -113,19 +114,52 @@ def test_factor_fill_is_below_colamd():
     assert factor.lu.L.nnz + factor.lu.U.nnz < colamd.L.nnz + colamd.U.nnz
 
 
+def test_factor_copies_no_full_matrix():
+    # SuperLU reads A's CSR arrays as A^T, so _factor's traced peak (the
+    # float32 values and the refinement vectors) stays below the CSR
+    # matrix's bytes: 0.91x at circle, mixed BC, p=2, N=160 (1.93x with a
+    # float64 CSC copy of A)
+    system = fd_system("circle", "mixed", 2, 160)
+    (factor, _, _), peak = traced_peak(lambda: _factor(system.matrix, system.rhs))
+    assert factor.dtype == np.float32 and factor.note == ""
+    assert peak <= 1.0 * csr_bytes(system.matrix)
+
+
+@pytest.mark.parametrize("kind", ("float32 MMD", "float64 MMD", "COLAMD"))
+def test_factor_solves_with_a_and_its_transpose(kind, monkeypatch):
+    # the factor is of A^T; solve flips trans so that solve(b) is A^-1 b
+    # and solve(b, "T") is A^-T b on a nonsymmetric FD matrix, whichever
+    # factor was kept (the wrong one is 0.9 to 2.7 off)
+    system = fd_system("circle", "mixed", 2, 40)
+    A, b = system.matrix, system.rhs
+    assert abs(A - A.T).max() > 100.0
+    if kind == "float64 MMD":
+        A = A * 1e40      # values beyond float32
+    if kind == "COLAMD":  # reject both no-pivot factors
+        monkeypatch.setattr(sparse_linalg, "_REFINED_RESIDUAL_MAX", -1.0)
+    factor = _factor(A, b)[0]
+    assert (factor.dtype == np.float32) == (kind == "float32 MMD")
+    assert ("fell back to COLAMD" in factor.note) == (kind == "COLAMD")
+    tol = 1e-4 if factor.dtype == np.float32 else 1e-12
+    for trans, M in (("N", A), ("T", A.T)):
+        x = factor.solve(b, trans)
+        assert np.linalg.norm(M @ x - b) <= tol * np.linalg.norm(b), trans
+
+
 @pytest.mark.parametrize("domain", ("circle", "leaf", "flower", "hourglass"))
 @pytest.mark.parametrize("bc_kind", ("dirichlet", "mixed"))
 def test_no_pivot_factor_is_kept_with_narrow_panels(domain, bc_kind):
     # PANEL_SIZE changes the time of the factor, not its fill or its
     # acceptance, on every FD and FEM system; the fill is compared at the
-    # factor's own precision (leaf Dirichlet FD N=40 stores 10,497 entries
-    # in float32 and 10,498 in float64: one exact cancellation)
+    # factor's own precision (leaf Dirichlet FD N=40 stores 10,457 entries
+    # in float32 and 10,458 in float64: one exact cancellation)
     for A, b in paper_systems(domain, bc_kind, 40):
         factor, x, res = _factor(A, b)
         assert factor.note == ""
         assert res <= 1e-10
         assert res == np.linalg.norm(b - A @ x) / np.linalg.norm(b)
-        default = spla.splu(sp.csc_matrix(A).astype(factor.dtype),
+        # SuperLU's default panels on the same A^T input as _factor
+        default = spla.splu(A.T.astype(factor.dtype),
                             permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                             options={"SymmetricMode": True})
         assert factor.lu.L.nnz + factor.lu.U.nnz == default.L.nnz + default.U.nnz
@@ -135,7 +169,7 @@ def test_no_pivot_factor_is_kept_with_narrow_panels(domain, bc_kind):
 @pytest.mark.parametrize("bc_kind", ("dirichlet", "mixed"))
 def test_paper_systems_factor_in_single_precision(domain, bc_kind):
     # the float32 factor, refined against the float64 A, reaches the
-    # double-precision answer (measured: at most 4e-13 from splu's)
+    # double-precision answer (measured: at most 1.2e-12 from splu's)
     for A, b in paper_systems(domain, bc_kind, 40):
         factor, x, res = _factor(A, b)
         assert factor.dtype == np.float32 and factor.lu.L.dtype == np.float32
@@ -209,7 +243,7 @@ def test_fits_single_checks_every_block():
 @pytest.mark.parametrize("scheme", ("fd", "fem"))
 @pytest.mark.parametrize("n", (80, 160))
 def test_cond2_with_single_factor_matches_double_factor(scheme, n):
-    # one refinement step per inverse-operator solve (measured: at most 4.5e-7)
+    # one refinement step per inverse-operator solve (measured: at most 2.3e-8)
     args = (Grid(n), make_domain("flower"), make_case("paper_sin"),
             make_bc_spec("flower", "mixed"))
     if scheme == "fd":
@@ -218,7 +252,8 @@ def test_cond2_with_single_factor_matches_double_factor(scheme, n):
         A = assemble_fem(*args, alpha=1.5).matrix
     factor = _factor(A, A @ np.ones(A.shape[0]))[0]
     assert factor.dtype == np.float32
-    double = LUFactor(spla.splu(sp.csc_matrix(A), panel_size=PANEL_SIZE,
+    # a double-precision factor of the same A^T input as _factor's
+    double = LUFactor(spla.splu(A.T, panel_size=PANEL_SIZE,
                                 permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                                 options={"SymmetricMode": True}))
     single = estimate_cond2(A, factor=factor)

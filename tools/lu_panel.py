@@ -9,7 +9,8 @@ Each (matrix, panel size) sample is `sparse_linalg._factor` with
 `PANEL_SIZE` set to the candidate, run in a fresh interpreter with
 single-threaded BLAS, so its `ru_maxrss` is the peak of that one factor.
 Each matrix also gets a baseline sample: one float64 no-pivot MMD `splu`
-with panels of `PANEL_SIZE`, without a solve.
+with panels of `PANEL_SIZE` of A^T, the CSC reading of A's CSR arrays that
+`_factor` factors, without a solve.
 Linux carries a parent's peak RSS into the children it starts, so the
 driving interpreter imports neither numpy nor `uel`: the assembly runs in
 a child too.
@@ -38,7 +39,8 @@ SYSTEMS = ([("fd", "circle", 2, n) for n in (160, 320, 640)]
 
 
 def save_system(index, path):
-    """Assemble SYSTEMS[index] and save A (CSC) and b under path."""
+    """Assemble SYSTEMS[index] and save A (the CSR matrix uel solves with)
+    and b under path."""
     import numpy as np
     import scipy.sparse as sp
     from uel import Grid, assemble_fd, assemble_fem, make_bc_spec, make_case, make_domain
@@ -49,13 +51,14 @@ def save_system(index, path):
         system = assemble_fd(*args, p=order)
     else:
         system = assemble_fem(*args, alpha=order)
-    sp.save_npz(path + ".npz", sp.csc_matrix(system.matrix))
+    sp.save_npz(path + ".npz", system.matrix)
     np.save(path + ".npy", system.rhs)
 
 
 def factor_once(path, panel):
     """One sample: load the system, factor it, print a JSON line.  panel
-    "f64" is the baseline: a float64 no-pivot MMD splu with PANEL_SIZE."""
+    "f64" is the baseline: a float64 no-pivot MMD splu of A^T with
+    PANEL_SIZE."""
     import numpy as np
     import scipy.sparse as sp
     from uel import sparse_linalg
@@ -63,7 +66,7 @@ def factor_once(path, panel):
     b = np.load(path + ".npy")
     t0 = time.perf_counter()
     if panel == "f64":
-        lu = sparse_linalg.spla.splu(A, panel_size=sparse_linalg.PANEL_SIZE,
+        lu = sparse_linalg.spla.splu(A.T, panel_size=sparse_linalg.PANEL_SIZE,
                                      **sparse_linalg._NO_PIVOT)
         factor = sparse_linalg.LUFactor(lu)
     else:
