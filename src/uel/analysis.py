@@ -64,35 +64,52 @@ def relative_error(f_h, f_exa, beta, weights=None):
     Scalar fields are 1D arrays; vector fields are (m, 2) arrays measured
     through the pointwise Euclidean magnitude.  weights carry the region
     measure per sample (uniform when omitted); beta is 1, 2 or the string
-    "inf"/float("inf").
+    "inf"/float("inf").  The pointwise magnitudes and their weighted
+    products are formed in place, in at most two arrays of m samples.
     """
     f_h = np.asarray(f_h, dtype=float)
     f_exa = np.asarray(f_exa, dtype=float)
     if f_h.shape != f_exa.shape:
         raise AnalysisError("field shapes differ")
+    if beta not in (1, 2, "inf", math.inf):
+        raise ConfigurationError(f"beta must be 1, 2 or 'inf', got {beta!r}")
     if f_h.ndim == 2:
-        diff = np.hypot(f_h[:, 0] - f_exa[:, 0], f_h[:, 1] - f_exa[:, 1])
-        ref = np.hypot(f_exa[:, 0], f_exa[:, 1])
+        diff = np.subtract(f_h[:, 0], f_exa[:, 0])
+        np.hypot(diff, f_h[:, 1] - f_exa[:, 1], out=diff)
     else:
-        diff = np.abs(f_h - f_exa)
-        ref = np.abs(f_exa)
+        diff = np.subtract(f_h, f_exa)
+        np.abs(diff, out=diff)
+
+    def reference(out):
+        if f_exa.ndim == 2:
+            return np.hypot(f_exa[:, 0], f_exa[:, 1], out=out)
+        return np.abs(f_exa, out=out)
+
     if beta in ("inf", math.inf):
-        denom = ref.max(initial=0.0)
+        num = diff.max(initial=0.0)
+        denom = reference(diff).max(initial=0.0)
         if denom == 0.0:
             raise AnalysisError("zero reference norm; relative error undefined")
-        return float(diff.max(initial=0.0) / denom)
-    w = np.ones_like(diff) if weights is None else np.asarray(weights, dtype=float)
-    if beta == 1:
-        denom = float(np.sum(w * ref))
-        if denom == 0.0:
-            raise AnalysisError("zero reference norm; relative error undefined")
-        return float(np.sum(w * diff) / denom)
+        return float(num / denom)
+    w = None if weights is None else np.asarray(weights, dtype=float)
+    work = diff if beta == 1 or w is None else np.empty_like(diff)
+    num = _weighted_sum(w, diff, beta, work)
+    denom = _weighted_sum(w, reference(diff), beta, work)
     if beta == 2:
-        denom = math.sqrt(float(np.sum(w * ref * ref)))
-        if denom == 0.0:
-            raise AnalysisError("zero reference norm; relative error undefined")
-        return float(math.sqrt(float(np.sum(w * diff * diff))) / denom)
-    raise ConfigurationError(f"beta must be 1, 2 or 'inf', got {beta!r}")
+        num, denom = math.sqrt(num), math.sqrt(denom)
+    if denom == 0.0:
+        raise AnalysisError("zero reference norm; relative error undefined")
+    return float(num / denom)
+
+
+def _weighted_sum(w, x, beta, out):
+    """float(np.sum(w * x)) for beta 1, float(np.sum(w * x * x)) for beta 2,
+    the products formed in out (which may be x unless both w and beta 2 are
+    given); w None stands for unit weights, which leave x as it is."""
+    t = x if w is None else np.multiply(w, x, out=out)
+    if beta == 2:
+        t = np.multiply(t, x, out=out)
+    return float(np.sum(t))
 
 
 def observed_order(err_coarse, err_fine):

@@ -230,8 +230,9 @@ def run_single(config, n, domain, case, bc):
         estimate = estimate_cond2(system.matrix, factor=report.factor)
         cond2, cond2_lower_bound = estimate.value, not estimate.converged
         cond2_note = estimate.note
-    # the LU is not needed past this point: free it before post-processing
-    report.factor = None
+    # neither the LU nor the matrix is needed past this point: free both
+    # before post-processing
+    report.factor = system.matrix = None
 
     if config.scheme == "fd":
         role = system.classification.node_role
@@ -249,6 +250,7 @@ def run_single(config, n, domain, case, bc):
     else:
         pts, w, u_h = solution_samples(system, u)
         u_ex = case.u(pts[:, 0], pts[:, 1])
+        del pts
         err_u = tuple(relative_error(u_h, u_ex, b, w) for b in (1, 2, "inf"))
         gpts, wg, grads = fem_gradient(system, u)
         gx, gy = case.grad_u(gpts[:, 0], gpts[:, 1])

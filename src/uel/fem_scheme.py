@@ -169,7 +169,12 @@ class FemSystem:
     """Assembled penalized FEM system A u = F over the active nodes, with
     A = S - S_T + lam * P (stiffness, Nitsche terms S_T = D + D^T, and the
     Dirichlet mass P).  band is the BoundaryBand of extract_cut_cells; the
-    other inside cells exist only in classification.cell_role."""
+    other inside cells exist only in classification.cell_role.
+
+    Each entry of A carries the round-off of that three-matrix sum: the
+    stiffness summed over the inside cells, then over the cut cells in band
+    order, then S_T subtracted and lam * P added, with exact zeros dropped
+    (assemble_fem builds it in one pass)."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
@@ -192,6 +197,98 @@ REF_PTS = np.matmul(RULE.tri_bary, np.array([[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]
 REF_W = np.tile(RULE.tri_weights * 0.5, 2)
 REF_VALS, REF_GS, REF_GT = _hats(REF_PTS[:, 0], REF_PTS[:, 1])
 
+# The 9-point stencil of the full-cell stiffness: node offsets (di, dj) in
+# lexicographic order, so a node's columns come out sorted, and
+# STENCIL_SUMS[o, k], the S_FULL entry of offset o added up over k = 0..4
+# inside cells, one cell at a time.  That entry is S_FULL[0, |di| + |dj|]:
+# the same node, an edge neighbour or the node across a cell.
+STENCIL = [(di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1)]
+STENCIL_SUMS = np.zeros((9, 5))
+STENCIL_SUMS[:, 1:] = np.add.accumulate(
+    np.repeat(S_FULL[0, [abs(di) + abs(dj) for di, dj in STENCIL]][:, None], 4, axis=1),
+    axis=1)
+
+# Inside cells per block of the full-cell right-hand-side quadrature.
+RHS_BLOCK = 4096
+
+
+def _stencil_counts(inside, nodes):
+    """Number of inside cells (inside: (n, n) cell mask) shared by each of
+    the nodes (M, 2) and each of its STENCIL neighbours, (M, 9) uint8."""
+    n = inside.shape[0]
+    pad = np.zeros((n + 2, n + 2), dtype=np.uint8)
+    pad[1:-1, 1:-1] = inside
+    i, j = nodes[:, 0], nodes[:, 1]
+    # cell (i - 1 + a, j - 1 + b) at node (i, j)
+    corner = {(a, b): pad[i + a, j + b] for a in (0, 1) for b in (0, 1)}
+    sides = {-1: (0,), 0: (0, 1), 1: (1,)}
+    return np.stack([sum(corner[a, b] for a in sides[di] for b in sides[dj])
+                     for di, dj in STENCIL], axis=-1)
+
+
+def _block_entries(rows, blocks):
+    """COO (rows, cols, data) of 4x4 blocks (C, 4, 4) on corner rows (C, 4),
+    cell by cell, each block row by row."""
+    return (np.repeat(rows, 4, axis=1).ravel(), np.tile(rows, (1, 4)).ravel(),
+            blocks.ravel())
+
+
+def _csr(rows, blocks, n_rows):
+    """Sum of 4x4 blocks on corner rows as a canonical CSR matrix."""
+    r, c, d = _block_entries(rows, blocks)
+    return sp.coo_matrix((d, (r, c)), shape=(n_rows, n_rows)).tocsr()
+
+
+def _stiffness_and_band(index, nodes, inside, band_entries):
+    """A as canonical CSR: the full-cell stencil of every node, followed in
+    each (row, col) by the band entries (rows, cols, data), summed in their
+    given order; exact zeros are dropped.
+
+    The stencil entries come out sorted by (row, col), as the nodes are
+    numbered lexicographically; the few band entries are stably sorted and
+    slotted in behind them, so every row is in order and sum_duplicates
+    adds each entry's terms left to right."""
+    counts = _stencil_counts(inside, nodes)
+    keep = counts > 0
+    n1 = index.shape[0]
+    padded = np.full((n1 + 2, n1 + 2), -1, dtype=index.dtype)
+    padded[1:-1, 1:-1] = index
+    i, j = nodes[:, 0] + 1, nodes[:, 1] + 1
+    cols = np.stack([padded[i + di, j + dj] for di, dj in STENCIL], axis=-1)
+    del padded, i, j
+
+    rows_b, cols_b, data_b = (np.concatenate(part) for part in zip(*band_entries))
+    n_rows = len(nodes)
+    order = np.argsort(rows_b.astype(np.int64) * n_rows + cols_b, kind="stable")
+    rows_b, cols_b, data_b = rows_b[order], cols_b[order], data_b[order]
+    # each band entry goes behind the stencil entries of its row with
+    # col <= its col, and behind the band entries sorted before it
+    before = np.count_nonzero(keep[rows_b] & (cols[rows_b] <= cols_b[:, None]), axis=1)
+    row_len = np.count_nonzero(keep, axis=1)
+    start = np.cumsum(row_len) - row_len
+    slot = start[rows_b] + before + np.arange(len(rows_b))
+
+    indptr = np.zeros(n_rows + 1, dtype=np.int32)
+    np.cumsum(row_len + np.bincount(rows_b, minlength=n_rows), out=indptr[1:])
+    stencil = np.ones(indptr[-1], dtype=bool)
+    stencil[slot] = False
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    indices[stencil] = cols[keep]
+    indices[slot] = cols_b
+    del cols
+    # STENCIL_SUMS[o, k] sits at flat position 5 * o + k
+    counts += np.arange(0, 45, 5, dtype=np.uint8)
+    code = np.zeros(indptr[-1], dtype=np.uint8)
+    code[stencil] = counts[keep]
+    del counts, keep, stencil
+    data = STENCIL_SUMS.ravel()[code]
+    del code
+    data[slot] = data_b
+    A = sp.csr_matrix((data, indices, indptr), shape=(n_rows, n_rows))
+    A.sum_duplicates()
+    A.eliminate_zeros()
+    return A
+
 
 def assemble_fem(grid, domain, case, bc, alpha=2.0, classification=None):
     """Assemble the penalized nodal FEM system for a manufactured case.
@@ -201,6 +298,13 @@ def assemble_fem(grid, domain, case, bc, alpha=2.0, classification=None):
     lambda = h^(-alpha).  The band's fan triangles and boundary segments are
     integrated in one pass over arrays tagged with their owning cells; each
     cell's terms are summed in the order of its own triangles and segments.
+
+    The inside cells' closed-form stiffness enters as one 9-point stencil
+    entry per node and neighbour, STENCIL_SUMS giving the cell-by-cell sum
+    of the shared S_FULL entry.  The cut-cell blocks, the entries of
+    -(D + D^T) and those of lam * P follow it in one sorted array summed
+    left to right, which repeats the round-off of S - S_T + lam * P term by
+    term (x - y is x + (-y) exactly) and drops its exact zeros too.
 
     Parameters
     ----------
@@ -228,19 +332,24 @@ def assemble_fem(grid, domain, case, bc, alpha=2.0, classification=None):
     if n_rows == 0:
         raise ConfigurationError("empty active node set")
     n = grid.n
-    index = np.full((n + 1, n + 1), -1, dtype=np.int64)
+    index = np.full((n + 1, n + 1), -1, dtype=np.int32)
     index[nodes[:, 0], nodes[:, 1]] = np.arange(n_rows)
 
     rhs = np.zeros(n_rows)
 
-    # ---- full interior cells: closed-form matrices, reference quadrature ----
-    inside = np.argwhere(cls.cell_role == CELL_INSIDE)
-    g = _cell_rows(index, *inside.T)
-    if g.size and g.min() < 0:
-        raise AssemblyError("inactive node on an inside cell")
-    px, py = np.moveaxis(grid.xs[inside][:, None] + REF_PTS * h, -1, 0)
-    contrib = (_at(case.f(px, py), px) * REF_W[None, :]) @ REF_VALS * (h * h)
-    np.add.at(rhs, g.ravel(), contrib.ravel())
+    # ---- full interior cells: reference quadrature, block by block in
+    # cell order (the stiffness is the stencil below) ----
+    inside = cls.cell_role == CELL_INSIDE
+    cells = np.argwhere(inside)
+    for b in range(0, len(cells), RHS_BLOCK):
+        block = cells[b:b + RHS_BLOCK]
+        g = _cell_rows(index, *block.T)
+        if g.min() < 0:
+            raise AssemblyError("inactive node on an inside cell")
+        px, py = np.moveaxis(grid.xs[block][:, None] + REF_PTS * h, -1, 0)
+        contrib = (_at(case.f(px, py), px) * REF_W[None, :]) @ REF_VALS * (h * h)
+        np.add.at(rhs, g.ravel(), contrib.ravel())
+    del cells
 
     # ---- band cells, in key order: cut cells carry polygon quadrature,
     # every cell with boundary segments carries boundary terms ----
@@ -253,6 +362,7 @@ def assemble_fem(grid, domain, case, bc, alpha=2.0, classification=None):
     S_cut[band.area[cut] == h * h] = S_FULL
     f = _at(case.f(pts[..., 0], pts[..., 1]), pts[..., 0])
     tri_rhs = np.matmul((f * w)[:, None], vals)[:, 0]
+    del pts, w, vals, gx, gy, f
 
     P, D, bnd_rhs = _boundary_blocks(grid, bc, case, lam, band)
     seg_cells = np.unique(band.segment_owner)
@@ -263,21 +373,16 @@ def assemble_fem(grid, domain, case, bc, alpha=2.0, classification=None):
     np.add.at(rhs, band_rows[owner[order]].ravel(),
               np.concatenate([tri_rhs, bnd_rhs[seg_cells]])[order].ravel())
 
-    def build(blocks):
-        rows = np.concatenate([np.repeat(r, 4, axis=1).ravel() for r, _ in blocks])
-        cols = np.concatenate([np.tile(r, (1, 4)).ravel() for r, _ in blocks])
-        data = np.concatenate([local.ravel() for _, local in blocks])
-        return sp.coo_matrix((data, (rows, cols)), shape=(n_rows, n_rows)).tocsr()
-
-    S = build([(g, np.tile(S_FULL, (len(g), 1, 1))), (band_rows[cut], S_cut)])
-    P = build([(band_rows[seg_cells], P[seg_cells])])
-    D = build([(band_rows[seg_cells], D[seg_cells])])
+    P = _csr(band_rows[seg_cells], P[seg_cells], n_rows)
+    D = _csr(band_rows[seg_cells], D[seg_cells], n_rows)
     if P.count_nonzero() == 0:
         raise ConfigurationError(
             "no Dirichlet boundary found: pure-Neumann problems need a "
             "compatibility condition and are not supported")
     S_T = (D + D.T).tocsr()
-    A = (S - S_T + lam * P).tocsr()
+    band_entries = [_block_entries(band_rows[cut], S_cut)] + [
+        (m.row, m.col, m.data) for m in ((-S_T).tocoo(), (lam * P).tocoo())]
+    A = _stiffness_and_band(index, nodes, inside, band_entries)
     return FemSystem(A, rhs, nodes, index, cls, band, grid)
 
 
@@ -294,20 +399,36 @@ def _band_quadrature(band, classification, index):
             + _triangle_quadrature(classification.grid, band.triangles[on_cut], keys[owner]))
 
 
-def _omega_h_blocks(system, u):
-    """The volume quadrature of Omega_h as two blocks: the reference layout
-    on every inside cell, then the fan triangles of the band's cut cells in
-    key order.  Each block is (points, weights, uloc, vals, gx, gy): u at
-    the cell corners, (m, 4) per inside cell or (T, 1, 4) per triangle, and
-    the hats and their gradients at the points, (12, 4) or (T, 6, 4)."""
+def _omega_h_samples(system, u, gradient):
+    """The volume quadrature of Omega_h, filled into preallocated arrays:
+    the reference layout on every inside cell, then the fan triangles of
+    the band's cut cells in key order.  Returns the points (m, 2), the
+    weights (m,) and the fields (k, m) read from u at the points: its values
+    (k = 1), or its x- and y-derivatives (k = 2)."""
     h = system.grid.h
-    inside = np.argwhere(system.classification.cell_role == CELL_INSIDE)
     _, rows, _, owner, pts, w, vals, gx, gy = _band_quadrature(
         system.band, system.classification, system.index)
-    return [((system.grid.xs[inside][:, None] + REF_PTS * h).reshape(-1, 2),
-             np.tile(REF_W * h * h, len(inside)), u[_cell_rows(system.index, *inside.T)],
-             REF_VALS, REF_GS / h, REF_GT / h),
-            (pts.reshape(-1, 2), w.ravel(), u[rows[owner]][:, None], vals, gx, gy)]
+    bases = ((REF_GS / h, gx), (REF_GT / h, gy)) if gradient else ((REF_VALS, vals),)
+    del vals, gx, gy
+    u_tri = u[rows[owner]][:, None]
+    inside = np.argwhere(system.classification.cell_role == CELL_INSIDE)
+    u_in = u[_cell_rows(system.index, *inside.T)]
+    corners = system.grid.xs[inside][:, None]
+    del inside
+    n_in, n_tri = len(u_in), len(u_tri)
+    m_in, m = 12 * n_in, 12 * n_in + 6 * n_tri
+    points = np.empty((m, 2))
+    weights = np.empty(m)
+    fields = np.empty((len(bases), m))
+    points[m_in:] = pts.reshape(-1, 2)
+    weights[m_in:] = w.ravel()
+    del pts, w
+    np.add(corners, REF_PTS * h, out=points[:m_in].reshape(n_in, 12, 2))
+    weights[:m_in].reshape(n_in, 12)[...] = REF_W * h * h
+    for field, (ref, tri) in zip(fields, bases):
+        np.matmul(u_in, ref.T, out=field[:m_in].reshape(n_in, 12))
+        np.matmul(u_tri, np.swapaxes(tri, -1, -2), out=field[m_in:].reshape(n_tri, 1, 6))
+    return points, weights, fields
 
 
 def solution_samples(system, u):
@@ -316,9 +437,8 @@ def solution_samples(system, u):
 
     Returns (points, weights, values); the weights sum to area(Omega_h).
     """
-    pts, w, uloc, vals, _, _ = zip(*_omega_h_blocks(system, u))
-    return (np.vstack(pts), np.concatenate(w),
-            np.concatenate([(c @ np.swapaxes(v, -1, -2)).ravel() for c, v in zip(uloc, vals)]))
+    points, weights, fields = _omega_h_samples(system, u, gradient=False)
+    return points, weights, fields[0]
 
 
 def _eroded(mask, k):
@@ -368,10 +488,8 @@ def fem_gradient(system, u):
         pts = np.column_stack([xs[ci] + 0.5 * h, xs[cj] + 0.5 * h])
         return pts, np.full(len(core), h * h), np.column_stack([uloc @ gx, uloc @ gy])
 
-    pts, w, uloc, _, gx, gy = zip(*_omega_h_blocks(system, u))
-    grads = [np.column_stack([(c @ np.swapaxes(b, -1, -2)).ravel() for b in (bx, by)])
-             for c, bx, by in zip(uloc, gx, gy)]
-    return np.vstack(pts), np.concatenate(w), np.vstack(grads)
+    points, weights, fields = _omega_h_samples(system, u, gradient=True)
+    return points, weights, fields.T
 
 
 def nodal_interior_values(system, u):

@@ -115,6 +115,30 @@ def test_weights_enter_integral_norms():
     assert relative_error(f_h, f_exa, 1, w) == pytest.approx(0.75)
 
 
+@pytest.mark.parametrize("vector", [False, True])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_norms_match_the_textbook_expressions_bit_for_bit(vector, weighted):
+    rng = np.random.default_rng(11)
+    shape = (1001, 2) if vector else (1001,)
+    f_exa = rng.uniform(-1.0, 1.0, shape)
+    f_h = f_exa + rng.normal(0.0, 1e-3, shape)
+    w = rng.uniform(0.1, 1.0, 1001) if weighted else np.ones(1001)
+    if vector:
+        diff = np.hypot(f_h[:, 0] - f_exa[:, 0], f_h[:, 1] - f_exa[:, 1])
+        ref = np.hypot(f_exa[:, 0], f_exa[:, 1])
+    else:
+        diff, ref = np.abs(f_h - f_exa), np.abs(f_exa)
+    expected = {1: np.sum(w * diff) / np.sum(w * ref),
+                2: math.sqrt(np.sum(w * diff * diff)) / math.sqrt(np.sum(w * ref * ref)),
+                "inf": diff.max() / ref.max()}
+    expected[math.inf] = expected["inf"]
+    inputs = [a.copy() for a in (f_h, f_exa, w)]
+    for beta, value in expected.items():
+        assert relative_error(f_h, f_exa, beta, w if weighted else None) == float(value)
+    # the work happens in the function's own arrays
+    assert all(np.array_equal(a, b) for a, b in zip((f_h, f_exa, w), inputs))
+
+
 # ----------------------------------------------------------------------
 # orders
 # ----------------------------------------------------------------------
