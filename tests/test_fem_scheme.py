@@ -12,7 +12,7 @@ from uel import Grid, assemble_fem, make_bc_spec, make_case, make_domain
 from uel.analysis import fitted_order
 from uel.errors import ConfigurationError
 from uel.fem_scheme import (RULE, S_FULL, _boundary_blocks, _cell_basis,
-                            _stiffness_blocks, _triangle_quadrature,
+                            _eroded, _stiffness_blocks, _triangle_quadrature,
                             fem_gradient, solution_samples)
 from uel.geometry import (CELL_CUT, CELL_INSIDE, BCSpec, LevelSetDomain, _band,
                           classify, extract_cut_cells, snap_small_cells)
@@ -393,6 +393,21 @@ def test_cells_view_agrees_with_the_band(name, alpha):
 def nodal_fill(system, grid, func):
     return np.asarray(func(grid.xs[system.nodes[:, 0]],
                            grid.xs[system.nodes[:, 1]]), dtype=float)
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (4, 5), (5, 5), (7, 4), (16, 16), (33, 30)])
+@pytest.mark.parametrize("k", (1, 2, 3))
+@pytest.mark.parametrize("fill", (0.5, 0.9, 0.99, 1.0))
+def test_eroded_matches_the_window_definition(shape, k, fill):
+    # a cell survives when every cell of its (2k+1)^2 window is in the
+    # mask; windows reaching off the array never do (all of them when a
+    # side is shorter than 2k+1)
+    mask = np.random.default_rng(7).random(shape) < fill
+    n0, n1 = shape
+    expect = np.array([[i - k >= 0 and i + k < n0 and j - k >= 0 and j + k < n1
+                        and mask[i - k:i + k + 1, j - k:j + k + 1].all()
+                        for j in range(n1)] for i in range(n0)], dtype=bool)
+    assert np.array_equal(_eroded(mask, k), expect)
 
 
 def test_fem_gradient_linear_and_constant():

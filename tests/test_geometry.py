@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from uel.errors import ConfigurationError, GeometryError
 from uel.geometry import (CELL_CUT, CELL_INSIDE, CELL_OUTSIDE, CELL_SNAPPED,
                           NODE_GHOST, NODE_INACTIVE, NODE_INTERIOR,
                           LevelSetDomain, _band, _march, classify,
-                          extract_cut_cells, project_to_boundary,
-                          snap_small_cells)
+                          extract_cut_cells, project_ghosts,
+                          project_to_boundary, snap_small_cells)
 
 DOMAINS = ("circle", "leaf", "flower", "hourglass")
 
@@ -230,6 +231,33 @@ def test_projection_rejects_interior_node():
     grid = Grid(20)
     with pytest.raises(GeometryError):
         project_to_boundary((10, 10), make_domain("circle"), grid)
+
+
+def test_projection_errors_follow_node_order():
+    # Omega = {x > 0.55} on N=20: the column x = 0.5 is all ghosts.  phi is
+    # NaN at node A = (15, 5) and grad(phi) vanishes at node B = (15, 10);
+    # the error of whichever comes first in the node array is raised.
+    grid = Grid(20)
+    xa, ya = grid.node(15, 5)
+    xb, yb = grid.node(15, 10)
+
+    def phi(x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        return np.where((x == xa) & (y == ya), np.nan, x - 0.55)
+
+    def grad(x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        return np.where((x == xb) & (y == yb), 0.0, 1.0), np.zeros_like(y)
+
+    d = LevelSetDomain("slab", phi, grad)
+    vanishing = re.escape(f"vanishing level-set gradient at ({xb}, {yb})")
+    nonfinite = re.escape("phi is not finite along a projection ray from node (15, 5)")
+    with pytest.raises(GeometryError, match=vanishing):
+        project_ghosts([(15, 10)], d, grid)
+    with pytest.raises(GeometryError, match=vanishing):
+        project_ghosts([(15, 8), (15, 10), (15, 5)], d, grid)
+    with pytest.raises(GeometryError, match=nonfinite):
+        project_ghosts([(15, 8), (15, 5), (15, 10)], d, grid)
 
 
 @pytest.mark.parametrize("name", DOMAINS)
