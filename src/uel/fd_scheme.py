@@ -126,11 +126,7 @@ def ghost_rows(projections, p, grid, domain, phi_node):
          lambda g, k: "Neumann projections must not carry an enlarged stencil")
 
     neu = np.flatnonzero(~value)
-    if domain.is_circle:
-        bd = projections.point[neu] - np.array(domain.circle_center)
-        dp = -bd
-        norm = np.hypot(bd[:, 0], bd[:, 1])
-    else:
+    if not domain.is_circle:
         # the level-set gradient from the derivative stencil, summed in
         # stencil order (unused slots add exact zeros)
         phi = np.where(used, phi_node[np.clip(ii, 0, n), np.clip(jj, 0, n)], 0.0)[neu]
@@ -139,14 +135,15 @@ def ghost_rows(projections, p, grid, domain, phi_node):
             dpx = dpx + lpx[neu, s] * ly[neu, s] * phi[:, s]
             dpy = dpy + lx[neu, s] * lpy[neu, s] * phi[:, s]
         dp = np.column_stack([signs[neu, 0] * dpx, signs[neu, 1] * dpy])
-        norm = np.array([math.hypot(a, b) for a, b in dp])
+        norm = np.hypot(dp[:, 0], dp[:, 1])
         fail(neu[norm < 1e-14], GeometryError,
              lambda g, k: f"degenerate interpolated normal at ghost {g}")
     if errors:
         raise errors[min(errors)]
     normal = np.full((len(ghost), 2), np.nan)
     # phi grows inward, so the outward normal is the negated direction.
-    normal[neu] = -dp / norm[:, None]
+    normal[neu] = (domain.outward_normal(*projections.point[neu].T) if domain.is_circle
+                   else -dp / norm[:, None])
 
     coeff = np.where(diagonal[:, None], lx, lx * ly)
     nb, sx, sy = normal[neu], signs[neu, :1], signs[neu, 1:]

@@ -443,21 +443,12 @@ def solution_samples(system, u):
 
 def _eroded(mask, k):
     """Cells whose (2k+1)^2 neighborhood lies entirely in the mask
-    (out-of-range neighbors count as outside)."""
-    out = mask.copy()
+    (out-of-range neighbors count as outside): the window test runs over
+    rows, then over columns, of the mask padded with k empty cells."""
     n0, n1 = mask.shape
-    for di in range(-k, k + 1):
-        for dj in range(-k, k + 1):
-            if di == 0 and dj == 0:
-                continue
-            shifted = np.zeros_like(mask)
-            s0 = slice(max(0, di), min(n0, n0 + di))
-            d0 = slice(max(0, -di), min(n0, n0 - di))
-            s1 = slice(max(0, dj), min(n1, n1 + dj))
-            d1 = slice(max(0, -dj), min(n1, n1 - dj))
-            shifted[d0, d1] = mask[s0, s1]
-            out &= shifted
-    return out
+    padded = np.pad(mask, k)
+    rows = np.logical_and.reduce([padded[d:d + n0] for d in range(2 * k + 1)])
+    return np.logical_and.reduce([rows[:, d:d + n1] for d in range(2 * k + 1)])
 
 
 def fem_gradient(system, u):

@@ -57,30 +57,44 @@ class LevelSetDomain:
     def is_circle(self):
         return self.circle_center is not None
 
-    def gradient(self, x, y):
-        """Analytic gradient of phi at (x, y)."""
-        gx, gy = self.grad_phi(x, y)
-        return float(gx), float(gy)
+    def _normals(self, x, y):
+        """Outward unit normals at the points of the 1-D arrays x, y, as an
+        (m, 2) array that is zero where the normal is undefined, and the
+        mask of the points where it is defined."""
+        if self.is_circle:
+            d = np.column_stack([x - self.circle_center[0], y - self.circle_center[1]])
+        else:
+            d = -np.column_stack(self.grad_phi(x, y))
+        norm = np.hypot(d[:, 0], d[:, 1])
+        ok = norm != 0.0 if self.is_circle else ~(norm < 1e-14)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(ok[:, None], d / norm[:, None], 0.0), ok
+
+    def _undefined_normal(self, x, y):
+        """Why the normal at the point (x, y) is undefined."""
+        if self.is_circle:
+            return f"normal undefined at the center of circle {self.name!r}"
+        return f"vanishing level-set gradient at ({x}, {y}) on domain {self.name!r}"
 
     def outward_normal(self, x, y):
-        """Outward unit normal of Omega at (x, y).
+        """Outward unit normal of Omega at the points (x, y), scalars or
+        arrays of one shape, as an array of shape np.shape(x) + (2,).
 
         With the positive-inside convention the gradient of phi points into
         Omega, so the outward direction is -grad(phi)/|grad(phi)|.  Circles
-        use the exact radial formula.
+        use the exact radial formula.  A scalar point is evaluated as a
+        1-element array: numpy rounds some powers of 0-d values differently,
+        and a point must get the same normal alone as in a batch.
+
+        Raises GeometryError for the first point where the normal is
+        undefined.
         """
-        if self.is_circle:
-            cx, cy = self.circle_center
-            dx, dy = x - cx, y - cy
-            r = math.hypot(dx, dy)
-            if r == 0.0:
-                raise GeometryError(f"normal undefined at the center of circle {self.name!r}")
-            return np.array([dx / r, dy / r])
-        gx, gy = self.gradient(x, y)
-        norm = math.hypot(gx, gy)
-        if norm < 1e-14:
-            raise GeometryError(f"vanishing level-set gradient at ({x}, {y}) on domain {self.name!r}")
-        return np.array([-gx / norm, -gy / norm])
+        xs, ys = np.ravel(x), np.ravel(y)
+        normal, ok = self._normals(xs, ys)
+        if not ok.all():
+            k = np.argmin(ok)
+            raise GeometryError(self._undefined_normal(xs[k], ys[k]))
+        return normal.reshape(np.shape(x) + (2,))
 
 
 def make_domain(name):
@@ -485,12 +499,9 @@ def project_ghosts(nodes, domain, grid, tol_factor=1e-4):
          lambda i, j, k: f"node ({i}, {j}) is interior; only exterior nodes project")
     fail(np.flatnonzero(~np.isfinite(phi_g)), nonfinite)
     normal = np.zeros((len(nodes), 2))
-    for k in np.flatnonzero(live):
-        try:
-            normal[k] = domain.outward_normal(gx[k], gy[k])
-        except GeometryError as exc:
-            errors[k] = exc
-            live[k] = False
+    rows = np.flatnonzero(live)
+    normal[rows], ok = domain._normals(gx[rows], gy[rows])
+    fail(rows[~ok], lambda i, j, k: domain._undefined_normal(gx[k], gy[k]))
 
     nu = np.zeros(len(nodes))  # phi(G) == 0: B = G
     ray = np.flatnonzero(live & (phi_g != 0.0))

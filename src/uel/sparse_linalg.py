@@ -93,13 +93,6 @@ class SolveReport:
     factor: LUFactor = None
 
 
-def _true_residual(A, x, b):
-    bn = np.linalg.norm(b)
-    if bn == 0.0:
-        return float(np.linalg.norm(A @ x))
-    return float(np.linalg.norm(b - A @ x) / bn)
-
-
 def _join_notes(*notes):
     return "; ".join(n for n in notes if n)
 
@@ -292,7 +285,7 @@ def solve_cg(A, b, preconditioner="none", tol=1e-12, maxit=10000, omega=1.5):
         beta = rz_new / rz
         p = z + beta * p
         rz = rz_new
-    res = _true_residual(A, x, b)
+    res = float(np.linalg.norm(b - A @ x) / b_norm)
     return x, SolveReport(f"cg+{preconditioner}", iterations, res, converged,
                           time.perf_counter() - t0)
 

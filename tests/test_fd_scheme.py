@@ -512,15 +512,26 @@ def projection_bytes(proj):
 
 def check_batched_projections(domain, n):
     """Project all ghosts at once and compare each with its one-node call,
-    byte for byte; check that phi changes sign within tol_factor*h of every
-    foot point along its ray, for the ghosts and the extended ghosts of the
-    p=2 system.  Returns the number of axis-fallback and diagonal routes."""
+    byte for byte, and likewise each ghost's outward normal; on the circle,
+    check that Neumann rows use outward_normal at their foot points.  Check
+    that phi changes sign within tol_factor*h of every foot point along its
+    ray, for the ghosts and the extended ghosts of the p=2 system.  Returns
+    the number of axis-fallback and diagonal routes."""
     grid = Grid(n)
-    ghosts = np.argwhere(classify(grid, domain, "four").node_role == NODE_GHOST)
+    cls = classify(grid, domain, "four")
+    ghosts = np.argwhere(cls.node_role == NODE_GHOST)
     singles = [projection_bytes(project_to_boundary(tuple(g), domain, grid))
                for g in ghosts]
-    batch = project_ghosts(ghosts, domain, grid).views()
+    record = project_ghosts(ghosts, domain, grid)
+    batch = record.views()
     assert [projection_bytes(q) for q in batch] == singles
+    normals = domain.outward_normal(grid.xs[ghosts[:, 0]], grid.xs[ghosts[:, 1]])
+    assert normals.tobytes() == b"".join(
+        domain.outward_normal(*grid.node(*g)).tobytes() for g in ghosts)
+    if domain.is_circle:
+        record.dirichlet[:] = False
+        normal = ghost_rows(record, 2, grid, domain, cls.phi_node)[-1]
+        assert normal.tobytes() == domain.outward_normal(*record.point.T).tobytes()
     try:
         system = assemble_fd(grid, domain, make_case("paper_sin"),
                              make_bc_spec("x", "dirichlet"), p=2)
