@@ -58,58 +58,91 @@ def make_case(name):
         f"unknown case {name!r}; expected one of {', '.join(CASE_NAMES)}")
 
 
+# Samples per block of the error-norm sums.  A multiple of 12, so that a
+# block of FEM Omega_h samples holds whole inside cells (12 samples each)
+# and whole band triangles (6 each).
+NORM_BLOCK = 12 * 4096
+
+
 def relative_error(f_h, f_exa, beta, weights=None):
     """Relative discrete L^beta error ||f_h - f_exa|| / ||f_exa||.
 
     Scalar fields are 1D arrays; vector fields are (m, 2) arrays measured
     through the pointwise Euclidean magnitude.  weights carry the region
     measure per sample (uniform when omitted); beta is 1, 2 or the string
-    "inf"/float("inf").  The pointwise magnitudes and their weighted
-    products are formed in place, in at most two arrays of m samples.
+    "inf"/float("inf").  The sums run over blocks of NORM_BLOCK samples
+    (see ErrorNorms), so a field fed to ErrorNorms in such blocks gets the
+    same bits.
     """
-    f_h = np.asarray(f_h, dtype=float)
-    f_exa = np.asarray(f_exa, dtype=float)
-    if f_h.shape != f_exa.shape:
-        raise AnalysisError("field shapes differ")
-    if beta not in (1, 2, "inf", math.inf):
-        raise ConfigurationError(f"beta must be 1, 2 or 'inf', got {beta!r}")
-    if f_h.ndim == 2:
-        diff = np.subtract(f_h[:, 0], f_exa[:, 0])
-        np.hypot(diff, f_h[:, 1] - f_exa[:, 1], out=diff)
-    else:
-        diff = np.subtract(f_h, f_exa)
-        np.abs(diff, out=diff)
+    return ErrorNorms().add(f_h, f_exa, weights).relative(beta)
 
-    def reference(out):
-        if f_exa.ndim == 2:
-            return np.hypot(f_exa[:, 0], f_exa[:, 1], out=out)
-        return np.abs(f_exa, out=out)
 
-    if beta in ("inf", math.inf):
-        num = diff.max(initial=0.0)
-        denom = reference(diff).max(initial=0.0)
-        if denom == 0.0:
+class ErrorNorms:
+    """Running sums of the relative L1, L2 and Linf errors of one field,
+    fed in sample order.
+
+    add() sums each NORM_BLOCK samples of its arrays with one np.sum and
+    adds the block sums left to right, so a field fed in pieces of
+    NORM_BLOCK samples (the last may be shorter) gets the same bits as the
+    field fed whole; arrays of at most NORM_BLOCK samples sum as one
+    np.sum.  Each block's pointwise magnitudes and weighted products are
+    formed in three arrays of its length.
+    """
+
+    def __init__(self):
+        # per beta: sum w|e|, sum w|e|^2 and max |e| of the error (num)
+        # and of the reference field (den)
+        self._num = [0.0, 0.0, 0.0]
+        self._den = [0.0, 0.0, 0.0]
+
+    def add(self, f_h, f_exa, weights=None):
+        """Feed the next samples of the field; returns self."""
+        f_h = np.asarray(f_h, dtype=float)
+        f_exa = np.asarray(f_exa, dtype=float)
+        if f_h.shape != f_exa.shape:
+            raise AnalysisError("field shapes differ")
+        w = None if weights is None else np.asarray(weights, dtype=float)
+        if w is not None and w.shape != (len(f_h),):
+            raise AnalysisError(
+                f"weights of shape {w.shape} for {len(f_h)} samples")
+        for b in range(0, len(f_h), NORM_BLOCK):
+            block = slice(b, b + NORM_BLOCK)
+            self._add_block(f_h[block], f_exa[block], None if w is None else w[block])
+        return self
+
+    def _add_block(self, f_h, f_exa, w):
+        if f_h.ndim == 2:
+            diff = np.subtract(f_h[:, 0], f_exa[:, 0])
+            np.hypot(diff, f_h[:, 1] - f_exa[:, 1], out=diff)
+            ref = np.hypot(f_exa[:, 0], f_exa[:, 1])
+        else:
+            diff = np.subtract(f_h, f_exa)
+            np.abs(diff, out=diff)
+            ref = np.abs(f_exa)
+        work = np.empty_like(diff)
+        for sums, x in ((self._num, diff), (self._den, ref)):
+            # w * x, then (w * x) * x, formed in work (w None: unit weights)
+            wx = x if w is None else np.multiply(w, x, out=work)
+            sums[0] += float(np.sum(wx))
+            sums[1] += float(np.sum(np.multiply(wx, x, out=work)))
+            # np.maximum keeps a NaN, where max() would drop it
+            sums[2] = float(np.maximum(sums[2], x.max(initial=0.0)))
+
+    def relative(self, beta):
+        """The relative L^beta error of the samples fed so far."""
+        if beta not in (1, 2, "inf", math.inf):
+            raise ConfigurationError(f"beta must be 1, 2 or 'inf', got {beta!r}")
+        k = 0 if beta == 1 else 1 if beta == 2 else 2
+        num, den = self._num[k], self._den[k]
+        if k == 1:
+            num, den = math.sqrt(num), math.sqrt(den)
+        if den == 0.0:
             raise AnalysisError("zero reference norm; relative error undefined")
-        return float(num / denom)
-    w = None if weights is None else np.asarray(weights, dtype=float)
-    work = diff if beta == 1 or w is None else np.empty_like(diff)
-    num = _weighted_sum(w, diff, beta, work)
-    denom = _weighted_sum(w, reference(diff), beta, work)
-    if beta == 2:
-        num, denom = math.sqrt(num), math.sqrt(denom)
-    if denom == 0.0:
-        raise AnalysisError("zero reference norm; relative error undefined")
-    return float(num / denom)
+        return num / den
 
-
-def _weighted_sum(w, x, beta, out):
-    """float(np.sum(w * x)) for beta 1, float(np.sum(w * x * x)) for beta 2,
-    the products formed in out (which may be x unless both w and beta 2 are
-    given); w None stands for unit weights, which leave x as it is."""
-    t = x if w is None else np.multiply(w, x, out=out)
-    if beta == 2:
-        t = np.multiply(t, x, out=out)
-    return float(np.sum(t))
+    def relative_errors(self):
+        """The relative (L1, L2, Linf) errors of the samples fed so far."""
+        return tuple(self.relative(beta) for beta in (1, 2, "inf"))
 
 
 def observed_order(err_coarse, err_fine):

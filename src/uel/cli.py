@@ -9,12 +9,12 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .analysis import (CASE_NAMES, ConvergenceReport, ReportRow, make_case,
-                       relative_error)
+from .analysis import (CASE_NAMES, ConvergenceReport, ErrorNorms, ReportRow,
+                       make_case, relative_error)
 from .errors import ConfigurationError, SolverError, UelError
 from .fd_scheme import assemble_fd, fd_gradient
 from .fem_scheme import (assemble_fem, fem_gradient, nodal_interior_values,
-                         solution_samples)
+                         solution_blocks)
 from .geometry import (DOMAIN_NAMES, NODE_INTERIOR, Grid, make_bc_spec,
                        make_domain)
 from .sparse_linalg import estimate_cond2, solve_cg, solve_direct
@@ -240,22 +240,23 @@ def run_single(config, n, domain, case, bc):
         u_h = u[system.index[ii, jj]]
         u_ex = case.u(xs[ii], xs[jj])
         w = np.full(len(u_h), h * h)
-        err_u = tuple(relative_error(u_h, u_ex, b, w) for b in (1, 2, "inf"))
+        err_u = ErrorNorms().add(u_h, u_ex, w).relative_errors()
         gnodes, grads = fd_gradient(system, u)
         gx, gy = case.grad_u(xs[gnodes[:, 0]], xs[gnodes[:, 1]])
         g_ex = np.column_stack([gx, gy])
         wg = np.full(len(gnodes), h * h)
-        err_g = tuple(relative_error(grads, g_ex, b, wg) for b in (1, 2, "inf"))
+        err_g = ErrorNorms().add(grads, g_ex, wg).relative_errors()
         nodal_linf = err_u[2]
     else:
-        pts, w, u_h = solution_samples(system, u)
-        u_ex = case.u(pts[:, 0], pts[:, 1])
-        del pts
-        err_u = tuple(relative_error(u_h, u_ex, b, w) for b in (1, 2, "inf"))
+        # the Omega_h samples stream through in the blocks the norms sum
+        norms = ErrorNorms()
+        for pts, w, u_h in solution_blocks(system, u):
+            norms.add(u_h, case.u(pts[:, 0], pts[:, 1]), w)
+        err_u = norms.relative_errors()
         gpts, wg, grads = fem_gradient(system, u)
         gx, gy = case.grad_u(gpts[:, 0], gpts[:, 1])
         g_ex = np.column_stack([gx, gy])
-        err_g = tuple(relative_error(grads, g_ex, b, wg) for b in (1, 2, "inf"))
+        err_g = ErrorNorms().add(grads, g_ex, wg).relative_errors()
         nodes, vals = nodal_interior_values(system, u)
         nodal_linf = relative_error(vals, case.u(xs[nodes[:, 0]], xs[nodes[:, 1]]),
                                     "inf")

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .analysis import NORM_BLOCK
 from .errors import AssemblyError, ConfigurationError
 from .geometry import (CELL_INSIDE, CELL_SNAPPED, NODE_INTERIOR, classify,
                        extract_cut_cells, snap_small_cells)
@@ -388,47 +389,89 @@ def assemble_fem(grid, domain, case, bc, alpha=2.0, classification=None):
 
 def _band_quadrature(band, classification, index):
     """Band cells (C, 2) in key order, their corner rows (C, 4), the
-    positions of the cut ones (band cells with role CELL_INSIDE only carry
-    exposed sides), and the band position owning each of their fan
-    triangles (T,), followed by the _triangle_quadrature arrays."""
+    positions of the cut ones, and the band position owning each of their
+    fan triangles (T,), followed by the _triangle_quadrature arrays."""
     keys = band.cells
-    cut = classification.cell_role[keys[:, 0], keys[:, 1]] != CELL_INSIDE
-    on_cut = cut[band.triangle_owner]
+    cut, on_cut = _band_cut(band, classification)
     owner = band.triangle_owner[on_cut]
     return ((keys, _cell_rows(index, keys[:, 0], keys[:, 1]), np.flatnonzero(cut), owner)
             + _triangle_quadrature(classification.grid, band.triangles[on_cut], keys[owner]))
 
 
-def _omega_h_samples(system, u, gradient):
-    """The volume quadrature of Omega_h, filled into preallocated arrays:
+def _band_cut(band, classification):
+    """Masks of the band's cut cells (band cells with role CELL_INSIDE only
+    carry exposed sides) and of the fan triangles they own."""
+    keys = band.cells
+    cut = classification.cell_role[keys[:, 0], keys[:, 1]] != CELL_INSIDE
+    return cut, cut[band.triangle_owner]
+
+
+def _omega_h_size(system):
+    """Number of volume quadrature samples of Omega_h: 12 per inside cell,
+    6 per fan triangle of the band's cut cells."""
+    return (12 * np.count_nonzero(system.classification.cell_role == CELL_INSIDE)
+            + 6 * np.count_nonzero(_band_cut(system.band, system.classification)[1]))
+
+
+def _omega_h_blocks(system, u, gradient, out=None):
+    """The volume quadrature of Omega_h in blocks of NORM_BLOCK samples:
     the reference layout on every inside cell, then the fan triangles of
-    the band's cut cells in key order.  Returns the points (m, 2), the
-    weights (m,) and the fields (k, m) read from u at the points: its values
-    (k = 1), or its x- and y-derivatives (k = 2)."""
-    h = system.grid.h
+    the band's cut cells in key order.  Yields per block the points (b, 2),
+    the weights (b,) and the fields (k, b) read from u at the points: its
+    values (k = 1), or its x- and y-derivatives (k = 2).
+
+    As NORM_BLOCK is a multiple of 12, a block holds whole inside cells and
+    whole triangles.  Given out, the (points, weights, fields) arrays of all
+    _omega_h_size(system) samples, each block is filled into its slices of
+    them; otherwise it gets new arrays."""
+    grid, index = system.grid, system.index
+    h = grid.h
     _, rows, _, owner, pts, w, vals, gx, gy = _band_quadrature(
-        system.band, system.classification, system.index)
+        system.band, system.classification, index)
     bases = ((REF_GS / h, gx), (REF_GT / h, gy)) if gradient else ((REF_VALS, vals),)
     del vals, gx, gy
     u_tri = u[rows[owner]][:, None]
     inside = np.argwhere(system.classification.cell_role == CELL_INSIDE)
-    u_in = u[_cell_rows(system.index, *inside.T)]
-    corners = system.grid.xs[inside][:, None]
-    del inside
-    n_in, n_tri = len(u_in), len(u_tri)
-    m_in, m = 12 * n_in, 12 * n_in + 6 * n_tri
-    points = np.empty((m, 2))
-    weights = np.empty(m)
-    fields = np.empty((len(bases), m))
-    points[m_in:] = pts.reshape(-1, 2)
-    weights[m_in:] = w.ravel()
-    del pts, w
-    np.add(corners, REF_PTS * h, out=points[:m_in].reshape(n_in, 12, 2))
-    weights[:m_in].reshape(n_in, 12)[...] = REF_W * h * h
-    for field, (ref, tri) in zip(fields, bases):
-        np.matmul(u_in, ref.T, out=field[:m_in].reshape(n_in, 12))
-        np.matmul(u_tri, np.swapaxes(tri, -1, -2), out=field[m_in:].reshape(n_tri, 1, 6))
-    return points, weights, fields
+    m_in = 12 * len(inside)
+    m = m_in + 6 * len(u_tri)
+    for start in range(0, m, NORM_BLOCK):
+        stop = min(start + NORM_BLOCK, m)
+        if out is None:
+            points, weights, fields = (np.empty((stop - start, 2)), np.empty(stop - start),
+                                       np.empty((len(bases), stop - start)))
+        else:
+            points, weights, fields = (out[0][start:stop], out[1][start:stop],
+                                       out[2][:, start:stop])
+        cells = inside[start // 12:stop // 12]
+        n = 12 * len(cells)
+        tris = slice(max(start - m_in, 0) // 6, max(stop - m_in, 0) // 6)
+        np.add(grid.xs[cells][:, None], REF_PTS * h, out=points[:n].reshape(-1, 12, 2))
+        weights[:n].reshape(-1, 12)[...] = REF_W * h * h
+        points[n:] = pts[tris].reshape(-1, 2)
+        weights[n:] = w[tris].ravel()
+        u_in = u[_cell_rows(index, *cells.T)]
+        for field, (ref, tri) in zip(fields, bases):
+            np.matmul(u_in, ref.T, out=field[:n].reshape(-1, 12))
+            np.matmul(u_tri[tris], np.swapaxes(tri[tris], -1, -2),
+                      out=field[n:].reshape(-1, 1, 6))
+        yield points, weights, fields
+
+
+def _omega_h_samples(system, u, gradient):
+    """Every _omega_h_blocks sample, filled into preallocated arrays: the
+    points (m, 2), the weights (m,) and the fields (k, m)."""
+    m = _omega_h_size(system)
+    out = np.empty((m, 2)), np.empty(m), np.empty((2 if gradient else 1, m))
+    for _ in _omega_h_blocks(system, u, gradient, out):
+        pass
+    return out
+
+
+def solution_blocks(system, u):
+    """The solution_samples arrays in blocks of NORM_BLOCK samples, each
+    (points, weights, values) built anew."""
+    for points, weights, fields in _omega_h_blocks(system, u, gradient=False):
+        yield points, weights, fields[0]
 
 
 def solution_samples(system, u):

@@ -66,7 +66,8 @@ class LevelSetDomain:
         else:
             d = -np.column_stack(self.grad_phi(x, y))
         norm = np.hypot(d[:, 0], d[:, 1])
-        ok = norm != 0.0 if self.is_circle else ~(norm < 1e-14)
+        # a NaN or infinite gradient leaves the normal undefined too
+        ok = norm != 0.0 if self.is_circle else (norm >= 1e-14) & np.isfinite(norm)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(ok[:, None], d / norm[:, None], 0.0), ok
 
@@ -74,7 +75,10 @@ class LevelSetDomain:
         """Why the normal at the point (x, y) is undefined."""
         if self.is_circle:
             return f"normal undefined at the center of circle {self.name!r}"
-        return f"vanishing level-set gradient at ({x}, {y}) on domain {self.name!r}"
+        gx, gy = self.grad_phi(np.array([x]), np.array([y]))
+        if np.isfinite(gx).all() and np.isfinite(gy).all():
+            return f"vanishing level-set gradient at ({x}, {y}) on domain {self.name!r}"
+        return f"non-finite level-set gradient at ({x}, {y}) on domain {self.name!r}"
 
     def outward_normal(self, x, y):
         """Outward unit normal of Omega at the points (x, y), scalars or

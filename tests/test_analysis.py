@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from uel.analysis import (ConvergenceReport, ReportRow, fitted_order,
-                          make_case, observed_order, relative_error)
+from uel.analysis import (NORM_BLOCK, ConvergenceReport, ErrorNorms, ReportRow,
+                          fitted_order, make_case, observed_order, relative_error)
 from uel.errors import AnalysisError, ConfigurationError
 
 CASES = ("paper_sin", "linear", "quadratic", "constant")
@@ -137,6 +137,62 @@ def test_norms_match_the_textbook_expressions_bit_for_bit(vector, weighted):
         assert relative_error(f_h, f_exa, beta, w if weighted else None) == float(value)
     # the work happens in the function's own arrays
     assert all(np.array_equal(a, b) for a, b in zip((f_h, f_exa, w), inputs))
+
+
+@pytest.mark.parametrize("vector", [False, True])
+def test_norms_sum_in_blocks_of_norm_block_samples(vector):
+    # 2.5 blocks: one np.sum per block of NORM_BLOCK samples, the block sums
+    # added left to right, whether the field comes whole or block by block
+    m = 5 * NORM_BLOCK // 2
+    rng = np.random.default_rng(12)
+    shape = (m, 2) if vector else (m,)
+    f_exa = rng.uniform(-1.0, 1.0, shape)
+    f_h = f_exa + rng.normal(0.0, 1e-3, shape)
+    w = rng.uniform(0.1, 1.0, m)
+    if vector:
+        diff = np.hypot(f_h[:, 0] - f_exa[:, 0], f_h[:, 1] - f_exa[:, 1])
+        ref = np.hypot(f_exa[:, 0], f_exa[:, 1])
+    else:
+        diff, ref = np.abs(f_h - f_exa), np.abs(f_exa)
+    blocks = [slice(b, b + NORM_BLOCK) for b in range(0, m, NORM_BLOCK)]
+    assert len(blocks) == 3
+
+    def blocked(terms):
+        total = 0.0
+        for s in blocks:
+            total += float(np.sum(terms(s)))
+        return total
+
+    expected = {
+        1: blocked(lambda s: w[s] * diff[s]) / blocked(lambda s: w[s] * ref[s]),
+        2: (math.sqrt(blocked(lambda s: w[s] * diff[s] * diff[s]))
+            / math.sqrt(blocked(lambda s: w[s] * ref[s] * ref[s]))),
+        "inf": float(diff.max() / ref.max())}
+    whole = {1: np.sum(w * diff) / np.sum(w * ref),
+             2: math.sqrt(np.sum(w * diff * diff)) / math.sqrt(np.sum(w * ref * ref)),
+             "inf": diff.max() / ref.max()}
+    norms = ErrorNorms()
+    for s in blocks:
+        norms.add(f_h[s], f_exa[s], w[s])
+    assert norms.relative_errors() == tuple(expected.values())
+    for beta, value in expected.items():
+        assert relative_error(f_h, f_exa, beta, w) == value
+        assert value == pytest.approx(whole[beta], rel=1e-15, abs=0.0)
+
+
+def test_mismatched_weights_are_rejected():
+    with pytest.raises(AnalysisError, match="weights"):
+        relative_error(np.full(5, 2.0), np.ones(5), 1, np.array([3.0]))
+    with pytest.raises(AnalysisError, match="weights"):
+        relative_error(np.full((5, 2), 2.0), np.ones((5, 2)), 2, np.ones((5, 2)))
+    with pytest.raises(AnalysisError, match="weights"):
+        ErrorNorms().add(np.full(5, 2.0), np.ones(5), np.ones(6))
+
+
+def test_a_nan_error_is_not_dropped_from_the_max():
+    f_h = np.ones(NORM_BLOCK + 3)
+    f_h[5] = np.nan
+    assert math.isnan(relative_error(f_h, np.ones(NORM_BLOCK + 3), "inf"))
 
 
 # ----------------------------------------------------------------------

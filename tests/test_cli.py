@@ -4,9 +4,13 @@ import re
 import numpy as np
 import pytest
 
+from conftest import csr_bytes, fem_errors, run_fem, traced_peak
+from uel import Grid, assemble_fem, make_bc_spec, make_case, make_domain
+from uel.analysis import NORM_BLOCK
 from uel.cli import (CSV_COLUMNS, ExperimentConfig, main, parse_config, run,
                      run_single)
 from uel.errors import ConfigurationError
+from uel.fem_scheme import solution_samples
 from uel.sparse_linalg import CondEstimate
 
 
@@ -277,7 +281,6 @@ def test_json_outcomes_carry_the_solver_note(tmp_path, monkeypatch):
 
 def test_fd_run_builds_no_per_ghost_views(monkeypatch):
     # FdSystem.projections is built on access only; a run never reads it
-    from uel import make_bc_spec, make_case, make_domain
     from uel.geometry import GhostProjections
 
     def views(self):
@@ -300,6 +303,31 @@ def test_fem_row_reports_iterations(tmp_path):
     assert row.iters > 1
     assert row.residual <= 1e-12
     assert row.p is None
+
+
+@pytest.mark.parametrize("domain, alpha, blocks", [("circle", 2.0, 4), ("flower", 1.5, 2)])
+def test_streamed_fem_norms_equal_the_full_array_norms(domain, alpha, blocks):
+    # run_single streams the Omega_h samples in blocks of NORM_BLOCK; the
+    # norms of solution_samples' full arrays give the same bits
+    grid, system, u, _, case = run_fem(domain, "paper_sin", "mixed", 160, alpha=alpha)
+    m = len(solution_samples(system, u)[1])
+    assert -(-m // NORM_BLOCK) == blocks
+    cfg = ExperimentConfig(domain=domain, scheme="fem", bc="mixed", alpha=alpha,
+                           grids=(160,), solver="direct", timings=False)
+    row = run_single(cfg, 160, make_domain(domain), case, make_bc_spec(domain, "mixed"))
+    assert (row.err_u, row.err_g, row.err_u_linf_nodal) == fem_errors(grid, system, u, case)
+
+
+def test_fem_post_processing_peak_stays_within_the_assembly_guard():
+    # with the Omega_h samples streamed, a FEM run at circle, mixed BC,
+    # alpha=2, N=160 peaks at 3.4x the CSR matrix's bytes (assembly alone
+    # 3.1x); materialized samples and their error arrays reached 5.8x
+    args = (make_domain("circle"), make_case("paper_sin"), make_bc_spec("circle", "mixed"))
+    matrix = assemble_fem(Grid(160), *args, alpha=2.0).matrix
+    cfg = ExperimentConfig(domain="circle", scheme="fem", bc="mixed", alpha=2.0,
+                           grids=(160,), solver="cg", precond="jacobi", timings=False)
+    _, peak = traced_peak(lambda: run_single(cfg, 160, *args))
+    assert peak <= 4.5 * csr_bytes(matrix)
 
 
 def test_cond_column_populated_when_requested(tmp_path):

@@ -260,6 +260,41 @@ def test_projection_errors_follow_node_order():
         project_ghosts([(15, 8), (15, 5), (15, 10)], d, grid)
 
 
+def test_non_finite_gradient_leaves_the_normal_undefined():
+    # Omega = {x > 0.55} on N=20 with grad(phi) NaN at node B = (15, 10):
+    # phi is finite everywhere, so the error names the gradient, and node
+    # order still decides between it and an earlier ghost's error
+    grid = Grid(20)
+    xb, yb = grid.node(15, 10)
+
+    def phi(x, y):
+        return np.asarray(x, dtype=float) - 0.55
+
+    def grad(x, y):
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        return np.where((x == xb) & (y == yb), np.nan, 1.0), np.zeros_like(y)
+
+    d = LevelSetDomain("slab", phi, grad)
+    nonfinite = re.escape(f"non-finite level-set gradient at ({xb}, {yb})")
+    with pytest.raises(GeometryError, match=nonfinite):
+        project_ghosts([(15, 10)], d, grid)
+    with pytest.raises(GeometryError, match=nonfinite):
+        d.outward_normal(xb, yb)
+    with pytest.raises(GeometryError, match=nonfinite):
+        d.outward_normal(np.array([0.5, xb]), np.array([0.1, yb]))
+    assert np.array_equal(d.outward_normal(0.5, 0.1), [-1.0, 0.0])
+
+    def grad_vanishing_first(x, y):
+        gx, gy = grad(x, y)
+        return np.where((x == xb) & (y == grid.node(15, 5)[1]), 0.0, gx), gy
+
+    d2 = LevelSetDomain("slab", phi, grad_vanishing_first)
+    with pytest.raises(GeometryError, match=re.escape("vanishing level-set gradient")):
+        project_ghosts([(15, 5), (15, 10)], d2, grid)
+    with pytest.raises(GeometryError, match=nonfinite):
+        project_ghosts([(15, 10), (15, 5)], d2, grid)
+
+
 @pytest.mark.parametrize("name", DOMAINS)
 def test_projection_consistency_invariants(name):
     domain = make_domain(name)
