@@ -183,6 +183,9 @@ def parse_config(argv):
         cfg.precond = "jacobi"
     if not 0.0 < cfg.omega < 2.0:
         raise ConfigurationError(f"omega must be in (0, 2), got {cfg.omega}")
+    for flag, value in (("--tol", cfg.solver_tol), ("--tol-factor", cfg.tol_factor)):
+        if not 0.0 < value < np.inf:
+            raise ConfigurationError(f"{flag} must be finite and positive, got {value}")
     if cfg.fmt not in ("csv", "json", "both"):
         raise ConfigurationError(f"unknown format {cfg.fmt!r}")
     return cfg

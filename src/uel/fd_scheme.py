@@ -4,6 +4,7 @@ points, kept in the system as non-eliminated equations."""
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -168,9 +169,10 @@ class FdSystem:
 
     @property
     def projections(self):
-        """The ghosts as {ghost node: BoundaryProjection}, built anew on each
-        access for the tracing harness and tools/census.py."""
-        return {q.ghost: q for q in self.ghosts.views()}
+        """{ghost node: namespace(enlarged=...)}, for the tracing harness only."""
+        enlarged = (self.ghosts.spacing != 1).any(axis=1).tolist()
+        keys = map(tuple, self.ghosts.ghost.tolist())
+        return {g: SimpleNamespace(enlarged=e) for g, e in zip(keys, enlarged)}
 
 
 def _extended_projections(nodes, domain, grid, tol_factor, active, p):

@@ -5,6 +5,7 @@ lambda = h^(-alpha) shared with the small-cut snapping."""
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -187,8 +188,10 @@ class FemSystem:
 
     @property
     def cells(self):
-        """The band as {cell: CutCell}, built anew for the tracing harness."""
-        return self.band.views()
+        """{band cell: namespace(boundary_segments=<count>)}, for the tracing harness only."""
+        counts = np.bincount(self.band.segment_owner, minlength=len(self.band.cells)).tolist()
+        keys = map(tuple, self.band.cells.tolist())
+        return {c: SimpleNamespace(boundary_segments=k) for c, k in zip(keys, counts)}
 
 
 # Reference quadrature layout for full cells: both fan triangles of the unit

@@ -352,24 +352,6 @@ def snap_small_cells(classification, grid, domain, alpha):
 # ----------------------------------------------------------------------
 
 @dataclass
-class BoundaryProjection:
-    """Closest-boundary-point data for one ghost node G: one row of
-    GhostProjections, as FdSystem.projections and project_to_boundary
-    report it."""
-
-    ghost: tuple
-    point: np.ndarray
-    nu: float
-    normal: np.ndarray
-    theta: tuple
-    signs: tuple
-    bc_kind: str = "dirichlet"
-    enlarged: bool = False
-    spacing: tuple = (1, 1)
-    diagonal: bool = False
-
-
-@dataclass
 class GhostProjections:
     """Closest-boundary-point data for m ghost nodes G, one row each.
 
@@ -396,18 +378,6 @@ class GhostProjections:
         return GhostProjections(*(np.concatenate([getattr(self, f.name), getattr(other, f.name)])
                                   for f in fields(self)))
 
-    def views(self):
-        """One BoundaryProjection per row, in order.  Rows that were not
-        enlarged share one spacing tuple."""
-        enlarged = (self.spacing != 1).any(axis=1).tolist()
-        return [BoundaryProjection(tuple(g), pt, v, nrm, tuple(th), tuple(s),
-                                   "dirichlet" if d else "neumann", e,
-                                   tuple(sp) if e else (1, 1), dg)
-                for g, pt, v, nrm, th, s, d, e, sp, dg in zip(
-                    self.ghost.tolist(), self.point, self.nu.tolist(), self.normal,
-                    self.theta.tolist(), self.signs.tolist(), self.dirichlet.tolist(),
-                    enlarged, self.spacing.tolist(), self.diagonal.tolist())]
-
 
 # Axis ray directions, in their order of preference on ties.
 AXES = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
@@ -417,12 +387,15 @@ NONFINITE = "phi is not finite along a projection ray from node ({}, {})"
 def _bisect_rays(domain, ox, oy, dx, dy, t_max, tol):
     """First zero of phi along each ray (ox, oy) + t (dx, dy), t in
     (0, t_max]: all rays are presampled at once at t = t_max k / 64 for
-    their first sign change, and every bracket is bisected down to tol.
+    their first sign change, and every bracket is bisected down to tol (or
+    to adjacent floats), where tol must be finite and positive.
 
     Returns (t, finite) per ray: t is NaN where the presampled ray never
     turns positive, and finite is False (with t NaN) where phi was not
     finite at some sample.
     """
+    if not 0.0 < tol < math.inf:
+        raise ConfigurationError(f"bisection tolerance must be finite and positive, got {tol}")
     t = t_max * np.arange(1, 65) / 64
     f = domain.phi(ox[:, None] + dx[:, None] * t, oy[:, None] + dy[:, None] * t)
     finite = np.isfinite(f).all(axis=1)
@@ -435,12 +408,12 @@ def _bisect_rays(domain, ox, oy, dx, dy, t_max, tol):
     out[rows[hit]] = hi[hit]
     rows, lo, hi = rows[~hit], lo[~hit], hi[~hit]
     while True:
-        done = hi - lo <= tol
-        out[rows[done]] = 0.5 * (lo[done] + hi[done])
-        rows, lo, hi = rows[~done], lo[~done], hi[~done]
+        mid = 0.5 * (lo + hi)
+        done = (hi - lo <= tol) | (mid == lo) | (mid == hi)
+        out[rows[done]] = mid[done]
+        rows, lo, hi, mid = rows[~done], lo[~done], hi[~done], mid[~done]
         if not len(rows):
             return out, finite
-        mid = 0.5 * (lo + hi)
         f = domain.phi(ox[rows] + dx[rows] * mid, oy[rows] + dy[rows] * mid)
         finite[rows[~np.isfinite(f)]] = False
         out[rows[f == 0.0]] = mid[f == 0.0]
@@ -484,6 +457,8 @@ def project_ghosts(nodes, domain, grid, tol_factor=1e-4):
         For the first node, in order, that is interior, has no defined
         outward normal, has a non-finite phi along one of its rays, or from
         which neither the normal ray nor any axis segment crosses Gamma.
+    ConfigurationError
+        If tol_factor * h is not finite and positive.
     """
     nodes = np.asarray(nodes, dtype=np.int64).reshape(-1, 2)
     h = grid.h
@@ -550,35 +525,13 @@ def project_ghosts(nodes, domain, grid, tol_factor=1e-4):
 
 
 def project_to_boundary(node, domain, grid, tol_factor=1e-4):
-    """Project the exterior node G onto Gamma: project_ghosts for one node."""
-    return project_ghosts([node], domain, grid, tol_factor).views()[0]
+    """project_ghosts for one node, for the benchmark tracing harness only."""
+    return project_ghosts([node], domain, grid, tol_factor)
 
 
 # ----------------------------------------------------------------------
 # Cut cells
 # ----------------------------------------------------------------------
-
-@dataclass
-class Segment:
-    """Straight piece of Gamma_h with outward unit normal (toward phi < 0)."""
-
-    p0: np.ndarray
-    p1: np.ndarray
-    normal: np.ndarray
-    length: float
-
-
-@dataclass
-class CutCell:
-    """One band cell of a BoundaryBand, as FemSystem.cells reports it: its
-    CCW polygons (two for the disconnected saddle), their fan triangles,
-    the Gamma_h pieces it owns and its area."""
-
-    polygons: list
-    triangles: list
-    boundary_segments: list
-    area: float
-
 
 @dataclass
 class BoundaryBand:
@@ -599,19 +552,6 @@ class BoundaryBand:
     normal: np.ndarray          # (S, 2) outward unit normals
     length: np.ndarray          # (S,)
     segment_owner: np.ndarray   # (S,)
-
-    def views(self):
-        """One CutCell per band cell, keyed by cell index in order."""
-        cuts = [CutCell([], [], [], a) for a in self.area.tolist()]
-        for k, poly, m in zip(self.polygon_owner.tolist(), self.polygons,
-                              self.polygon_size.tolist()):
-            cuts[k].polygons.append(poly[:m])
-        for k, tri in zip(self.triangle_owner.tolist(), self.triangles):
-            cuts[k].triangles.append(tri)
-        for k, *seg in zip(self.segment_owner.tolist(), self.p0, self.p1, self.normal,
-                           self.length.tolist()):
-            cuts[k].boundary_segments.append(Segment(*seg))
-        return dict(zip(map(tuple, self.cells.tolist()), cuts))
 
 
 # Cell sides in marching-squares order (bottom, right, top, left): side k

@@ -237,7 +237,7 @@ def solve_cg(A, b, preconditioner="none", tol=1e-12, maxit=10000, omega=1.5):
     D/omega + L, applied forward and then transposed, so it stays SPD.
     Iterations start from zero.
     A non-converged run returns a report with converged=False rather than
-    raising.
+    raising; a tol that is not finite and positive raises ConfigurationError.
 
     Returns (x, SolveReport).
     """
@@ -245,6 +245,8 @@ def solve_cg(A, b, preconditioner="none", tol=1e-12, maxit=10000, omega=1.5):
     A = sp.csr_matrix(A)
     b = np.asarray(b, dtype=float)
     n = A.shape[0]
+    if not 0.0 < tol < np.inf:
+        raise ConfigurationError(f"CG tolerance must be finite and positive, got {tol}")
     if preconditioner == "none":
         apply_m = lambda r: r
     elif preconditioner == "jacobi":

@@ -10,7 +10,8 @@ from uel.analysis import NORM_BLOCK
 from uel.cli import (CSV_COLUMNS, ExperimentConfig, main, parse_config, run,
                      run_single)
 from uel.errors import ConfigurationError
-from uel.fem_scheme import solution_samples
+from uel.fd_scheme import FdSystem
+from uel.fem_scheme import FemSystem, solution_samples
 from uel.sparse_linalg import CondEstimate
 
 
@@ -45,6 +46,24 @@ def test_p_rejected_for_fem():
 def test_cg_rejected_for_fd():
     with pytest.raises(ConfigurationError):
         parse_config(["--domain", "circle", "--scheme", "fd", "--solver", "cg"])
+
+
+@pytest.mark.parametrize("flag, scheme", [("--tol", "fem"), ("--tol-factor", "fd")])
+@pytest.mark.parametrize("value", ("0", "-1", "nan", "inf", "-inf"))
+def test_tolerances_must_be_finite_and_positive(monkeypatch, capsys, flag, scheme, value):
+    # unchecked, a --tol-factor of 0, -1 or NaN never ends the boundary
+    # bisection, and a --tol of -1 or NaN ends CG in a false "operator is
+    # not positive definite"
+    import uel.cli as cli
+
+    def assemble(*args, **kwargs):
+        raise AssertionError("a grid was assembled")
+
+    monkeypatch.setattr(cli, "assemble_fd", assemble)
+    monkeypatch.setattr(cli, "assemble_fem", assemble)
+    assert main(["--domain", "flower", "--scheme", scheme, "--grids", "8",
+                 f"{flag}={value}"]) == 1
+    assert f"{flag} must be finite and positive, got {float(value)}" in capsys.readouterr().err
 
 
 def test_grid_validation():
@@ -280,15 +299,28 @@ def test_json_outcomes_carry_the_solver_note(tmp_path, monkeypatch):
 
 
 def test_fd_run_builds_no_per_ghost_views(monkeypatch):
-    # FdSystem.projections is built on access only; a run never reads it
-    from uel.geometry import GhostProjections
-
-    def views(self):
+    # FdSystem.projections is built on access for the tracing harness only;
+    # a run never reads it
+    def projections(self):
         raise AssertionError("per-ghost views built during a run")
 
-    monkeypatch.setattr(GhostProjections, "views", views)
+    monkeypatch.setattr(FdSystem, "projections", property(projections))
     cfg = ExperimentConfig(domain="flower", scheme="fd", p=2, bc="mixed",
                            grids=(40,), solver="direct", timings=False)
+    row = run_single(cfg, 40, make_domain("flower"), make_case("paper_sin"),
+                     make_bc_spec("flower", "mixed"))
+    assert row.err_u[2] < 1e-2
+
+
+def test_fem_run_builds_no_per_cell_views(monkeypatch):
+    # FemSystem.cells is built on access for the tracing harness only; a
+    # run never reads it
+    def cells(self):
+        raise AssertionError("per-cell views built during a run")
+
+    monkeypatch.setattr(FemSystem, "cells", property(cells))
+    cfg = ExperimentConfig(domain="flower", scheme="fem", alpha=1.5, bc="mixed",
+                           grids=(40,), solver="cg", precond="jacobi", timings=False)
     row = run_single(cfg, 40, make_domain("flower"), make_case("paper_sin"),
                      make_bc_spec("flower", "mixed"))
     assert row.err_u[2] < 1e-2

@@ -14,8 +14,7 @@ from uel.errors import ConfigurationError, GeometryError
 from uel.fd_scheme import (_stencil_nodes, _weights, fd_gradient, ghost_rows,
                            mitigate_ill_conditioning)
 from uel.geometry import (NODE_GHOST, NODE_INTERIOR, GhostProjections,
-                          LevelSetDomain, classify, project_ghosts,
-                          project_to_boundary)
+                          LevelSetDomain, classify, project_ghosts)
 
 
 # ----------------------------------------------------------------------
@@ -229,10 +228,10 @@ def test_ghost_row_sums():
     bc = make_bc_spec("circle", "mixed")
     grid = Grid(20)
     system = assemble_fd(grid, domain, case, bc, p=2)
-    for node, proj in system.projections.items():
-        row = system.matrix.getrow(system.index[node])
+    for (i, j), dirichlet in zip(system.ghosts.ghost, system.ghosts.dirichlet):
+        row = system.matrix.getrow(system.index[i, j])
         total = row.sum()
-        if proj.bc_kind == "dirichlet":
+        if dirichlet:
             assert total == pytest.approx(1.0, abs=1e-12)
         else:
             assert abs(total) <= 1e-12 * max(1.0, abs(row).max())
@@ -244,17 +243,16 @@ def test_ghost_row_rhs_is_boundary_data():
     case = make_case("paper_sin")
     system = assemble_fd(Grid(20), make_domain("circle"), case,
                          make_bc_spec("circle", "mixed"), p=2)
-    kinds = set()
-    for node, proj in system.projections.items():
-        rhs = system.rhs[system.index[node]]
-        kinds.add(proj.bc_kind)
-        if proj.bc_kind == "dirichlet":
-            assert rhs == case.u(*proj.point)
+    ghosts = system.ghosts
+    for (i, j), point, dirichlet in zip(ghosts.ghost, ghosts.point, ghosts.dirichlet):
+        rhs = system.rhs[system.index[i, j]]
+        if dirichlet:
+            assert rhs == case.u(*point)
         else:
-            nb = proj.point / np.hypot(*proj.point)
-            gx, gy = case.grad_u(*proj.point)
+            nb = point / np.hypot(*point)
+            gx, gy = case.grad_u(*point)
             assert rhs == pytest.approx(gx * nb[0] + gy * nb[1], rel=1e-12, abs=1e-14)
-    assert kinds == {"dirichlet", "neumann"}
+    assert set(ghosts.dirichlet.tolist()) == {True, False}
 
 
 @settings(derandomize=True, deadline=None, max_examples=15)
@@ -272,11 +270,13 @@ def test_value_rows_and_offsets_on_random_ellipses(cx, cy, a, b, n):
     quadratic = (lambda x, y: 1.0 + x - 2.0 * y + x * x - x * y + 0.5 * y * y)
     rows = {u: system.matrix @ u(x, y) for u in (biquadratic, quadratic)}
     primary = system.classification.node_role == NODE_GHOST
-    for node, proj in system.projections.items():
-        u = quadratic if proj.diagonal else biquadratic
-        assert rows[u][system.index[node]] == pytest.approx(u(*proj.point), abs=1e-8)
-        upper = 1.0 if primary[node] else 2.0
-        for theta, spacing in zip(proj.theta, proj.spacing):
+    ghosts = system.ghosts
+    for (i, j), point, diagonal, thetas, spacings in zip(
+            ghosts.ghost, ghosts.point, ghosts.diagonal, ghosts.theta, ghosts.spacing):
+        u = quadratic if diagonal else biquadratic
+        assert rows[u][system.index[i, j]] == pytest.approx(u(*point), abs=1e-8)
+        upper = 1.0 if primary[i, j] else 2.0
+        for theta, spacing in zip(thetas, spacings):
             assert 0.0 <= theta < upper
             if spacing == 2:
                 assert 0.5 * (1.0 - grid.h) < theta < 0.5
@@ -292,9 +292,9 @@ def test_ghost_next_to_on_gamma_node_assembles():
     for kind in ("dirichlet", "mixed"):
         for p in (1, 2):
             system = assemble_fd(grid, domain, case, make_bc_spec("ellipse", kind), p=p)
-            proj = system.projections[(20, 13)]
-            assert proj.point == pytest.approx([0.0, -0.3], abs=1e-15)
-            assert proj.normal.tolist() == [0.0, -1.0]
+            [row] = np.flatnonzero((system.ghosts.ghost == (20, 13)).all(axis=1))
+            assert system.ghosts.point[row] == pytest.approx([0.0, -0.3], abs=1e-15)
+            assert system.ghosts.normal[row].tolist() == [0.0, -1.0]
             u, report = solve_direct(system.matrix, system.rhs)
             assert report.final_residual <= 1e-10
             eu, eg = fd_errors(grid, system, u, case)
@@ -308,29 +308,24 @@ def test_ghost_next_to_on_gamma_node_assembles():
 def test_mitigation_halves_theta():
     proj = make_proj((0.99, 0.2))
     mitigate_ill_conditioning(proj, 0.05)
-    [out] = proj.views()
-    assert out.theta[0] == pytest.approx(0.495)
-    assert out.theta[1] == 0.2
-    assert out.spacing == (2, 1)
-    assert out.enlarged
+    assert proj.theta[0, 0] == pytest.approx(0.495)
+    assert proj.theta[0, 1] == 0.2
+    assert proj.spacing.tolist() == [[2, 1]]
 
 
 def test_mitigation_not_triggered():
     proj = make_proj((0.5, 0.5))
     mitigate_ill_conditioning(proj, 0.05)
-    [out] = proj.views()
-    assert not out.enlarged
-    assert out.theta == (0.5, 0.5)
-    assert out.spacing == (1, 1)
+    assert proj.theta.tolist() == [[0.5, 0.5]]
+    assert proj.spacing.tolist() == [[1, 1]]
 
 
 def test_mitigation_skips_neumann():
     proj = make_proj((0.99, 0.99), kind="neumann")
     mitigate_ill_conditioning(proj, 0.05)
-    [out] = proj.views()
-    assert not out.enlarged
-    assert out.theta == (0.99, 0.99)
-    assert out.bc_kind == "neumann"
+    assert proj.theta.tolist() == [[0.99, 0.99]]
+    assert proj.spacing.tolist() == [[1, 1]]
+    assert proj.dirichlet.tolist() == [False]
 
 
 def test_mitigated_diagonal_bounded():
@@ -353,7 +348,7 @@ def test_assemble_circle_n4_size():
     grid, system, _, _, _ = run_fd("circle", "paper_sin", "dirichlet", 4)
     assert system.matrix.shape == (21, 21)
     assert np.count_nonzero(system.classification.node_role == NODE_INTERIOR) == 9
-    assert len(system.projections) == 12
+    assert len(system.ghosts.ghost) == 12
 
 
 def test_assembly_peak_memory_is_a_small_multiple_of_the_matrix():
@@ -422,12 +417,27 @@ def test_assemble_rejects_bad_p():
 def test_extended_ghosts_assemble_and_solve(name, n):
     # concave geometries force stencil nodes beyond the ghost layer
     grid, system, u, report, case = run_fd(name, "paper_sin", "dirichlet", n)
-    extended = (len(system.projections)
+    extended = (len(system.ghosts.ghost)
                 - np.count_nonzero(system.classification.node_role == NODE_GHOST))
     assert extended >= 0
     assert report.final_residual <= 1e-10
     eu, _ = fd_errors(grid, system, u, case)
     assert eu[2] < 5e-3
+
+
+@pytest.mark.parametrize("name, bc_kind", [("flower", "mixed"), ("hourglass", "dirichlet")])
+def test_projections_view_agrees_with_the_ghosts(name, bc_kind):
+    # what the benchmark tracing harness reads of FdSystem.projections: its
+    # keys and size, and which ghost rows have an enlarged stencil
+    system = assemble_fd(Grid(40), make_domain(name), make_case("paper_sin"),
+                         make_bc_spec(name, bc_kind), p=2)
+    ghosts, projections = system.ghosts, system.projections
+    enlarged = (ghosts.spacing != 1).any(axis=1)
+    assert len(ghosts.ghost) > np.count_nonzero(system.classification.node_role == NODE_GHOST)
+    assert enlarged.any()
+    assert list(projections) == list(map(tuple, ghosts.ghost.tolist()))
+    assert len(projections) == len(ghosts.ghost)
+    assert [q.enlarged for q in projections.values()] == enlarged.tolist()
 
 
 def test_extended_ghost_without_axis_or_diagonal_foot_raises():
@@ -506,8 +516,8 @@ DOMAINS = ("circle", "leaf", "flower", "hourglass")
 BOTH_ROUTES = {("flower", 16), ("flower", 40), ("hourglass", 40)}
 
 
-def projection_bytes(proj):
-    return [np.asarray(getattr(proj, f.name)).tobytes() for f in fields(proj)]
+def row_bytes(record, k):
+    return [getattr(record, f.name)[k].tobytes() for f in fields(record)]
 
 
 def check_batched_projections(domain, n):
@@ -520,11 +530,9 @@ def check_batched_projections(domain, n):
     grid = Grid(n)
     cls = classify(grid, domain, "four")
     ghosts = np.argwhere(cls.node_role == NODE_GHOST)
-    singles = [projection_bytes(project_to_boundary(tuple(g), domain, grid))
-               for g in ghosts]
+    singles = [row_bytes(project_ghosts([g], domain, grid), 0) for g in ghosts]
     record = project_ghosts(ghosts, domain, grid)
-    batch = record.views()
-    assert [projection_bytes(q) for q in batch] == singles
+    assert [row_bytes(record, k) for k in range(len(ghosts))] == singles
     normals = domain.outward_normal(grid.xs[ghosts[:, 0]], grid.xs[ghosts[:, 1]])
     assert normals.tobytes() == b"".join(
         domain.outward_normal(*grid.node(*g)).tobytes() for g in ghosts)
@@ -535,18 +543,18 @@ def check_batched_projections(domain, n):
     try:
         system = assemble_fd(grid, domain, make_case("paper_sin"),
                              make_bc_spec("x", "dirichlet"), p=2)
-        projections = list(system.projections.values())
+        checked = system.ghosts
     except GeometryError:  # grid too coarse for one extension layer
-        projections = batch
+        checked = record
     tol = 1e-4 * grid.h
-    for proj in projections:
-        g = np.array(grid.node(*proj.ghost))
-        ray = -proj.normal  # every route has B = G - normal * nu
-        assert domain.phi(*(g + max(proj.nu - tol, 0.0) * ray)) <= 0.0
-        assert domain.phi(*(g + (proj.nu + tol) * ray)) >= 0.0
-    axis = sum(not np.array_equal(q.normal, domain.outward_normal(*grid.node(*q.ghost)))
-               for q in batch)
-    return axis, sum(q.diagonal for q in projections)
+    for ghost, nu, normal in zip(checked.ghost, checked.nu, checked.normal):
+        g = np.array(grid.node(*ghost))
+        ray = -normal  # every route has B = G - normal * nu
+        assert domain.phi(*(g + max(nu - tol, 0.0) * ray)) <= 0.0
+        assert domain.phi(*(g + (nu + tol) * ray)) >= 0.0
+    axis = sum(not np.array_equal(normal, domain.outward_normal(*grid.node(*g)))
+               for g, normal in zip(record.ghost, record.normal))
+    return axis, np.count_nonzero(checked.diagonal)
 
 
 @settings(derandomize=True, deadline=None, max_examples=20)

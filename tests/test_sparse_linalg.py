@@ -317,6 +317,13 @@ def test_cg_rejects_unknown_preconditioner():
         solve_cg(sp.eye(3).tocsr(), np.ones(3), "sor", omega=2.5)
 
 
+@pytest.mark.parametrize("tol", (0.0, -1.0, np.nan, np.inf, -np.inf))
+def test_cg_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    # -1 or NaN is never met: CG would run until p = 0 and report a false breakdown
+    with pytest.raises(ConfigurationError, match="CG tolerance must be finite and positive"):
+        solve_cg(laplacian_1d(20, 0.05), np.ones(20), "jacobi", tol=tol)
+
+
 def dense_ssor(A, omega, r):
     """(2-w)/w (D/w+U)^-1 D (D/w+L)^-1 r by dense triangular solves."""
     a = A.toarray()

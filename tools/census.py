@@ -7,8 +7,8 @@ prints one JSON line per system with two SHA-256 hashes, or the text of the
 error the assembly raised:
 
 * `system`: the matrix (data, indices, indptr) and the right-hand side;
-* `parts`: every field of the FD projections or the FEM cut-cell views,
-  field types included.
+* `parts`: every field of the FD ghost record (`FdSystem.ghosts`) or the
+  FEM boundary band (`FemSystem.band`), dtypes and shapes included.
 
 A refactor that must not change any number is gated by `diff` between the
 outputs of the two source trees.  Keeping the hashes apart shows whether a
@@ -48,7 +48,7 @@ def ellipse(cx, cy, a, b):
 
 
 def feed(digest, value):
-    """Hash a value together with its type, recursing into containers."""
+    """Hash an array, or every field of a record of arrays, with its type."""
     digest.update(type(value).__name__.encode())
     if isinstance(value, np.ndarray):
         digest.update(f"{value.dtype.str}{value.shape}".encode())
@@ -56,16 +56,8 @@ def feed(digest, value):
     elif dataclasses.is_dataclass(value):
         for field in dataclasses.fields(value):
             feed(digest, getattr(value, field.name))
-    elif isinstance(value, dict):
-        for key, item in value.items():
-            feed(digest, key)
-            feed(digest, item)
-    elif isinstance(value, (list, tuple)):
-        digest.update(str(len(value)).encode())
-        for item in value:
-            feed(digest, item)
     else:
-        digest.update(repr(value).encode())
+        raise TypeError(f"cannot hash a {type(value).__name__}")
 
 
 def sha256(*values):
@@ -107,7 +99,7 @@ def fd_systems():
                 for n in grids:
                     record({"scheme": "fd", "domain": name, "bc": kind, "p": p, "n": n},
                            lambda: assemble_fd(Grid(n), domain, case, bc, p=p),
-                           lambda system: system.projections)
+                           lambda system: system.ghosts)
 
 
 def fem_systems():
@@ -120,7 +112,7 @@ def fem_systems():
                     record({"scheme": "fem", "domain": name, "bc": kind, "alpha": alpha,
                             "n": n},
                            lambda: assemble_fem(Grid(n), domain, case, bc, alpha=alpha),
-                           lambda system: system.cells)
+                           lambda system: system.band)
 
 
 if __name__ == "__main__":
