@@ -39,13 +39,15 @@ _REFINED_RESIDUAL_MAX = 1e-8
 # (FD N=40..640, FEM N=40..320), at the double-precision residual.
 _REFINE_STEPS_MAX = 10
 
-# SuperLU's panel width (its default is 20).  On the benchmark's FD and FEM
-# matrices, 2, 4 and 6 factor in about the same time, 8 is slower and 20
-# slowest, all with the same fill: at FD circle N=640, _factor takes 0.92 s
-# and 190 MiB with panels of 4 and 1.30 s and 228 MiB with 20, and one
-# float64 splu 1.41 s and 241 MiB (tools/lu_panel.py, 2 vCPUs, one BLAS
-# thread).
-PANEL_SIZE = 4
+# SuperLU's panel width (its default is 20), for every factor (_splu).  On
+# the benchmark's FD and FEM matrices every width gives the same fill, 2 and
+# 4 factor in about the same time and 20 is slowest, and narrower panels
+# take less workspace: at FD circle N=640, _factor takes 0.85 s and 186 MiB
+# with panels of 2, 0.87 s and 191 MiB with 4 and 1.00 s and 229 MiB with
+# 20; the SSOR sweep's factor at FEM flower N=320 peaks at 70.7 MiB with 2
+# and 77.0 MiB with 20 (tools/lu_panel.py --panels 2,4,20 --repeats 5,
+# 2 vCPUs, one BLAS thread).
+PANEL_SIZE = 2
 
 _NO_PIVOT = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
              "options": {"SymmetricMode": True}}
@@ -133,6 +135,12 @@ def _refined_solve(A, b, factor):
     return x, res, steps
 
 
+def _splu(A, **options):
+    """SuperLU's splu of the CSC matrix A with panels of PANEL_SIZE columns;
+    every factor in this module, the SSOR sweep included, is made here."""
+    return spla.splu(A, panel_size=PANEL_SIZE, **options)
+
+
 def _factor(A, b):
     """Sparse LU of A checked on the solve of A x = b.
 
@@ -165,9 +173,9 @@ def _factor(A, b):
     for name, dtype, options in attempts:
         last = name == attempts[-1][0]
         try:
-            lu = spla.splu(sp.csc_matrix((A.data.astype(dtype, copy=False),
-                                          A.indices, A.indptr), shape=A.shape),
-                           panel_size=PANEL_SIZE, **options)
+            lu = _splu(sp.csc_matrix((A.data.astype(dtype, copy=False),
+                                      A.indices, A.indptr), shape=A.shape),
+                       **options)
         except RuntimeError as exc:
             if last:
                 raise SolverError(f"sparse LU factorization failed: {exc}") from exc
@@ -221,9 +229,9 @@ def _ssor_apply(A, omega):
     if np.any(d <= 0.0):
         raise SolverError("SSOR preconditioner: CG needs a positive diagonal")
     # without ordering or pivoting the factor has no fill: it is the sweep
-    sweep = spla.splu(sp.csc_matrix(sp.tril(A, -1) + sp.diags(d / omega)),
-                      permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                      options={"SymmetricMode": True})
+    sweep = _splu(sp.csc_matrix(sp.tril(A, -1) + sp.diags(d / omega)),
+                  permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                  options={"SymmetricMode": True})
     scale = (2.0 - omega) / omega
     return lambda r: scale * sweep.solve(d * sweep.solve(r), trans="T")
 
@@ -234,7 +242,8 @@ def solve_cg(A, b, preconditioner="none", tol=1e-12, maxit=10000, omega=1.5):
 
     preconditioner is "none", "jacobi" or "sor"; the last two need a
     positive diagonal.  The SSOR sweep is one no-pivot SuperLU factor of
-    D/omega + L, applied forward and then transposed, so it stays SPD.
+    D/omega + L with panels of PANEL_SIZE columns, applied forward and then
+    transposed, so it stays SPD.
     Iterations start from zero.
     A non-converged run returns a report with converged=False rather than
     raising; a tol that is not finite and positive raises ConfigurationError.

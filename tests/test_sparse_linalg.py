@@ -228,6 +228,24 @@ def test_values_outside_float32_go_straight_to_double(value, monkeypatch):
     assert factor.dtype == np.float32 and factor.note == ""
 
 
+def test_every_factor_uses_the_narrow_panels(monkeypatch):
+    # the direct solve, the condition estimate's own factor and the SSOR
+    # sweep all reach SuperLU with panels of PANEL_SIZE, not its default 20
+    _, fd, fem, _ = paper_systems("flower", "mixed", 40)
+    kwargs = []
+    real = sparse_linalg.spla.splu
+
+    def splu(A, **options):
+        kwargs.append(options)
+        return real(A, **options)
+
+    monkeypatch.setattr(sparse_linalg.spla, "splu", splu)
+    solve_direct(*fd)
+    estimate_cond2(fem[0])
+    assert solve_cg(*fem, preconditioner="sor")[1].converged
+    assert [options.get("panel_size") for options in kwargs] == [PANEL_SIZE] * 3
+
+
 def test_fits_single_checks_every_block():
     from uel.sparse_linalg import _fits_single
     # more than three of the 65,536-value blocks, the bad value in the last
@@ -351,6 +369,17 @@ def test_ssor_apply_matches_dense_sweep_and_is_symmetric():
         assert np.array_equal(sweep.perm_r, np.arange(n))
         assert np.array_equal(sweep.perm_c, np.arange(n))
         assert sweep.L.nnz + sweep.U.nnz == (sp.tril(A, -1).nnz + n) + n
+
+
+def test_ssor_sweep_is_bit_identical_at_any_panel_width(monkeypatch):
+    # the no-fill factor of D/w + L has no column updates, so the panel
+    # width sets only SuperLU's workspace, never a bit of the sweep
+    _, fem, _, _, _ = run_fem("flower", "paper_sin", "mixed", 80, alpha=1.5)
+    x, report = solve_cg(fem.matrix, fem.rhs, "sor")
+    monkeypatch.setattr(sparse_linalg, "PANEL_SIZE", 20)
+    x20, report20 = solve_cg(fem.matrix, fem.rhs, "sor")
+    assert report.converged and report.iterations == report20.iterations
+    assert np.array_equal(x, x20)
 
 
 @pytest.mark.parametrize("precond", ("jacobi", "sor"))

@@ -1,4 +1,4 @@
-"""Factor time and peak memory of the sparse LU against SuperLU's panel size.
+"""Factor time and peak memory of every SuperLU factor against its panel size.
 
     PYTHONPATH=src python3 tools/lu_panel.py [--panels 2,4,6,8,20] [--repeats 5]
 
@@ -10,7 +10,9 @@ Each (matrix, panel size) sample is `sparse_linalg._factor` with
 single-threaded BLAS, so its `ru_maxrss` is the peak of that one factor.
 Each matrix also gets a baseline sample: one float64 no-pivot MMD `splu`
 with panels of `PANEL_SIZE` of A^T, the CSC reading of A's CSR arrays that
-`_factor` factors, without a solve.
+`_factor` factors, without a solve.  Each FEM matrix also gets one sample
+per panel size of the SSOR sweep, `sparse_linalg._ssor_apply(A, 1.5)`:
+the no-fill factor of D/omega + L that `solve_cg(..., "sor")` makes.
 Linux carries a parent's peak RSS into the children it starts, so the
 driving interpreter imports neither numpy nor `uel`: the assembly runs in
 a child too.
@@ -19,8 +21,9 @@ rotated from repeat to repeat.  Prints one line per matrix and panel
 size: the median `_factor` seconds (the factor and its refined solve), the
 median peak RSS in MiB, the fill nnz(L) + nnz(U), the factor's precision,
 its refinement steps and the fallback note if the first factor tried was
-rejected; then the baseline's median seconds, peak RSS and fill.  20 is
-SuperLU's default panel size.
+rejected; then the baseline's median seconds, peak RSS and fill; then, for
+a FEM matrix, one line per panel size with the sweep's median seconds,
+peak RSS and fill.  20 is SuperLU's default panel size.
 """
 
 import argparse
@@ -58,7 +61,8 @@ def save_system(index, path):
 def factor_once(path, panel):
     """One sample: load the system, factor it, print a JSON line.  panel
     "f64" is the baseline: a float64 no-pivot MMD splu of A^T with
-    PANEL_SIZE."""
+    PANEL_SIZE; panel "ssor<k>" is the SSOR sweep with panels of k."""
+    import inspect
     import numpy as np
     import scipy.sparse as sp
     from uel import sparse_linalg
@@ -66,9 +70,12 @@ def factor_once(path, panel):
     b = np.load(path + ".npy")
     t0 = time.perf_counter()
     if panel == "f64":
-        lu = sparse_linalg.spla.splu(A.T, panel_size=sparse_linalg.PANEL_SIZE,
-                                     **sparse_linalg._NO_PIVOT)
+        lu = sparse_linalg._splu(A.T, **sparse_linalg._NO_PIVOT)
         factor = sparse_linalg.LUFactor(lu)
+    elif panel.startswith("ssor"):
+        sparse_linalg.PANEL_SIZE = int(panel[4:])
+        apply = sparse_linalg._ssor_apply(A, 1.5)
+        factor = sparse_linalg.LUFactor(inspect.getclosurevars(apply).nonlocals["sweep"])
     else:
         sparse_linalg.PANEL_SIZE = int(panel)
         factor = sparse_linalg._factor(A, b)[0]
@@ -104,11 +111,14 @@ def main():
     if args.sample:
         factor_once(*args.sample)
         return
-    panels = [int(tok) for tok in args.panels.split(",")] + ["f64"]
+    sizes = args.panels.split(",")
     with tempfile.TemporaryDirectory() as tmp:
         for index, (scheme, domain_name, order, n) in enumerate(SYSTEMS):
             path = os.path.join(tmp, str(index))
             child("--save", index, path)
+            panels = sizes + ["f64"]
+            if scheme == "fem":
+                panels += [f"ssor{k}" for k in sizes]
             runs = {panel: [] for panel in panels}
             for r in range(args.repeats):
                 shift = r % len(panels)
@@ -124,7 +134,12 @@ def main():
                     print(f"{label:28s} float64 splu baseline  splu_s={seconds:.4f}  "
                           f"rss_mib={rss:.1f}  fill={s[0]['fill']}", flush=True)
                     continue
-                print(f"{label:28s} panel={panel:2d}  factor_s={seconds:.4f}  "
+                if panel.startswith("ssor"):
+                    print(f"{label:28s} SSOR sweep panel={int(panel[4:]):2d}  "
+                          f"sweep_s={seconds:.4f}  rss_mib={rss:.1f}  "
+                          f"fill={s[0]['fill']}", flush=True)
+                    continue
+                print(f"{label:28s} panel={int(panel):2d}  factor_s={seconds:.4f}  "
                       f"rss_mib={rss:.1f}  fill={s[0]['fill']}  {s[0]['dtype']}  "
                       f"refinements={s[0]['refinements']}  "
                       f"note={s[0]['note'] or '-'}", flush=True)
