@@ -12,11 +12,9 @@ import numpy as np
 from .analysis import (CASE_NAMES, ConvergenceReport, ErrorNorms, ReportRow,
                        make_case, relative_error)
 from .errors import ConfigurationError, SolverError, UelError
-from .fd_scheme import assemble_fd, fd_gradient
-from .fem_scheme import (assemble_fem, fem_gradient, nodal_interior_values,
-                         solution_blocks)
-from .geometry import (DOMAIN_NAMES, NODE_INTERIOR, Grid, make_bc_spec,
-                       make_domain)
+from .fd_scheme import assemble_fd
+from .fem_scheme import assemble_fem, nodal_interior_values
+from .geometry import DOMAIN_NAMES, Grid, make_bc_spec, make_domain
 from .sparse_linalg import estimate_cond2, solve_cg, solve_direct
 
 CSV_COLUMNS = ("scheme,domain,bc,p,alpha,N,h,"
@@ -211,11 +209,27 @@ def _solve(config, matrix, rhs):
     return u, report
 
 
+def solution_errors(system, u, case):
+    """The relative (L1, L2, Linf) errors of u and of its gradient over the
+    system's samples (u_blocks, gradient_samples), and the relative Linf
+    error at its interior nodes, for an FD or FEM system solved by u."""
+    # the u samples stream through in the blocks the norms sum
+    norms = ErrorNorms()
+    for pts, w, u_h in system.u_blocks(u):
+        norms.add(u_h, case.u(pts[:, 0], pts[:, 1]), w)
+    err_u = norms.relative_errors()
+    pts, w, grads = system.gradient_samples(u)
+    g_ex = np.column_stack(case.grad_u(pts[:, 0], pts[:, 1]))
+    err_g = ErrorNorms().add(grads, g_ex, w).relative_errors()
+    nodes, vals = nodal_interior_values(system, u)
+    pts = system.grid.xs[nodes]
+    nodal_linf = relative_error(vals, case.u(pts[:, 0], pts[:, 1]), "inf")
+    return err_u, err_g, nodal_linf
+
+
 def run_single(config, n, domain, case, bc):
     """One grid of the sweep; returns a ReportRow."""
     grid = Grid(n)
-    xs = grid.xs
-    h = grid.h
     t0 = time.perf_counter()
     if config.scheme == "fd":
         system = assemble_fd(grid, domain, case, bc, p=config.p,
@@ -237,36 +251,11 @@ def run_single(config, n, domain, case, bc):
     # before post-processing
     report.factor = system.matrix = None
 
-    if config.scheme == "fd":
-        role = system.classification.node_role
-        ii, jj = np.nonzero(role == NODE_INTERIOR)
-        u_h = u[system.index[ii, jj]]
-        u_ex = case.u(xs[ii], xs[jj])
-        w = np.full(len(u_h), h * h)
-        err_u = ErrorNorms().add(u_h, u_ex, w).relative_errors()
-        gnodes, grads = fd_gradient(system, u)
-        gx, gy = case.grad_u(xs[gnodes[:, 0]], xs[gnodes[:, 1]])
-        g_ex = np.column_stack([gx, gy])
-        wg = np.full(len(gnodes), h * h)
-        err_g = ErrorNorms().add(grads, g_ex, wg).relative_errors()
-        nodal_linf = err_u[2]
-    else:
-        # the Omega_h samples stream through in the blocks the norms sum
-        norms = ErrorNorms()
-        for pts, w, u_h in solution_blocks(system, u):
-            norms.add(u_h, case.u(pts[:, 0], pts[:, 1]), w)
-        err_u = norms.relative_errors()
-        gpts, wg, grads = fem_gradient(system, u)
-        gx, gy = case.grad_u(gpts[:, 0], gpts[:, 1])
-        g_ex = np.column_stack([gx, gy])
-        err_g = ErrorNorms().add(grads, g_ex, wg).relative_errors()
-        nodes, vals = nodal_interior_values(system, u)
-        nodal_linf = relative_error(vals, case.u(xs[nodes[:, 0]], xs[nodes[:, 1]]),
-                                    "inf")
+    err_u, err_g, nodal_linf = solution_errors(system, u, case)
 
     return ReportRow(
         scheme=config.scheme, domain=config.domain, bc=config.bc,
-        p=config.p, alpha=config.alpha, n=n, h=h,
+        p=config.p, alpha=config.alpha, n=n, h=grid.h,
         err_u=err_u, err_g=err_g, cond2=cond2,
         solver=config.solver,
         precond=config.precond, iters=report.iterations,

@@ -10,6 +10,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import AssemblyError, ConfigurationError, GeometryError
+from .fem_scheme import nodal_interior_values
 from .geometry import (AXES, NODE_GHOST, NODE_INACTIVE, NODE_INTERIOR, NONFINITE,
                        GhostProjections, _neighbor_any, _shortest_crossing,
                        classify, project_ghosts)
@@ -173,6 +174,17 @@ class FdSystem:
         enlarged = (self.ghosts.spacing != 1).any(axis=1).tolist()
         keys = map(tuple, self.ghosts.ghost.tolist())
         return {g: SimpleNamespace(enlarged=e) for g, e in zip(keys, enlarged)}
+
+    def u_blocks(self, u):
+        """One block of u samples (points, weights, values): the interior
+        nodes of nodal_interior_values, each of weight h^2."""
+        nodes, values = nodal_interior_values(self, u)
+        yield self.grid.xs[nodes], np.full(len(values), self.grid.h * self.grid.h), values
+
+    def gradient_samples(self, u):
+        """fd_gradient as (points, weights, gradients), each of weight h^2."""
+        nodes, grads = fd_gradient(self, u)
+        return self.grid.xs[nodes], np.full(len(nodes), self.grid.h * self.grid.h), grads
 
 
 def _extended_projections(nodes, domain, grid, tol_factor, active, p):

@@ -193,6 +193,39 @@ class FemSystem:
         keys = map(tuple, self.band.cells.tolist())
         return {c: SimpleNamespace(boundary_segments=k) for c, k in zip(keys, counts)}
 
+    def u_blocks(self, u):
+        """The solution_samples arrays (points, weights, values) in blocks
+        of NORM_BLOCK samples, each built anew."""
+        for points, weights, fields in _omega_h_blocks(self, u, gradient=False):
+            yield points, weights, fields[0]
+
+    def gradient_samples(self, u):
+        """Discrete gradient of the solution at its volume sampling points:
+        the centers of interior cells whose two-ring neighborhood is fully
+        interior, where bilinear gradients superconverge.
+
+        Cells within the buffer of the cut region carry the O(h)
+        element-gradient error of the boundary strip, which would mask the
+        interior gradient accuracy the convergence panels compare; they are
+        excluded from the sample.  When no cell qualifies (tiny domains),
+        the gradient is taken at the solution_samples points instead, read
+        from the same arrays.
+
+        Returns (points, weights, gradients).
+        """
+        h = self.grid.h
+        core = np.argwhere(_eroded(self.classification.cell_role == CELL_INSIDE, 2))
+        if len(core):
+            uloc = u[_cell_rows(self.index, *core.T)]
+            # gradients of the four hats at the cell center
+            gx = np.array([-0.5, 0.5, 0.5, -0.5]) / h
+            gy = np.array([-0.5, -0.5, 0.5, 0.5]) / h
+            pts = self.grid.xs[core] + 0.5 * h
+            return pts, np.full(len(core), h * h), np.column_stack([uloc @ gx, uloc @ gy])
+
+        points, weights, fields = _omega_h_samples(self, u, gradient=True)
+        return points, weights, fields.T
+
 
 # Reference quadrature layout for full cells: both fan triangles of the unit
 # square, 6 points each.
@@ -470,13 +503,6 @@ def _omega_h_samples(system, u, gradient):
     return out
 
 
-def solution_blocks(system, u):
-    """The solution_samples arrays in blocks of NORM_BLOCK samples, each
-    (points, weights, values) built anew."""
-    for points, weights, fields in _omega_h_blocks(system, u, gradient=False):
-        yield points, weights, fields[0]
-
-
 def solution_samples(system, u):
     """Discrete solution at the volume quadrature points of Omega_h (the
     reference layout on inside cells, then the band's triangle arrays).
@@ -497,40 +523,12 @@ def _eroded(mask, k):
     return np.logical_and.reduce([rows[:, d:d + n1] for d in range(2 * k + 1)])
 
 
-def fem_gradient(system, u):
-    """Discrete gradient of the solution at its volume sampling points:
-    the centers of interior cells whose two-ring neighborhood is fully
-    interior, where bilinear gradients superconverge.
-
-    Cells within the buffer of the cut region carry the O(h) element-gradient
-    error of the boundary strip, which would mask the interior gradient
-    accuracy the convergence panels compare; they are excluded from the
-    sample.  When no cell qualifies (tiny domains), the gradient is taken at
-    the solution_samples points instead, read from the same arrays.
-
-    Returns (points, weights, gradients).
-    """
-    grid = system.grid
-    h = grid.h
-    cls = system.classification
-    xs = grid.xs
-
-    core = np.argwhere(_eroded(cls.cell_role == CELL_INSIDE, 2))
-    if len(core):
-        ci, cj = core[:, 0], core[:, 1]
-        uloc = u[_cell_rows(system.index, ci, cj)]
-        # gradients of the four hats at the cell center
-        gx = np.array([-0.5, 0.5, 0.5, -0.5]) / h
-        gy = np.array([-0.5, -0.5, 0.5, 0.5]) / h
-        pts = np.column_stack([xs[ci] + 0.5 * h, xs[cj] + 0.5 * h])
-        return pts, np.full(len(core), h * h), np.column_stack([uloc @ gx, uloc @ gy])
-
-    points, weights, fields = _omega_h_samples(system, u, gradient=True)
-    return points, weights, fields.T
+fem_gradient = FemSystem.gradient_samples
 
 
 def nodal_interior_values(system, u):
-    """Solution coefficients at interior nodes (hat functions are nodal).
+    """Solution values at the interior nodes of an FD or FEM system (both
+    are nodal there): the FD u samples and both schemes' nodal-error samples.
 
     Returns (nodes, values).
     """

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import (fd_errors, fem_errors, jacobi_eigenvalues, omega_h_area,
-                      run_fd, run_fem)
+from conftest import jacobi_eigenvalues, omega_h_area, run_fd, run_fem
 from uel import (Grid, assemble_fd, assemble_fem, make_bc_spec, make_case,
                  make_domain, solve_cg, solve_direct)
 from uel.analysis import fitted_order
+from uel.cli import solution_errors
 from uel.fd_scheme import _weights
 from uel.geometry import (NODE_INACTIVE, NODE_INTERIOR, classify,
                           extract_cut_cells, snap_small_cells)
@@ -32,7 +32,7 @@ def sweep_fd(domain, bc, p, grids=GRIDS_FULL, tol_factor=1e-4):
     for n in grids:
         grid, system, u, _, case = run_fd(domain, "paper_sin", bc, n, p=p,
                                           tol_factor=tol_factor)
-        eu, eg = fd_errors(grid, system, u, case)
+        eu, eg, _ = solution_errors(system, u, case)
         out.append((grid.h, eu, eg))
     return out
 
@@ -41,7 +41,7 @@ def sweep_fem(domain, bc, alpha, grids=GRIDS_FULL):
     out = []
     for n in grids:
         grid, system, u, _, case = run_fem(domain, "paper_sin", bc, n, alpha=alpha)
-        eu, eg, nodal = fem_errors(grid, system, u, case)
+        eu, eg, nodal = solution_errors(system, u, case)
         out.append((grid.h, eu, eg, nodal))
     return out
 
@@ -120,12 +120,12 @@ def test_criterion_2_gradient_convergence(fd_circle_p2, fem_circle):
 def test_criterion_3_exactness_oracles():
     worst_fd = worst_fem = 0.0
     for n in (40, 80):
-        grid, system, u, _, case = run_fd("circle", "quadratic", "dirichlet",
-                                          n, p=2, tol_factor=1e-12)
-        eu, _ = fd_errors(grid, system, u, case)
+        _, system, u, _, case = run_fd("circle", "quadratic", "dirichlet",
+                                       n, p=2, tol_factor=1e-12)
+        eu, _, _ = solution_errors(system, u, case)
         worst_fd = max(worst_fd, eu[2])
-        grid, system, u, _, case = run_fem("circle", "linear", "dirichlet", n)
-        _, _, nodal = fem_errors(grid, system, u, case)
+        _, system, u, _, case = run_fem("circle", "linear", "dirichlet", n)
+        _, _, nodal = solution_errors(system, u, case)
         worst_fem = max(worst_fem, nodal)
     ok = worst_fd <= 1e-8 and worst_fem <= 1e-8
     report("3", ok, f"FD quadratic Linf {worst_fd:.2e} (<=1e-8), "

@@ -4,14 +4,15 @@ import re
 import numpy as np
 import pytest
 
-from conftest import csr_bytes, fem_errors, run_fem, traced_peak
-from uel import Grid, assemble_fem, make_bc_spec, make_case, make_domain
+from conftest import csr_bytes, omega_h_area, run_fd, run_fem, traced_peak
+from uel import Grid, assemble_fem, make_bc_spec, make_case, make_domain, relative_error
 from uel.analysis import NORM_BLOCK
 from uel.cli import (CSV_COLUMNS, ExperimentConfig, main, parse_config, run,
                      run_single)
 from uel.errors import ConfigurationError
-from uel.fd_scheme import FdSystem
-from uel.fem_scheme import FemSystem, solution_samples
+from uel.fd_scheme import FdSystem, fd_gradient
+from uel.fem_scheme import FemSystem, fem_gradient, solution_samples
+from uel.geometry import NODE_INTERIOR
 from uel.sparse_linalg import CondEstimate
 
 
@@ -337,17 +338,74 @@ def test_fem_row_reports_iterations(tmp_path):
     assert row.p is None
 
 
-@pytest.mark.parametrize("domain, alpha, blocks", [("circle", 2.0, 4), ("flower", 1.5, 2)])
-def test_streamed_fem_norms_equal_the_full_array_norms(domain, alpha, blocks):
-    # run_single streams the Omega_h samples in blocks of NORM_BLOCK; the
-    # norms of solution_samples' full arrays give the same bits
-    grid, system, u, _, case = run_fem(domain, "paper_sin", "mixed", 160, alpha=alpha)
-    m = len(solution_samples(system, u)[1])
+def full_array_errors(system, u, case):
+    """(err_u, err_g, nodal Linf) by relative_error over the full arrays of
+    the public sample functions."""
+    xs, h = system.grid.xs, system.grid.h
+    ii, jj = np.nonzero(system.classification.node_role == NODE_INTERIOR)
+    u_nodal, u_nodal_ex = u[system.index[ii, jj]], case.u(xs[ii], xs[jj])
+    if isinstance(system, FdSystem):
+        u_h, u_ex, w = u_nodal, u_nodal_ex, np.full(len(ii), h * h)
+        nodes, grads = fd_gradient(system, u)
+        gpts, wg = xs[nodes], np.full(len(nodes), h * h)
+    else:
+        pts, w, u_h = solution_samples(system, u)
+        u_ex = case.u(pts[:, 0], pts[:, 1])
+        gpts, wg, grads = fem_gradient(system, u)
+    g_ex = np.column_stack(case.grad_u(gpts[:, 0], gpts[:, 1]))
+    return (tuple(relative_error(u_h, u_ex, beta, w) for beta in (1, 2, "inf")),
+            tuple(relative_error(grads, g_ex, beta, wg) for beta in (1, 2, "inf")),
+            relative_error(u_nodal, u_nodal_ex, "inf"))
+
+
+def solved(scheme, domain, n, param):
+    """(grid, system, u, case, {"p" or "alpha": param}) of one mixed-BC grid."""
+    kw = {"p" if scheme == "fd" else "alpha": param}
+    grid, system, u, _, case = (run_fd if scheme == "fd" else run_fem)(
+        domain, "paper_sin", "mixed", n, **kw)
+    return grid, system, u, case, kw
+
+
+@pytest.mark.parametrize("scheme, domain, param, n, blocks", [
+    ("fem", "circle", 2.0, 160, 4), ("fem", "flower", 1.5, 160, 2), ("fd", "circle", 2, 320, 2)])
+def test_run_single_norms_equal_the_full_array_norms(scheme, domain, param, n, blocks):
+    # run_single streams the u samples in blocks of NORM_BLOCK (FEM), or
+    # feeds one block that ErrorNorms sums in NORM_BLOCK pieces (FD); the
+    # norms of the full arrays give the same bits
+    _, system, u, case, kw = solved(scheme, domain, n, param)
+    m = sum(len(w) for _, w, _ in system.u_blocks(u))
     assert -(-m // NORM_BLOCK) == blocks
-    cfg = ExperimentConfig(domain=domain, scheme="fem", bc="mixed", alpha=alpha,
-                           grids=(160,), solver="direct", timings=False)
-    row = run_single(cfg, 160, make_domain(domain), case, make_bc_spec(domain, "mixed"))
-    assert (row.err_u, row.err_g, row.err_u_linf_nodal) == fem_errors(grid, system, u, case)
+    cfg = ExperimentConfig(domain=domain, scheme=scheme, bc="mixed", grids=(n,),
+                           solver="direct", timings=False, **kw)
+    row = run_single(cfg, n, make_domain(domain), case, make_bc_spec(domain, "mixed"))
+    assert (row.err_u, row.err_g, row.err_u_linf_nodal) == full_array_errors(system, u, case)
+
+
+@pytest.mark.parametrize("domain", ["circle", "flower"])
+@pytest.mark.parametrize("scheme, param", [("fd", 2), ("fem", 1.5), ("fem", 2.0)])
+def test_systems_share_the_sample_interface(scheme, param, domain):
+    grid, system, u, _, _ = solved(scheme, domain, 40, param)
+    blocks = list(system.u_blocks(u))
+    # each sample set with its field's trailing shape: u scalar, grad u a 2-vector
+    for (pts, w, vals), tail in [(b, ()) for b in blocks] + [(system.gradient_samples(u), (2,))]:
+        assert pts.shape == (len(w), 2) and vals.shape == (len(w),) + tail
+        assert np.isfinite(pts).all() and np.isfinite(vals).all() and (w > 0).all()
+    if scheme == "fd":
+        area = grid.h ** 2 * np.count_nonzero(system.classification.node_role == NODE_INTERIOR)
+    else:
+        area = omega_h_area(system.classification, system.band)
+    assert sum(w.sum() for _, w, _ in blocks) == pytest.approx(area, rel=1e-12)
+
+
+@pytest.mark.parametrize("bc", ["dirichlet", "mixed"])
+@pytest.mark.parametrize("domain", ["circle", "leaf", "flower", "hourglass"])
+def test_fd_nodal_error_is_the_u_linf_error(domain, bc):
+    # the FD u samples are the interior nodes, and the Linf sums ignore weights
+    cfg = ExperimentConfig(domain=domain, scheme="fd", bc=bc, p=2, grids=(40,),
+                           solver="direct", timings=False)
+    row = run_single(cfg, 40, make_domain(domain), make_case("paper_sin"),
+                     make_bc_spec(domain, bc))
+    assert row.err_u_linf_nodal == row.err_u[2]
 
 
 def test_fem_post_processing_peak_stays_within_the_assembly_guard():

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (ELLIPSES, csr_bytes, ellipse_domain, fd_errors, full_square_domain,
+from conftest import (ELLIPSES, csr_bytes, ellipse_domain, full_square_domain,
                       run_fd, traced_peak)
-from uel import (Grid, assemble_fd, make_bc_spec, make_case, make_domain,
-                 relative_error, solve_direct)
+from uel import Grid, assemble_fd, make_bc_spec, make_case, make_domain, solve_direct
 from uel.analysis import fitted_order
+from uel.cli import solution_errors
 from uel.errors import ConfigurationError, GeometryError
 from uel.fd_scheme import (_stencil_nodes, _weights, fd_gradient, ghost_rows,
                            mitigate_ill_conditioning)
@@ -297,7 +297,7 @@ def test_ghost_next_to_on_gamma_node_assembles():
             assert system.ghosts.normal[row].tolist() == [0.0, -1.0]
             u, report = solve_direct(system.matrix, system.rhs)
             assert report.final_residual <= 1e-10
-            eu, eg = fd_errors(grid, system, u, case)
+            eu, eg, _ = solution_errors(system, u, case)
             assert np.isfinite(eu + eg).all() and eu[2] < 1e-2
 
 
@@ -373,18 +373,16 @@ def test_full_square_recovers_classical_five_point():
         grid = Grid(n)
         system = assemble_fd(grid, domain, case, bc, p=2)
         u, _ = solve_direct(system.matrix, system.rhs)
-        ii, jj = np.nonzero(system.classification.node_role == NODE_INTERIOR)
-        errs.append(relative_error(u[system.index[ii, jj]],
-                                   case.u(grid.xs[ii], grid.xs[jj]), "inf"))
+        errs.append(solution_errors(system, u, case)[0][2])
         hs.append(grid.h)
     assert 1.8 <= fitted_order(hs, errs) <= 2.2
 
 
 def test_quadratic_case_is_exact():
     for n in (40, 80):
-        grid, system, u, _, case = run_fd("circle", "quadratic", "dirichlet", n,
-                                          p=2, tol_factor=1e-12)
-        eu, _ = fd_errors(grid, system, u, case)
+        _, system, u, _, case = run_fd("circle", "quadratic", "dirichlet", n,
+                                       p=2, tol_factor=1e-12)
+        eu, _, _ = solution_errors(system, u, case)
         assert eu[2] <= 1e-8
 
 
@@ -416,12 +414,12 @@ def test_assemble_rejects_bad_p():
 @pytest.mark.parametrize("name,n", [("leaf", 80), ("flower", 40), ("flower", 80)])
 def test_extended_ghosts_assemble_and_solve(name, n):
     # concave geometries force stencil nodes beyond the ghost layer
-    grid, system, u, report, case = run_fd(name, "paper_sin", "dirichlet", n)
+    _, system, u, report, case = run_fd(name, "paper_sin", "dirichlet", n)
     extended = (len(system.ghosts.ghost)
                 - np.count_nonzero(system.classification.node_role == NODE_GHOST))
     assert extended >= 0
     assert report.final_residual <= 1e-10
-    eu, _ = fd_errors(grid, system, u, case)
+    eu, _, _ = solution_errors(system, u, case)
     assert eu[2] < 5e-3
 
 
