@@ -237,6 +237,9 @@ def run_single(config, n, domain, case, bc):
     else:
         system = assemble_fem(grid, domain, case, bc, alpha=config.alpha)
     assemble_s = time.perf_counter() - t0
+    # the geometry is built inside the assembly: nothing past it reads the
+    # level-set grid, so free it before the solve
+    system.classification.phi_node = None
     u, report = _solve(config, system.matrix, system.rhs)
 
     cond2 = cond2_lower_bound = None

@@ -158,15 +158,21 @@ def ghost_rows(projections, p, grid, domain, phi_node):
 @dataclass
 class FdSystem:
     """Assembled ghost-point system A u = f over the active nodes; ghosts
-    holds one GhostProjections row per ghost row, extended ghosts last."""
+    holds one GhostProjections row per ghost row, extended ghosts last.
+    The active nodes are numbered in lexicographic order, so nodes is
+    derived from index rather than stored."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    nodes: np.ndarray          # (M, 2) active node indices, row order
     index: np.ndarray          # (N+1, N+1) int32 row per node, -1 if inactive
     ghosts: GhostProjections
     classification: object
     grid: object
+
+    @property
+    def nodes(self):
+        """(M, 2) active node indices in row order."""
+        return np.argwhere(self.index >= 0)
 
     @property
     def projections(self):
@@ -308,12 +314,12 @@ def assemble_fd(grid, domain, case, bc, p=2, tol_factor=1e-4):
                             "layer; the grid is too coarse for this geometry")
     ghosts = primary + extended
 
-    nodes = np.argwhere(active)
-    n_rows = len(nodes)
-    # int32, the CSR matrix's index type: the row and column gathers below
-    # come out int32, so a COO entry takes 16 bytes instead of 24
+    # rows in lexicographic node order; int32, the CSR matrix's index type:
+    # the row and column gathers below come out int32, so a COO entry takes
+    # 16 bytes instead of 24
+    n_rows = np.count_nonzero(active)
     index = np.full((n + 1, n + 1), -1, dtype=np.int32)
-    index[nodes[:, 0], nodes[:, 1]] = np.arange(n_rows)
+    index[active] = np.arange(n_rows)
 
     rows_parts, cols_parts, vals_parts = [], [], []
     rhs = np.zeros(n_rows)
@@ -362,7 +368,7 @@ def assemble_fd(grid, domain, case, bc, p=2, tol_factor=1e-4):
     rows, cols, vals = (_concatenate_and_clear(parts)
                         for parts in (rows_parts, cols_parts, vals_parts))
     matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n_rows, n_rows)).tocsr()
-    return FdSystem(matrix, rhs, nodes, index, ghosts, cls, grid)
+    return FdSystem(matrix, rhs, index, ghosts, cls, grid)
 
 
 def fd_gradient(system, u):
@@ -377,7 +383,7 @@ def fd_gradient(system, u):
     grid = system.grid
     n = grid.n
     full = np.full((n + 1, n + 1), np.nan)
-    full[system.nodes[:, 0], system.nodes[:, 1]] = u
+    full[system.index >= 0] = u
     role = system.classification.node_role
     ii, jj = np.nonzero(role == NODE_INTERIOR)
     keep = (ii > 0) & (ii < n) & (jj > 0) & (jj < n)

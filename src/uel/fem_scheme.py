@@ -176,15 +176,22 @@ class FemSystem:
     Each entry of A carries the round-off of that three-matrix sum: the
     stiffness summed over the inside cells, then over the cut cells in band
     order, then S_T subtracted and lam * P added, with exact zeros dropped
-    (assemble_fem builds it in one pass)."""
+    (assemble_fem builds it in one pass).
+
+    The active nodes are numbered in lexicographic order, so nodes is
+    derived from index rather than stored."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
-    nodes: np.ndarray
     index: np.ndarray
     classification: object
     band: object
     grid: object
+
+    @property
+    def nodes(self):
+        """(M, 2) active node indices in row order."""
+        return np.argwhere(self.index >= 0)
 
     @property
     def cells(self):
@@ -420,7 +427,7 @@ def assemble_fem(grid, domain, case, bc, alpha=2.0, classification=None):
     band_entries = [_block_entries(band_rows[cut], S_cut)] + [
         (m.row, m.col, m.data) for m in ((-S_T).tocoo(), (lam * P).tocoo())]
     A = _stiffness_and_band(index, nodes, inside, band_entries)
-    return FemSystem(A, rhs, nodes, index, cls, band, grid)
+    return FemSystem(A, rhs, index, cls, band, grid)
 
 
 def _band_quadrature(band, classification, index):

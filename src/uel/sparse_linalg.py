@@ -40,14 +40,15 @@ _REFINED_RESIDUAL_MAX = 1e-8
 _REFINE_STEPS_MAX = 10
 
 # SuperLU's panel width (its default is 20), for every factor (_splu).  On
-# the benchmark's FD and FEM matrices every width gives the same fill, 2 and
-# 4 factor in about the same time and 20 is slowest, and narrower panels
-# take less workspace: at FD circle N=640, _factor takes 0.85 s and 186 MiB
-# with panels of 2, 0.87 s and 191 MiB with 4 and 1.00 s and 229 MiB with
-# 20; the SSOR sweep's factor at FEM flower N=320 peaks at 70.7 MiB with 2
-# and 77.0 MiB with 20 (tools/lu_panel.py --panels 2,4,20 --repeats 5,
-# 2 vCPUs, one BLAS thread).
-PANEL_SIZE = 2
+# the benchmark's FD and FEM matrices every width gives the same fill, and
+# narrower panels take less workspace.  With panels of 1, _factor at FD
+# circle N=640 takes 1.15 s (1.08-1.40 over 5 repeats) and 183.9 MiB, with 2
+# 1.15 s (1.08-1.29) and 186.3 MiB; on the other matrices, and for the SSOR
+# sweep's factor (70.5 MiB at FEM flower N=320 either way), 1 times within
+# the spread of 2's repeats (tools/lu_panel.py --panels 1,2 --repeats 5,
+# 2 vCPUs, one BLAS thread).  Earlier runs gave 191 MiB with 4, and 229 MiB
+# and the slowest factor with 20.
+PANEL_SIZE = 1
 
 _NO_PIVOT = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
              "options": {"SymmetricMode": True}}

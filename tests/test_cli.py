@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from uel.cli import (CSV_COLUMNS, ExperimentConfig, main, parse_config, run,
 from uel.errors import ConfigurationError
 from uel.fd_scheme import FdSystem, fd_gradient
 from uel.fem_scheme import FemSystem, fem_gradient, solution_samples
-from uel.geometry import NODE_INTERIOR
+from uel.geometry import NODE_INACTIVE, NODE_INTERIOR
 from uel.sparse_linalg import CondEstimate
 
 
@@ -418,6 +420,58 @@ def test_fem_post_processing_peak_stays_within_the_assembly_guard():
                            grids=(160,), solver="cg", precond="jacobi", timings=False)
     _, peak = traced_peak(lambda: run_single(cfg, 160, *args))
     assert peak <= 4.5 * csr_bytes(matrix)
+
+
+def test_fd_solve_entry_holds_little_beside_the_matrix(monkeypatch):
+    # the FD factor sets a run's peak, so what the run holds when it enters
+    # the solve adds to that peak: at circle, mixed BC, p=2, N=320 it is
+    # 1.33x the CSR matrix's bytes (the matrix, rhs, the int32 row map and
+    # the geometry records); a stored (M, 2) int64 node list and the
+    # float64 level-set grid took it to 1.82x
+    import uel.cli as cli
+
+    entry = []
+
+    def probe(config, matrix, rhs):
+        entry.append((tracemalloc.get_traced_memory()[0], csr_bytes(matrix)))
+        return solve(config, matrix, rhs)
+
+    solve = cli._solve
+    monkeypatch.setattr(cli, "_solve", probe)
+    cfg = ExperimentConfig(domain="circle", scheme="fd", bc="mixed", p=2, grids=(320,),
+                           solver="direct", timings=False)
+    args = (make_domain("circle"), make_case("paper_sin"), make_bc_spec("circle", "mixed"))
+    traced_peak(lambda: run_single(cfg, 320, *args))
+    memory, matrix_bytes = entry[-1]
+    assert memory <= 1.4 * matrix_bytes
+
+
+@pytest.mark.parametrize("domain", ["circle", "leaf", "flower", "hourglass"])
+@pytest.mark.parametrize("scheme, param", [("fd", 2), ("fem", 1.5), ("fem", 2.0)])
+def test_systems_derive_the_row_map_from_index(scheme, param, domain):
+    # nodes is not stored: it is the active nodes in lexicographic order,
+    # the order both assemblies number the rows in
+    _, system, u, _, _ = solved(scheme, domain, 40, param)
+    assert "nodes" not in {f.name for f in dataclasses.fields(system)}
+    rows = system.matrix.shape[0]
+    assert np.array_equal(system.index[tuple(system.nodes.T)], np.arange(rows))
+    active = system.classification.node_role != NODE_INACTIVE
+    if scheme == "fd":
+        # extended ghosts are active without a role of their own
+        active[tuple(system.ghosts.ghost.T)] = True
+    nodes = np.argwhere(active)
+    assert np.array_equal(system.nodes, nodes)
+    if scheme == "fd":
+        # fd_gradient's scatter through index gives the bits of a scatter
+        # through the node list
+        full = np.full(system.index.shape, np.nan)
+        full[nodes[:, 0], nodes[:, 1]] = u
+        gnodes, grads = fd_gradient(system, u)
+        ii, jj = gnodes.T
+        h = system.grid.h
+        reference = np.column_stack([(full[ii + 1, jj] - full[ii - 1, jj]) / (2.0 * h),
+                                     (full[ii, jj + 1] - full[ii, jj - 1]) / (2.0 * h)])
+        assert np.array_equal(grads, reference)
 
 
 def test_cond_column_populated_when_requested(tmp_path):

@@ -1,6 +1,6 @@
 """Factor time and peak memory of every SuperLU factor against its panel size.
 
-    PYTHONPATH=src python3 tools/lu_panel.py [--panels 2,4,6,8,20] [--repeats 5]
+    PYTHONPATH=src python3 tools/lu_panel.py [--panels 1,2,4,6,8,20] [--repeats 5]
 
 Assembles the matrices of the benchmark workloads (FD p=2 on the circle,
 mixed BC, at N=160, 320 and 640; FD p=2 and FEM alpha 1.5 on the flower,
@@ -23,7 +23,8 @@ median peak RSS in MiB, the fill nnz(L) + nnz(U), the factor's precision,
 its refinement steps and the fallback note if the first factor tried was
 rejected; then the baseline's median seconds, peak RSS and fill; then, for
 a FEM matrix, one line per panel size with the sweep's median seconds,
-peak RSS and fill.  20 is SuperLU's default panel size.
+peak RSS and fill.  Each median of seconds is followed by the range over
+the repeats, in parentheses.  20 is SuperLU's default panel size.
 """
 
 import argparse
@@ -97,7 +98,7 @@ def child(*args):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--panels", default="2,4,6,8,20",
+    ap.add_argument("--panels", default="1,2,4,6,8,20",
                     help="comma-separated panel sizes")
     ap.add_argument("--repeats", type=int, default=5)
     ap.add_argument("--save", nargs=2, metavar=("INDEX", "PATH"),
@@ -128,18 +129,19 @@ def main():
             label = f"{scheme} {domain_name} {'p' if scheme == 'fd' else 'alpha'}={order} N={n}"
             for panel in panels:
                 s = runs[panel]
-                seconds = statistics.median(x['seconds'] for x in s)
+                times = [x['seconds'] for x in s]
+                seconds = f"{statistics.median(times):.4f} ({min(times):.4f}-{max(times):.4f})"
                 rss = statistics.median(x['rss_mib'] for x in s)
                 if panel == "f64":
-                    print(f"{label:28s} float64 splu baseline  splu_s={seconds:.4f}  "
+                    print(f"{label:28s} float64 splu baseline  splu_s={seconds}  "
                           f"rss_mib={rss:.1f}  fill={s[0]['fill']}", flush=True)
                     continue
                 if panel.startswith("ssor"):
                     print(f"{label:28s} SSOR sweep panel={int(panel[4:]):2d}  "
-                          f"sweep_s={seconds:.4f}  rss_mib={rss:.1f}  "
+                          f"sweep_s={seconds}  rss_mib={rss:.1f}  "
                           f"fill={s[0]['fill']}", flush=True)
                     continue
-                print(f"{label:28s} panel={int(panel):2d}  factor_s={seconds:.4f}  "
+                print(f"{label:28s} panel={int(panel):2d}  factor_s={seconds}  "
                       f"rss_mib={rss:.1f}  fill={s[0]['fill']}  {s[0]['dtype']}  "
                       f"refinements={s[0]['refinements']}  "
                       f"note={s[0]['note'] or '-'}", flush=True)
