@@ -235,11 +235,10 @@ def _extended_projections(nodes, domain, grid, tol_factor, active, p):
     g = np.column_stack([gx, gy])
     diag = diagonal[:, None]
     point = np.where(diag, g + ed * td[:, None] / math.sqrt(2.0), g + e * t[:, None])
-    normal = np.where(diag, -ed / math.sqrt(2.0), -e)
     theta = np.where(diag, (td / step)[:, None], np.where(e != 0.0, t[:, None] / h, 0.0))
     signs = np.where(diag, ed, e).astype(int)
-    return GhostProjections(nodes, point, np.where(diagonal, td, t), normal, theta, signs,
-                            np.ones_like(diagonal), np.ones_like(signs), diagonal)
+    return GhostProjections(nodes, point, theta, signs, np.ones_like(diagonal),
+                            np.ones_like(signs), diagonal)
 
 
 def _concatenate_and_clear(parts):

@@ -12,8 +12,8 @@ import scipy.sparse as sp
 
 from .analysis import NORM_BLOCK
 from .errors import AssemblyError, ConfigurationError
-from .geometry import (CELL_INSIDE, CELL_SNAPPED, NODE_INTERIOR, classify,
-                       extract_cut_cells, snap_small_cells)
+from .geometry import (CELL_INSIDE, CELL_SNAPPED, NODE_INACTIVE, NODE_INTERIOR,
+                       classify, extract_cut_cells, snap_small_cells)
 
 
 @dataclass(frozen=True)
@@ -123,6 +123,8 @@ def _boundary_blocks(grid, bc, case, lam, band):
     BoundaryBand, summed over each cell's segments in order: the Dirichlet
     mass, the Dirichlet consistency D[a, b] = int phi_b dphi_a/dn, and the
     right-hand-side pieces with g_D, g_N evaluated at the quadrature points.
+    P needs no symmetrization: P[a, b] and P[b, a] sum the same products
+    w v_a v_b in the same order, so P is symmetric bit for bit.
 
     Neumann data samples the manufactured flux through the segment normal,
     so the discrete form sees the flux of the polygonal boundary it actually
@@ -163,7 +165,7 @@ def _boundary_blocks(grid, bc, case, lam, band):
     P = _sum_by_cell(wd * (vd[:, :, None] * vd[:, None, :]), cell[dirichlet], n_cells)
     D = _sum_by_cell(wd * (dn[dirichlet][:, :, None] * vd[:, None, :]), cell[dirichlet], n_cells)
     rhs = _sum_by_cell(rhs_terms.reshape(-1, 4), cell.ravel(), n_cells)
-    return 0.5 * (P + P.transpose(0, 2, 1)), D, rhs
+    return P, D, rhs
 
 
 @dataclass
@@ -371,13 +373,15 @@ def assemble_fem(grid, domain, case, bc, alpha=2.0, classification=None):
             f"snapping at alpha={alpha} disregarded every cut cell"
             if CELL_SNAPPED in cls.cell_role else "the domain does not intersect the grid"))
 
-    nodes = cls.active_nodes()
-    n_rows = len(nodes)
+    active = cls.node_role != NODE_INACTIVE
+    n_rows = np.count_nonzero(active)
     if n_rows == 0:
         raise ConfigurationError("empty active node set")
     n = grid.n
     index = np.full((n + 1, n + 1), -1, dtype=np.int32)
-    index[nodes[:, 0], nodes[:, 1]] = np.arange(n_rows)
+    index[active] = np.arange(n_rows)
+    nodes = np.argwhere(active)
+    del active
 
     rhs = np.zeros(n_rows)
 

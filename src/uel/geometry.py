@@ -248,10 +248,6 @@ class GridClassification:
     node_role: np.ndarray
     cell_role: np.ndarray
 
-    def active_nodes(self):
-        """Active node indices as an (M, 2) array in lexicographic order."""
-        return np.argwhere(self.node_role != NODE_INACTIVE)
-
 
 def _neighbor_any(mask, eight):
     """Boolean array: node has at least one True among its 4 (or 8) neighbors."""
@@ -355,19 +351,17 @@ def snap_small_cells(classification, grid, domain, alpha):
 class GhostProjections:
     """Closest-boundary-point data for m ghost nodes G, one row each.
 
-    B = G - normal * nu lies on Gamma within the bisection tolerance; theta
-    and signs parametrize the upwind interpolation stencil; dirichlet marks
-    value rows (the others interpolate the normal derivative); spacing
-    doubles in a direction when the ill-conditioning mitigation enlarged
-    the stencil.  Extended ghosts in concave corners may carry a diagonal
-    single-column stencil (diagonal, theta measured in units of sqrt(2) h)
-    and offsets up to 2.
+    The foot point B lies on Gamma within the bisection tolerance; theta
+    and signs parametrize the upwind interpolation stencil from G toward B;
+    dirichlet marks value rows (the others interpolate the normal
+    derivative); spacing doubles in a direction when the ill-conditioning
+    mitigation enlarged the stencil.  Extended ghosts in concave corners may
+    carry a diagonal single-column stencil (diagonal, theta measured in
+    units of sqrt(2) h) and offsets up to 2.
     """
 
     ghost: np.ndarray      # (m, 2) node indices
     point: np.ndarray      # (m, 2) foot points B
-    nu: np.ndarray         # (m,) distances from G to B along -normal
-    normal: np.ndarray     # (m, 2)
     theta: np.ndarray      # (m, 2) offsets in units of the spacing
     signs: np.ndarray      # (m, 2) stencil directions, 0 where collapsed
     dirichlet: np.ndarray  # (m,) bool
@@ -502,10 +496,8 @@ def project_ghosts(nodes, domain, grid, tol_factor=1e-4):
     fail(axis[np.isnan(t)], lambda i, j, k: (
         "no boundary crossing along the normal ray or the axis segments "
         f"from node ({i}, {j})"))
-    nu[axis] = t
     bx[axis] = gx[axis] + AXES[best, 0] * t
     by[axis] = gy[axis] + AXES[best, 1] * t
-    normal[axis] = -AXES[best]
 
     sx, sy = np.sign(bx - gx), np.sign(by - gy)
     # B coincides with G (node exactly on Gamma): orient the stencil inward
@@ -519,7 +511,7 @@ def project_ghosts(nodes, domain, grid, tol_factor=1e-4):
     if errors:
         raise errors[min(errors)]
     m = len(nodes)
-    return GhostProjections(nodes, np.column_stack([bx, by]), nu, normal, theta,
+    return GhostProjections(nodes, np.column_stack([bx, by]), theta,
                             np.column_stack([sx, sy]).astype(int), np.ones(m, dtype=bool),
                             np.ones((m, 2), dtype=int), np.zeros(m, dtype=bool))
 
@@ -535,22 +527,20 @@ def project_to_boundary(node, domain, grid, tol_factor=1e-4):
 
 @dataclass
 class BoundaryBand:
-    """The boundary band of extract_cut_cells, one row per band cell,
-    polygon, fan triangle or boundary segment, each row tagged with the
-    position of its cell (owner) and in the order of its cell's walk.
+    """The boundary band of extract_cut_cells: cell keys and areas, fan
+    triangles and boundary segments, one row per band cell, triangle or
+    segment, each triangle and segment tagged with the position of its cell
+    (owner) and in the order of its cell's walk.  A segment's length is
+    |p1 - p0|; the polygons behind the triangles come from _march.
     """
 
     cells: np.ndarray           # (C, 2) cell indices in lexicographic order
     area: np.ndarray            # (C,) area of the cell's polygons
-    polygons: np.ndarray        # (P, 6, 2) CCW vertices, zero past the size
-    polygon_size: np.ndarray    # (P,) vertex count
-    polygon_owner: np.ndarray   # (P,)
     triangles: np.ndarray       # (T, 3, 2)
     triangle_owner: np.ndarray  # (T,)
     p0: np.ndarray              # (S, 2) segment ends
     p1: np.ndarray              # (S, 2)
     normal: np.ndarray          # (S, 2) outward unit normals
-    length: np.ndarray          # (S,)
     segment_owner: np.ndarray   # (S,)
 
 
@@ -653,9 +643,8 @@ def _band(grid, phi, cells, exposed):
     p, j, k = p[seg], j[seg], k[seg]
     chord = np.column_stack([d[p, j, 1], -d[p, j, 0]]) / length[p, j, None]
     normal = np.where(k[:, None] == 0, chord, np.array(((0, 0),) + SIDE_NORMALS, dtype=float)[k])
-    return BoundaryBand(cells, area, verts, size, owner, fans[tri],
-                        np.broadcast_to(owner[:, None], tri.shape)[tri],
-                        verts[p, j], ends[p, j], normal, length[p, j], owner[p])
+    return BoundaryBand(cells, area, fans[tri], np.broadcast_to(owner[:, None], tri.shape)[tri],
+                        verts[p, j], ends[p, j], normal, owner[p])
 
 
 def extract_cut_cells(classification, domain=None):

@@ -42,6 +42,11 @@ def omega_h_area(classification, band):
     return sum(band.area.tolist()) + n_full * classification.grid.h ** 2
 
 
+def segment_lengths(band):
+    """Lengths |p1 - p0| of a BoundaryBand's boundary segments."""
+    return np.hypot(*(band.p1 - band.p0).T)
+
+
 def traced_peak(call):
     """(call(), peak): peak is the most memory tracemalloc traced during
     call, above what it traced at the start.  call runs once untraced

@@ -220,6 +220,20 @@ def test_json_outcomes_carry_the_cond2_note(tmp_path, monkeypatch):
     assert [o["cond2_lower_bound"] for o in payload["outcomes"]] == [False, False]
 
 
+@pytest.mark.parametrize("flag, estimated", [("--cond", [True, False]),
+                                             ("--force-cond", [True, True])])
+def test_cond_skips_grids_above_the_cap_unless_forced(tmp_path, monkeypatch, flag, estimated):
+    import uel.cli as cli
+    monkeypatch.setattr(cli, "COND_N_CAP", 40)
+    assert main(["--domain", "circle", "--scheme", "fd", "--bc", "mixed", "--p", "2",
+                 "--grids", "40,80", "--format", "json", "--no-timings", flag,
+                 "--output", str(tmp_path / "report")]) == 0
+    payload = json.loads((tmp_path / "report.json").read_text())
+    # a skipped estimate reads n/a (null in JSON) and flags no lower bound
+    assert [r["cond2"] is not None for r in payload["rows"]] == estimated
+    assert [o["cond2_lower_bound"] is not None for o in payload["outcomes"]] == estimated
+
+
 def counted_splu(monkeypatch):
     """Wrap SuperLU's splu; returns the list of the orderings it is called
     with ("COLAMD" when the caller leaves SuperLU's default)."""

@@ -139,10 +139,9 @@ def phi_node_of(grid, domain):
     return classify(grid, domain, "four").phi_node
 
 
-def make_proj(theta, kind="dirichlet", signs=(1, 1)):
-    """One-row GhostProjections at node (5, 5)."""
-    return GhostProjections(np.array([(5, 5)]), np.zeros((1, 2)), np.array([0.01]),
-                            np.array([(1.0, 0.0)]), np.array([theta], dtype=float),
+def make_proj(theta, kind="dirichlet", signs=(1, 1), ghost=(5, 5)):
+    """One-row GhostProjections at node ghost."""
+    return GhostProjections(np.array([ghost]), np.zeros((1, 2)), np.array([theta], dtype=float),
                             np.array([signs]), np.array([kind == "dirichlet"]),
                             np.ones((1, 2), dtype=int), np.zeros(1, dtype=bool))
 
@@ -255,6 +254,15 @@ def test_ghost_row_rhs_is_boundary_data():
     assert set(ghosts.dirichlet.tolist()) == {True, False}
 
 
+@pytest.mark.parametrize("p", (1, 2))
+def test_ghost_rows_rejects_a_stencil_off_the_grid(p):
+    # assemble_fd checks the stencils before it calls ghost_rows; a direct
+    # caller gets ghost_rows' own check: from (0, 5) the stencil runs to i < 0
+    grid, domain = Grid(10), half_plane(0.3)
+    with pytest.raises(GeometryError, match=r"ghost stencil leaves the grid at node \(0, 5\)"):
+        one_row(make_proj((0.5, 0.0), signs=(-1, 0), ghost=(0, 5)), p, grid, domain)
+
+
 @settings(derandomize=True, deadline=None, max_examples=15)
 @given(**ELLIPSES, n=st.sampled_from((16, 24, 32)))
 def test_value_rows_and_offsets_on_random_ellipses(cx, cy, a, b, n):
@@ -294,7 +302,7 @@ def test_ghost_next_to_on_gamma_node_assembles():
             system = assemble_fd(grid, domain, case, make_bc_spec("ellipse", kind), p=p)
             [row] = np.flatnonzero((system.ghosts.ghost == (20, 13)).all(axis=1))
             assert system.ghosts.point[row] == pytest.approx([0.0, -0.3], abs=1e-15)
-            assert system.ghosts.normal[row].tolist() == [0.0, -1.0]
+            assert system.ghosts.signs[row].tolist() == [0, 1]
             u, report = solve_direct(system.matrix, system.rhs)
             assert report.final_residual <= 1e-10
             eu, eg, _ = solution_errors(system, u, case)
@@ -523,8 +531,10 @@ def check_batched_projections(domain, n):
     byte for byte, and likewise each ghost's outward normal; on the circle,
     check that Neumann rows use outward_normal at their foot points.  Check
     that phi changes sign within tol_factor*h of every foot point along its
-    ray, for the ghosts and the extended ghosts of the p=2 system.  Returns
-    the number of axis-fallback and diagonal routes."""
+    ray from G (the inward normal where the foot is G), for the ghosts and
+    the extended ghosts of the p=2 system.  Returns the number of
+    axis-fallback and diagonal routes: an axis foot lies along one axis from
+    G although the outward normal at G is along neither."""
     grid = Grid(n)
     cls = classify(grid, domain, "four")
     ghosts = np.argwhere(cls.node_role == NODE_GHOST)
@@ -545,13 +555,14 @@ def check_batched_projections(domain, n):
     except GeometryError:  # grid too coarse for one extension layer
         checked = record
     tol = 1e-4 * grid.h
-    for ghost, nu, normal in zip(checked.ghost, checked.nu, checked.normal):
+    for ghost, point in zip(checked.ghost, checked.point):
         g = np.array(grid.node(*ghost))
-        ray = -normal  # every route has B = G - normal * nu
+        nu = np.hypot(*(point - g))
+        ray = (point - g) / nu if nu else -domain.outward_normal(*g)
         assert domain.phi(*(g + max(nu - tol, 0.0) * ray)) <= 0.0
         assert domain.phi(*(g + (nu + tol) * ray)) >= 0.0
-    axis = sum(not np.array_equal(normal, domain.outward_normal(*grid.node(*g)))
-               for g, normal in zip(record.ghost, record.normal))
+    feet = record.point - grid.xs[record.ghost]
+    axis = np.count_nonzero(((feet == 0.0).sum(axis=1) == 1) & (normals != 0.0).all(axis=1))
     return axis, np.count_nonzero(checked.diagonal)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ELLIPSES, ellipse_domain, omega_h_area
+from conftest import ELLIPSES, ellipse_domain, omega_h_area, segment_lengths
 from uel import Grid, make_bc_spec, make_domain
 from uel.analysis import fitted_order
 from uel.errors import ConfigurationError, GeometryError
@@ -201,7 +201,7 @@ def test_projection_radial_example():
     grid = Grid(20)
     proj = project_ghosts([(18, 10)], small_circle(0.77), grid, tol_factor=1e-12)
     assert proj.point[0] == pytest.approx([0.77, 0.0], abs=1e-12)
-    assert proj.nu[0] == pytest.approx(0.03, abs=1e-11)
+    assert np.hypot(*(proj.point[0] - grid.node(18, 10))) == pytest.approx(0.03, abs=1e-11)
     assert proj.theta[0, 0] == pytest.approx(0.3, abs=1e-10)
     assert proj.theta[0, 1] == 0.0
     assert proj.signs.tolist() == [[-1, 0]]
@@ -230,9 +230,10 @@ def test_projection_half_plane_example():
         def node(self, i, j):
             return self.xs[i], self.xs[j]
 
-    proj = project_ghosts([(3, 4)], d, FakeGrid(), tol_factor=1e-12)
+    grid = FakeGrid()
+    proj = project_ghosts([(3, 4)], d, grid, tol_factor=1e-12)
     assert proj.point[0] == pytest.approx([0.0, 0.4], abs=1e-12)
-    assert proj.nu[0] == pytest.approx(0.25, abs=1e-11)
+    assert np.hypot(*(proj.point[0] - grid.node(3, 4))) == pytest.approx(0.25, abs=1e-11)
     assert proj.theta[0, 0] == pytest.approx(0.5, abs=1e-10)
     assert proj.signs[0, 0] == -1
 
@@ -258,9 +259,12 @@ def test_projection_bisection_stops_at_adjacent_floats():
     # be met: the bisection stops at two adjacent floats instead
     domain, grid = make_domain("flower"), Grid(40)
     ghosts = np.argwhere(classify(grid, domain, "four").node_role == NODE_GHOST)
-    fine = project_ghosts(ghosts, domain, grid, tol_factor=1e-20)
-    coarse = project_ghosts(ghosts, domain, grid, tol_factor=1e-12)
-    assert np.abs(fine.nu - coarse.nu).max() <= 1e-12 * grid.h
+
+    def foot_distances(tol_factor):
+        record = project_ghosts(ghosts, domain, grid, tol_factor=tol_factor)
+        return np.hypot(*(record.point - grid.xs[ghosts]).T)
+
+    assert np.abs(foot_distances(1e-20) - foot_distances(1e-12)).max() <= 1e-12 * grid.h
 
 
 def test_projection_errors_follow_node_order():
@@ -332,8 +336,8 @@ def test_projection_consistency_invariants(name):
     cls = classify(grid, domain, "four")
     proj = project_ghosts(np.argwhere(cls.node_role == NODE_GHOST), domain, grid)
     g = grid.xs[proj.ghost]
-    assert np.hypot(*(g - proj.point).T) == pytest.approx(proj.nu, abs=1e-12)
-    assert np.hypot(*proj.normal.T) == pytest.approx(1.0, abs=1e-12)
+    # the foot sits theta h from G along each stencil direction
+    assert np.abs(proj.point - g) == pytest.approx(proj.theta * grid.h, abs=1e-12)
     assert ((0.0 <= proj.theta) & (proj.theta < 1.0)).all()
     # B lies on Gamma within the bisection tolerance (gradient ~ 1 for
     # the circle/leaf; allow a generous factor for the generic domains)
@@ -351,15 +355,21 @@ def cut_cell(cell, grid, phi, exposed=0):
     return _band(grid, phi, np.array([cell]), np.array([exposed]))
 
 
+def polygon_sizes(cell, grid, phi):
+    """Vertex counts of the marching-squares polygons of one cell."""
+    return _march(grid, phi, np.array([cell]))[3]
+
+
 def test_cut_cell_full_and_empty():
     grid = Grid(8)
     h = grid.h
     full = cut_cell((3, 3), grid, np.full((9, 9), 1.0))
     assert full.area[0] == pytest.approx(h * h)
     assert not len(full.p0)
-    empty = cut_cell((3, 3), grid, np.full((9, 9), -1.0))
+    phi = np.full((9, 9), -1.0)
+    empty = cut_cell((3, 3), grid, phi)
     assert empty.area[0] == 0.0
-    assert not len(empty.polygons)
+    assert not len(polygon_sizes((3, 3), grid, phi))
 
 
 def test_cut_cell_vertical_midcell_cut():
@@ -371,7 +381,7 @@ def test_cut_cell_vertical_midcell_cut():
     cell = cut_cell((0, 0), grid, phi)
     assert cell.area[0] == pytest.approx(h * h / 2.0, rel=1e-12)
     assert len(cell.p0) == 1
-    assert cell.length[0] == pytest.approx(h, rel=1e-12)
+    assert segment_lengths(cell)[0] == pytest.approx(h, rel=1e-12)
     assert np.allclose(cell.normal[0], [1.0, 0.0], atol=1e-12)
 
 
@@ -393,7 +403,7 @@ def test_saddle_cell_disconnected_polygons():
     phi[0, 0] = 0.4
     phi[1, 1] = 0.4
     cell = cut_cell((0, 0), grid, phi)
-    assert len(cell.polygons) == 2
+    assert len(polygon_sizes((0, 0), grid, phi)) == 2
     assert cell.area[0] == pytest.approx(2 * 0.5 * (0.4 / 1.4 * grid.h) ** 2, rel=1e-12)
     assert len(cell.p0) == 2
 
@@ -407,12 +417,12 @@ def test_saddle_cell_connected_hexagon():
     phi[0, 0] = 0.4
     phi[1, 1] = 0.4
     cell = cut_cell((0, 0), grid, phi)
-    assert len(cell.polygons) == 1
-    assert cell.polygon_size[0] == 6
+    assert polygon_sizes((0, 0), grid, phi).tolist() == [6]
     corner = 0.5 * (0.2 / 0.6 * h) ** 2
     assert cell.area[0] == pytest.approx(h * h - 2 * corner, rel=1e-12)
     assert len(cell.p0) == 2
-    assert cell.length == pytest.approx([math.sqrt(2.0) * 0.2 / 0.6 * h] * 2, rel=1e-12)
+    assert segment_lengths(cell) == pytest.approx([math.sqrt(2.0) * 0.2 / 0.6 * h] * 2,
+                                                  rel=1e-12)
 
 
 def test_root_next_to_a_corner_merges_into_it():
@@ -425,21 +435,21 @@ def test_root_next_to_a_corner_merges_into_it():
     phi = np.full((5, 5), 1.0)
     phi[0, 0] = -1.0
     phi[1, 0] = 1e-13
+    assert polygon_sizes((0, 0), grid, phi).tolist() == [4]
     for exposed, n_segments in ((0b0000, 1), (0b0010, 2)):
         cell = cut_cell((0, 0), grid, phi, exposed)
-        assert len(cell.polygons) == 1 and cell.polygon_size[0] == 4
         assert cell.area[0] == pytest.approx(0.75 * h * h, rel=1e-10)
         assert len(cell.p0) == n_segments
         assert np.hypot(*(cell.p1[0] - grid.node(1, 0))) <= 1e-12 * h
     assert np.array_equal(cell.normal[1], [1.0, 0.0])
     assert np.hypot(*(cell.p0[1] - grid.node(1, 0))) <= 1e-12 * h
     assert tuple(cell.p1[1]) == grid.node(1, 1)
-    assert cell.length[1] == pytest.approx(h, rel=1e-10)
+    assert segment_lengths(cell)[1] == pytest.approx(h, rel=1e-10)
     # mirrored: the root comes after its corner in the walk and merges into
     # it; the exposed left side runs into that corner exactly
     phi[0, 0], phi[1, 0] = 1e-13, -1.0
     cell = cut_cell((0, 0), grid, phi, 0b1000)
-    assert cell.polygon_size[0] == 4 and len(cell.p0) == 2
+    assert polygon_sizes((0, 0), grid, phi)[0] == 4 and len(cell.p0) == 2
     assert np.array_equal(cell.normal[1], [-1.0, 0.0])
     assert tuple(cell.p1[1]) == grid.node(0, 0)
 
@@ -452,7 +462,7 @@ def test_circle_area_and_perimeter_convergence():
         cls = classify(grid, domain, "four")
         band = extract_cut_cells(cls, domain)
         area = omega_h_area(cls, band)
-        peri = band.length.sum()
+        peri = segment_lengths(band).sum()
         hs.append(grid.h)
         ea.append(abs(area - math.pi * 0.64))
         ep.append(abs(peri - 1.6 * math.pi))
@@ -511,7 +521,7 @@ def test_band_geometry_on_random_ellipses(cx, cy, a, b, n, alpha):
     for cls in (raw, snap_small_cells(raw, grid, domain, alpha)):
         band = extract_cut_cells(cls, domain)
         # Gamma_h is closed
-        total = (band.length[:, None] * band.normal).sum(axis=0)
+        total = (segment_lengths(band)[:, None] * band.normal).sum(axis=0)
         assert np.abs(total).max() <= 1e-12
         # the keys are the band: every segment sits on a band cell, and
         # every cut cell with positive area is a key
@@ -604,7 +614,7 @@ def test_extracted_boundary_is_closed_after_snapping():
     grid = Grid(40)
     cls = snap_small_cells(classify(grid, domain, "eight"), grid, domain, 2.0)
     band = extract_cut_cells(cls, domain)
-    total = (band.length[:, None] * band.normal).sum(axis=0)
+    total = (segment_lengths(band)[:, None] * band.normal).sum(axis=0)
     assert np.allclose(total, 0.0, atol=1e-12)
 
 
@@ -620,8 +630,9 @@ def test_boundary_on_grid_lines_is_covered_once(snapped):
     if snapped:
         cls = snap_small_cells(cls, grid, square, 2.0)
     band = extract_cut_cells(cls, square)
-    assert band.length.sum() == pytest.approx(4.0, abs=1e-12)
-    total = (band.length[:, None] * band.normal).sum(axis=0)
+    length = segment_lengths(band)
+    assert length.sum() == pytest.approx(4.0, abs=1e-12)
+    total = (length[:, None] * band.normal).sum(axis=0)
     assert np.abs(total).max() <= 1e-12
     ends = {frozenset((tuple(p0), tuple(p1))) for p0, p1 in zip(band.p0, band.p1)}
     assert len(ends) == len(band.p0)
