@@ -60,7 +60,9 @@ def make_case(name):
 
 # Samples per block of the error-norm sums.  A multiple of 12, so that a
 # block of FEM Omega_h samples holds whole inside cells (12 samples each)
-# and whole band triangles (6 each).
+# and whole band triangles (6 each).  It sets both FEM streams over the
+# inside cells: the Omega_h samples, and assemble_fem's right-hand side,
+# which takes NORM_BLOCK // 12 cells at a time.
 NORM_BLOCK = 12 * 4096
 
 

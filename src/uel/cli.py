@@ -22,16 +22,24 @@ CSV_COLUMNS = ("scheme,domain,bc,p,alpha,N,h,"
                "order_u_linf,order_g_linf,cond2,solver,precond,iters,residual,"
                "assemble_s,solve_s")
 
-SOLVERS = ("direct", "cg")
-PRECONDS = ("none", "jacobi", "sor")
+# The allowed values of each enumerated field.  The argparse choices and
+# ExperimentConfig's checks both read this table.
+CHOICES = {"domain": DOMAIN_NAMES, "scheme": ("fd", "fem"), "bc": ("dirichlet", "mixed"),
+           "case": CASE_NAMES, "solver": ("direct", "cg"),
+           "precond": ("none", "jacobi", "sor"), "fmt": ("csv", "json", "both")}
+# How an unknown value's message names its field, and the hint after it.
+_NAMED = {"precond": "preconditioner", "fmt": "format"}
+_HINT = {"solver": ": use direct, or cg for the fem scheme"}
 
 # Condition estimates above this grid are skipped unless forced.
 COND_N_CAP = 320
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated run configuration (see parse_config for defaults)."""
+    """A run configuration that checks itself: building an invalid one, from
+    the command line or in code, raises ConfigurationError.  None means no
+    value; parse_config fills the scheme defaults."""
 
     domain: str
     scheme: str
@@ -52,20 +60,52 @@ class ExperimentConfig:
     fmt: str = "csv"
     timings: bool = True
 
+    def __post_init__(self):
+        for name, allowed in CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed and (name, value) != ("precond", None):
+                raise ConfigurationError(
+                    f"unknown {_NAMED.get(name, name)} {value!r}{_HINT.get(name, '')}")
+        if self.scheme == "fd":
+            if self.alpha is not None:
+                raise ConfigurationError("--alpha applies to the fem scheme only")
+            if self.p not in (1, 2):
+                raise ConfigurationError(f"p must be 1 or 2, got {self.p}")
+            if self.solver == "cg":
+                raise ConfigurationError(
+                    "solver=cg needs a symmetric system; the fd scheme is "
+                    "nonsymmetric (use direct)")
+        else:
+            if self.p is not None:
+                raise ConfigurationError("--p applies to the fd scheme only")
+            if self.alpha is None or not 1.5 <= self.alpha <= 2.0:
+                raise ConfigurationError(f"alpha must be in [1.5, 2], got {self.alpha}")
+        if (self.precond is None) == (self.solver == "cg"):
+            raise ConfigurationError("--precond requires solver=cg" if self.precond
+                                     else "solver=cg requires --precond")
+        if not 0.0 < self.omega < 2.0:
+            raise ConfigurationError(f"omega must be in (0, 2), got {self.omega}")
+        for flag, value in (("--tol", self.solver_tol), ("--tol-factor", self.tol_factor)):
+            if not 0.0 < value < np.inf:
+                raise ConfigurationError(f"{flag} must be finite and positive, got {value}")
+        if not self.grids:
+            raise ConfigurationError("empty grid list")
+        for g in self.grids:
+            if g < 4 or g % 2:
+                raise ConfigurationError(f"grid sizes must be even and >= 4, got {g}")
+        if any(b <= a for a, b in zip(self.grids, self.grids[1:])):
+            raise ConfigurationError(
+                f"grid sizes must be strictly increasing, got {self.grids}")
 
-def _parse_grids(text):
+
+def _parse_grids(grids):
+    """The grid sizes of a "40,80" string or a JSON list.  Each entry is
+    read from its text, so 40.5 or true is an invalid grid list."""
+    text = grids if isinstance(grids, str) else ",".join(str(g) for g in grids)
     try:
-        grids = tuple(int(tok) for tok in text.split(",") if tok)
+        return tuple(int(tok) for tok in text.split(",") if tok)
     except ValueError as exc:
         raise ConfigurationError(f"invalid grid list {text!r}") from exc
-    if not grids:
-        raise ConfigurationError("empty grid list")
-    for g in grids:
-        if g < 4 or g % 2:
-            raise ConfigurationError(f"grid sizes must be even and >= 4, got {g}")
-    if any(b <= a for a, b in zip(grids, grids[1:])):
-        raise ConfigurationError(f"grid sizes must be strictly increasing, got {grids}")
-    return grids
 
 
 def _build_parser():
@@ -74,16 +114,16 @@ def _build_parser():
         description="Convergence/conditioning experiments for the unfitted "
                     "Poisson solvers (ghost-point FD and penalized FEM).")
     ap.add_argument("--config", help="JSON file with defaults; flags override it")
-    ap.add_argument("--domain", choices=DOMAIN_NAMES)
-    ap.add_argument("--scheme", choices=("fd", "fem"))
-    ap.add_argument("--bc", choices=("dirichlet", "mixed"))
-    ap.add_argument("--case", choices=CASE_NAMES)
+    ap.add_argument("--domain", choices=CHOICES["domain"])
+    ap.add_argument("--scheme", choices=CHOICES["scheme"])
+    ap.add_argument("--bc", choices=CHOICES["bc"])
+    ap.add_argument("--case", choices=CHOICES["case"])
     ap.add_argument("--p", type=int, help="FD interpolation order (1 or 2)")
     ap.add_argument("--alpha", type=float,
                     help="FEM snapping/penalty exponent in [1.5, 2]")
     ap.add_argument("--grids", help="comma-separated cell counts, e.g. 40,80,160,320")
-    ap.add_argument("--solver", choices=SOLVERS)
-    ap.add_argument("--precond", choices=PRECONDS)
+    ap.add_argument("--solver", choices=CHOICES["solver"])
+    ap.add_argument("--precond", choices=CHOICES["precond"])
     ap.add_argument("--omega", type=float, help="SOR relaxation factor")
     ap.add_argument("--cond", action="store_const", const=True, dest="compute_cond",
                     help=f"estimate cond_2 of each system (skipped above N={COND_N_CAP})")
@@ -94,7 +134,7 @@ def _build_parser():
                     help="iterative solver relative tolerance")
     ap.add_argument("--maxit", type=int, help="iterative solver iteration cap")
     ap.add_argument("--output", help="output path stem (extension added per format)")
-    ap.add_argument("--format", choices=("csv", "json", "both"), dest="fmt")
+    ap.add_argument("--format", choices=CHOICES["fmt"], dest="fmt")
     ap.add_argument("--no-timings", action="store_const", const=False, dest="timings",
                     help="write n/a in the timing columns (reproducible output)")
     return ap
@@ -124,8 +164,9 @@ def _read_config_file(path):
 
 
 def parse_config(argv):
-    """Parse CLI flags (plus an optional JSON config file) into a validated
-    ExperimentConfig.  Flags override file values."""
+    """Parse CLI flags (plus an optional JSON config file) into an
+    ExperimentConfig, with the scheme defaults filled in.  Flags override
+    file values."""
     ap = _build_parser()
     if not argv:
         ap.print_usage(sys.stderr)
@@ -137,56 +178,14 @@ def parse_config(argv):
 
     if "domain" not in values or "scheme" not in values:
         raise ConfigurationError("--domain and --scheme are required")
-    if isinstance(values.get("grids"), str):
+    if "grids" in values:
         values["grids"] = _parse_grids(values["grids"])
-    elif "grids" in values:
-        values["grids"] = _parse_grids(",".join(str(g) for g in values["grids"]))
-
-    cfg = ExperimentConfig(**values)
-
-    if cfg.domain not in DOMAIN_NAMES:
-        raise ConfigurationError(f"unknown domain {cfg.domain!r}")
-    if cfg.scheme not in ("fd", "fem"):
-        raise ConfigurationError(f"unknown scheme {cfg.scheme!r}")
-    if cfg.bc not in ("dirichlet", "mixed"):
-        raise ConfigurationError(f"unknown bc {cfg.bc!r}")
-    if cfg.case not in CASE_NAMES:
-        raise ConfigurationError(f"unknown case {cfg.case!r}")
-    if cfg.solver is not None and cfg.solver not in SOLVERS:
-        raise ConfigurationError(
-            f"unknown solver {cfg.solver!r}: use direct, or cg for the fem scheme")
-    if cfg.precond is not None and cfg.precond not in PRECONDS:
-        raise ConfigurationError(f"unknown preconditioner {cfg.precond!r}")
-    if cfg.scheme == "fd":
-        if cfg.alpha is not None:
-            raise ConfigurationError("--alpha applies to the fem scheme only")
-        cfg.p = 2 if cfg.p is None else cfg.p
-        if cfg.p not in (1, 2):
-            raise ConfigurationError(f"p must be 1 or 2, got {cfg.p}")
-        cfg.solver = cfg.solver or "direct"
-        if cfg.solver == "cg":
-            raise ConfigurationError(
-                "solver=cg needs a symmetric system; the fd scheme is "
-                "nonsymmetric (use direct)")
-    else:
-        if cfg.p is not None:
-            raise ConfigurationError("--p applies to the fd scheme only")
-        cfg.alpha = 2.0 if cfg.alpha is None else cfg.alpha
-        if not 1.5 <= cfg.alpha <= 2.0:
-            raise ConfigurationError(f"alpha must be in [1.5, 2], got {cfg.alpha}")
-        cfg.solver = cfg.solver or "cg"
-    if cfg.precond is not None and cfg.solver != "cg":
-        raise ConfigurationError("--precond requires solver=cg")
-    if cfg.solver == "cg" and cfg.precond is None:
-        cfg.precond = "jacobi"
-    if not 0.0 < cfg.omega < 2.0:
-        raise ConfigurationError(f"omega must be in (0, 2), got {cfg.omega}")
-    for flag, value in (("--tol", cfg.solver_tol), ("--tol-factor", cfg.tol_factor)):
-        if not 0.0 < value < np.inf:
-            raise ConfigurationError(f"{flag} must be finite and positive, got {value}")
-    if cfg.fmt not in ("csv", "json", "both"):
-        raise ConfigurationError(f"unknown format {cfg.fmt!r}")
-    return cfg
+    defaults = (dict(p=2, solver="direct") if values["scheme"] == "fd"
+                else dict(alpha=2.0, solver="cg"))
+    values = {**defaults, **values}
+    if values["solver"] == "cg":
+        values.setdefault("precond", "jacobi")
+    return ExperimentConfig(**values)
 
 
 def _solve(config, matrix, rhs):
@@ -273,11 +272,8 @@ def run(config):
     """Run the configured grid sweep and write the report files.
 
     Returns the ConvergenceReport.  The grids run one after another, in
-    the order given (increasing N); an unknown solver fails before them.
+    the order given (increasing N).
     """
-    if config.solver not in SOLVERS:
-        raise ConfigurationError(f"unknown solver {config.solver!r}: use direct, "
-                                 "or cg for the fem scheme")
     domain = make_domain(config.domain)
     case = make_case(config.case)
     bc = make_bc_spec(config.domain, config.bc)

@@ -16,33 +16,20 @@ from .geometry import (CELL_INSIDE, CELL_SNAPPED, NODE_INACTIVE, NODE_INTERIOR,
                        classify, extract_cut_cells, snap_small_cells)
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
-    """Reference quadrature: barycentric points/weights on a triangle and
-    normalized points/weights on a segment.  Weights sum to one and scale
-    with the element measure."""
-
-    tri_bary: np.ndarray
-    tri_weights: np.ndarray
-    seg_points: np.ndarray
-    seg_weights: np.ndarray
-
-
-def _default_rule():
-    a1, w1 = 0.445948490915965, 0.223381589678011
-    a2, w2 = 0.091576213509771, 0.109951743655322
-    bary = np.array([
-        [a1, a1, 1 - 2 * a1], [a1, 1 - 2 * a1, a1], [1 - 2 * a1, a1, a1],
-        [a2, a2, 1 - 2 * a2], [a2, 1 - 2 * a2, a2], [1 - 2 * a2, a2, a2],
-    ])
-    tw = np.array([w1, w1, w1, w2, w2, w2])
-    g = math.sqrt(3.0 / 5.0)
-    seg = np.array([0.5 * (1 - g), 0.5, 0.5 * (1 + g)])
-    sw = np.array([5.0, 8.0, 5.0]) / 18.0
-    return QuadratureRule(bary, tw / tw.sum(), seg, sw)
-
-
-RULE = _default_rule()
+# Reference quadrature: barycentric points and weights of a 6-point rule on
+# a triangle, and normalized 3-point Gauss points and weights on a segment.
+# The weights sum to one and scale with the element measure.
+_A1, _W1 = 0.445948490915965, 0.223381589678011
+_A2, _W2 = 0.091576213509771, 0.109951743655322
+TRI_BARY = np.array([
+    [_A1, _A1, 1 - 2 * _A1], [_A1, 1 - 2 * _A1, _A1], [1 - 2 * _A1, _A1, _A1],
+    [_A2, _A2, 1 - 2 * _A2], [_A2, 1 - 2 * _A2, _A2], [1 - 2 * _A2, _A2, _A2],
+])
+_TW = np.array([_W1, _W1, _W1, _W2, _W2, _W2])
+TRI_WEIGHTS = _TW / _TW.sum()
+_G = math.sqrt(3.0 / 5.0)
+SEG_POINTS = np.array([0.5 * (1 - _G), 0.5, 0.5 * (1 + _G)])
+SEG_WEIGHTS = np.array([5.0, 8.0, 5.0]) / 18.0
 
 # Safety factor on the penalty lambda = c * h^(-alpha).  The h^(-alpha)
 # scaling matches the inverse area fraction the snapping floor guarantees;
@@ -95,11 +82,11 @@ def _triangle_quadrature(grid, tris, ij):
     """Triangle rule on triangles tris (T, 3, 2) lying in cells ij (T, 2):
     points (T, 6, 2), weights (T, 6), and the cell hats and their x-,
     y-gradients at the points, each (T, 6, 4)."""
-    pts = np.matmul(RULE.tri_bary, tris)
+    pts = np.matmul(TRI_BARY, tris)
     area = 0.5 * np.abs(
         (tris[:, 1, 0] - tris[:, 0, 0]) * (tris[:, 2, 1] - tris[:, 0, 1])
         - (tris[:, 2, 0] - tris[:, 0, 0]) * (tris[:, 1, 1] - tris[:, 0, 1]))
-    return (pts, RULE.tri_weights * area[:, None]) + _cell_basis(grid, ij[:, None], pts)
+    return (pts, TRI_WEIGHTS * area[:, None]) + _cell_basis(grid, ij[:, None], pts)
 
 
 def _sum_by_cell(terms, owner, n_cells):
@@ -147,8 +134,8 @@ def _boundary_blocks(grid, bc, case, lam, band):
     keep = length > 1e-13 * grid.h
     seg, q0, d, length = seg[keep], q0[keep], d[keep], length[keep]
 
-    pts = q0[:, None] + RULE.seg_points[:, None] * d[:, None]
-    w = RULE.seg_weights * length[:, None]
+    pts = q0[:, None] + SEG_POINTS[:, None] * d[:, None]
+    w = SEG_WEIGHTS * length[:, None]
     vals, gx, gy = _cell_basis(grid, band.cells[owner[seg]][:, None], pts)
     nx, ny = normal[seg, 0][:, None], normal[seg, 1][:, None]
     dn = gx * nx[..., None] + gy * ny[..., None]
@@ -238,9 +225,9 @@ class FemSystem:
 
 # Reference quadrature layout for full cells: both fan triangles of the unit
 # square, 6 points each.
-REF_PTS = np.matmul(RULE.tri_bary, np.array([[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]],
-                                             [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0]]])).reshape(-1, 2)
-REF_W = np.tile(RULE.tri_weights * 0.5, 2)
+REF_PTS = np.matmul(TRI_BARY, np.array([[[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]],
+                                        [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0]]])).reshape(-1, 2)
+REF_W = np.tile(TRI_WEIGHTS * 0.5, 2)
 REF_VALS, REF_GS, REF_GT = _hats(REF_PTS[:, 0], REF_PTS[:, 1])
 
 # The 9-point stencil of the full-cell stiffness: node offsets (di, dj) in
@@ -253,9 +240,6 @@ STENCIL_SUMS = np.zeros((9, 5))
 STENCIL_SUMS[:, 1:] = np.add.accumulate(
     np.repeat(S_FULL[0, [abs(di) + abs(dj) for di, dj in STENCIL]][:, None], 4, axis=1),
     axis=1)
-
-# Inside cells per block of the full-cell right-hand-side quadrature.
-RHS_BLOCK = 4096
 
 
 def _stencil_counts(inside, nodes):
@@ -389,8 +373,8 @@ def assemble_fem(grid, domain, case, bc, alpha=2.0, classification=None):
     # cell order (the stiffness is the stencil below) ----
     inside = cls.cell_role == CELL_INSIDE
     cells = np.argwhere(inside)
-    for b in range(0, len(cells), RHS_BLOCK):
-        block = cells[b:b + RHS_BLOCK]
+    for b in range(0, len(cells), NORM_BLOCK // 12):
+        block = cells[b:b + NORM_BLOCK // 12]
         g = _cell_rows(index, *block.T)
         if g.min() < 0:
             raise AssemblyError("inactive node on an inside cell")

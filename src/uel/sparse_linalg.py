@@ -303,7 +303,7 @@ def solve_cg(A, b, preconditioner="none", tol=1e-12, maxit=10000, omega=1.5):
 
 
 # Only the benchmark's tracing mirror imports this name.  Its third _solve
-# branch, the one that calls it, is unreachable now that parse_config
+# branch, the one that calls it, is unreachable now that ExperimentConfig
 # rejects solver=krylov; ROADMAP item 1 deletes both.
 solve_nonsymmetric = solve_direct
 

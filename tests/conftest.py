@@ -61,6 +61,21 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
+def counted_splu(monkeypatch):
+    """Wrap SuperLU's splu; returns the list of (dtype, ordering) it is
+    called with ("COLAMD" when the caller leaves SuperLU's default)."""
+    import uel.sparse_linalg as sl
+    calls = []
+    real = sl.spla.splu
+
+    def splu(A, **kwargs):
+        calls.append((A.dtype, kwargs.get("permc_spec", "COLAMD")))
+        return real(A, **kwargs)
+
+    monkeypatch.setattr(sl.spla, "splu", splu)
+    return calls
+
+
 def csr_bytes(A):
     """Bytes of a CSR matrix's data, indices and indptr arrays."""
     return A.data.nbytes + A.indices.nbytes + A.indptr.nbytes

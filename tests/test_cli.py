@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import csr_bytes, omega_h_area, run_fd, run_fem, traced_peak
+from conftest import (counted_splu, csr_bytes, omega_h_area, run_fd, run_fem,
+                      traced_peak)
 from uel import Grid, assemble_fem, make_bc_spec, make_case, make_domain, relative_error
 from uel.analysis import NORM_BLOCK
 from uel.cli import (CSV_COLUMNS, ExperimentConfig, main, parse_config, run,
@@ -34,6 +35,8 @@ def test_fd_defaults():
     assert cfg.p == 2 and cfg.alpha is None
     assert cfg.solver == "direct" and cfg.precond is None
     assert cfg.tol_factor == 1e-4
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.solver = "cg"
 
 
 def test_alpha_rejected_for_fd():
@@ -106,7 +109,9 @@ def test_config_file_with_flag_override(tmp_path):
     ({"domain": "circle", "scheme": "fd", "solver": "krylov"},
      "solver 'krylov': use direct"),
     ({"domain": "circle", "scheme": "fem", "precond": "ilu"},
-     "preconditioner 'ilu'")])
+     "preconditioner 'ilu'"),
+    ({"domain": "circle", "scheme": "fd", "grids": [40.5, 80]}, "invalid grid list"),
+    ({"domain": "circle", "scheme": "fd", "grids": [True]}, "invalid grid list")])
 def test_bad_config_file_is_a_configuration_error(tmp_path, capsys, payload, named):
     cfgfile = tmp_path / "exp.json"
     cfgfile.write_text(json.dumps(payload))
@@ -125,16 +130,33 @@ def small_config(tmp_path, **kw):
     return ExperimentConfig(**base)
 
 
-@pytest.mark.parametrize("solver", ("krylov", None))
-def test_run_rejects_an_unknown_solver_before_assembly(tmp_path, monkeypatch, solver):
+FEM = dict(scheme="fem", p=None, alpha=2.0, solver="cg", precond="jacobi")
+
+
+@pytest.mark.parametrize("changed, named", [
+    pytest.param(dict(solver="krylov"), "unknown solver 'krylov'", id="krylov"),
+    pytest.param(dict(solver=None), "unknown solver None", id="None"),
+    pytest.param(dict(scheme="xyz"), "unknown scheme 'xyz'", id="scheme"),
+    pytest.param(dict(fmt="xml"), "unknown format 'xml'", id="fmt"),
+    pytest.param(dict(FEM, alpha=None), "alpha must be in [1.5, 2], got None", id="fem-alpha"),
+    pytest.param(dict(alpha=1.7), "--alpha applies to the fem scheme only", id="fd-alpha"),
+    pytest.param(dict(FEM, precond=None), "solver=cg requires --precond", id="cg-precond"),
+    pytest.param(dict(solver="cg", precond="jacobi"), "solver=cg needs a symmetric system",
+                 id="fd-cg"),
+    pytest.param(dict(grids=(16, 9)), "grid sizes must be even and >= 4, got 9", id="grids")])
+def test_run_rejects_an_unknown_solver_before_assembly(tmp_path, monkeypatch, changed, named):
+    # a configuration built in code keeps the rules parse_config's keeps:
+    # an invalid one fails when built, before any grid or report
     import uel.cli as cli
 
     def assemble(*args, **kwargs):
         raise AssertionError("a grid was assembled")
 
     monkeypatch.setattr(cli, "assemble_fd", assemble)
-    with pytest.raises(ConfigurationError, match=re.escape(f"unknown solver {solver!r}")):
-        run(small_config(tmp_path, grids=(8,), solver=solver))
+    monkeypatch.setattr(cli, "assemble_fem", assemble)
+    with pytest.raises(ConfigurationError, match=re.escape(named)) as info:
+        run(small_config(tmp_path, **{"grids": (8,), **changed}))
+    assert info.traceback[-1].name == "__post_init__"
     assert not (tmp_path / "report.csv").exists()
 
 
@@ -234,21 +256,6 @@ def test_cond_skips_grids_above_the_cap_unless_forced(tmp_path, monkeypatch, fla
     assert [o["cond2_lower_bound"] is not None for o in payload["outcomes"]] == estimated
 
 
-def counted_splu(monkeypatch):
-    """Wrap SuperLU's splu; returns the list of the orderings it is called
-    with ("COLAMD" when the caller leaves SuperLU's default)."""
-    import uel.sparse_linalg as sparse_linalg
-    calls = []
-    real = sparse_linalg.spla.splu
-
-    def splu(*args, **kwargs):
-        calls.append(kwargs.get("permc_spec", "COLAMD"))
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(sparse_linalg.spla, "splu", splu)
-    return calls
-
-
 @pytest.mark.parametrize("solver", ("direct",))
 def test_fd_cond_sweep_factors_each_grid_once(tmp_path, monkeypatch, solver):
     # the condition estimate reuses the LU of the solve
@@ -256,7 +263,7 @@ def test_fd_cond_sweep_factors_each_grid_once(tmp_path, monkeypatch, solver):
     from uel.sparse_linalg import estimate_cond2
     calls = counted_splu(monkeypatch)
     report = run(small_config(tmp_path, solver=solver, compute_cond=True))
-    assert calls == ["MMD_AT_PLUS_A"] * 2
+    assert [ordering for _, ordering in calls] == ["MMD_AT_PLUS_A"] * 2
     for row in report.rows:
         system = assemble_fd(Grid(row.n), make_domain("circle"),
                              make_case("paper_sin"),
@@ -271,7 +278,8 @@ def test_solve_fallback_to_colamd_reaches_the_cond2_note(tmp_path, monkeypatch):
     monkeypatch.setattr(sparse_linalg, "_REFINED_RESIDUAL_MAX", -1.0)
     calls = counted_splu(monkeypatch)
     run(small_config(tmp_path, fmt="json", compute_cond=True))
-    assert calls == ["MMD_AT_PLUS_A", "MMD_AT_PLUS_A", "COLAMD"] * 2
+    assert calls == [(np.float32, "MMD_AT_PLUS_A"), (np.float64, "MMD_AT_PLUS_A"),
+                     (np.float64, "COLAMD")] * 2
     payload = json.loads((tmp_path / "report.json").read_text())
     for outcome in payload["outcomes"]:
         assert outcome["solver_note"].startswith(

@@ -12,9 +12,9 @@ from uel import Grid, assemble_fem, make_bc_spec, make_case, make_domain
 from uel.analysis import fitted_order
 from uel.cli import solution_errors
 from uel.errors import ConfigurationError
-from uel.fem_scheme import (RULE, S_FULL, _boundary_blocks, _cell_basis,
-                            _eroded, _stiffness_blocks, _triangle_quadrature,
-                            fem_gradient, solution_samples)
+from uel.fem_scheme import (S_FULL, SEG_WEIGHTS, TRI_WEIGHTS, _boundary_blocks,
+                            _cell_basis, _eroded, _stiffness_blocks,
+                            _triangle_quadrature, fem_gradient, solution_samples)
 from uel.geometry import (CELL_CUT, CELL_INSIDE, BCSpec, LevelSetDomain, _band,
                           classify, extract_cut_cells, snap_small_cells)
 
@@ -26,10 +26,10 @@ DOMAINS = ("circle", "leaf", "flower", "hourglass")
 # ----------------------------------------------------------------------
 
 def test_quadrature_weights_positive_and_normalized():
-    assert np.all(RULE.tri_weights > 0)
-    assert RULE.tri_weights.sum() == pytest.approx(1.0, abs=1e-14)
-    assert np.all(RULE.seg_weights > 0)
-    assert RULE.seg_weights.sum() == pytest.approx(1.0, abs=1e-14)
+    assert np.all(TRI_WEIGHTS > 0)
+    assert TRI_WEIGHTS.sum() == pytest.approx(1.0, abs=1e-14)
+    assert np.all(SEG_WEIGHTS > 0)
+    assert SEG_WEIGHTS.sum() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_basis_is_nodal():

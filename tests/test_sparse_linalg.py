@@ -6,7 +6,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import solve_triangular
 
-from conftest import csr_bytes, jacobi_eigenvalues, run_fd, run_fem, traced_peak
+from conftest import (counted_splu, csr_bytes, jacobi_eigenvalues, run_fd, run_fem,
+                      traced_peak)
 from uel import (Grid, assemble_fd, assemble_fem, make_bc_spec, make_case,
                  make_domain, sparse_linalg)
 from uel.errors import ConfigurationError, SolverError
@@ -178,21 +179,6 @@ def test_paper_systems_factor_in_single_precision(domain, bc_kind):
         assert res <= 1e-10
         ref = spla.splu(sp.csc_matrix(A)).solve(b)
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
-
-
-def counted_splu(monkeypatch):
-    """Wrap SuperLU's splu; returns the list of (dtype, ordering) it is
-    called with ("COLAMD" when the caller leaves SuperLU's default)."""
-    import uel.sparse_linalg as sl
-    calls = []
-    real = sl.spla.splu
-
-    def splu(A, **kwargs):
-        calls.append((A.dtype, kwargs.get("permc_spec", "COLAMD")))
-        return real(A, **kwargs)
-
-    monkeypatch.setattr(sl.spla, "splu", splu)
-    return calls
 
 
 def test_single_precision_singular_factor_falls_back_to_double(monkeypatch):
