@@ -22,14 +22,17 @@ CSV_COLUMNS = ("scheme,domain,bc,p,alpha,N,h,"
                "order_u_linf,order_g_linf,cond2,solver,precond,iters,residual,"
                "assemble_s,solve_s")
 
-# The allowed values of each enumerated field.  The argparse choices and
-# ExperimentConfig's checks both read this table.
+# The allowed values of each enumerated field.  The argparse options and
+# ExperimentConfig's checks both read this table.  The constant case is left
+# out: its gradient is zero, so no row could report a relative gradient error.
 CHOICES = {"domain": DOMAIN_NAMES, "scheme": ("fd", "fem"), "bc": ("dirichlet", "mixed"),
-           "case": CASE_NAMES, "solver": ("direct", "cg"),
+           "case": tuple(c for c in CASE_NAMES if c != "constant"), "solver": ("direct", "cg"),
            "precond": ("none", "jacobi", "sor"), "fmt": ("csv", "json", "both")}
 # How an unknown value's message names its field, and the hint after it.
 _NAMED = {"precond": "preconditioner", "fmt": "format"}
-_HINT = {"solver": ": use direct, or cg for the fem scheme"}
+_HINT = {"solver": ": use direct, or cg for the fem scheme",
+         "case": (f": use {', '.join(CHOICES['case'])}; constant has a zero gradient, "
+                  "which leaves the relative gradient error undefined")}
 
 # Condition estimates above this grid are skipped unless forced.
 COND_N_CAP = 320
@@ -117,7 +120,8 @@ def _build_parser():
     ap.add_argument("--domain", choices=CHOICES["domain"])
     ap.add_argument("--scheme", choices=CHOICES["scheme"])
     ap.add_argument("--bc", choices=CHOICES["bc"])
-    ap.add_argument("--case", choices=CHOICES["case"])
+    # checked by ExperimentConfig, whose message says why constant is refused
+    ap.add_argument("--case", help=f"manufactured solution: {', '.join(CHOICES['case'])}")
     ap.add_argument("--p", type=int, help="FD interpolation order (1 or 2)")
     ap.add_argument("--alpha", type=float,
                     help="FEM snapping/penalty exponent in [1.5, 2]")
@@ -160,6 +164,9 @@ def _read_config_file(path):
         if isinstance(value, bool) != (kind is bool) or not isinstance(value, accepted[kind]):
             raise ConfigurationError(
                 f"config key {key!r} must be {kind.__name__}, got {value!r}")
+        if kind is float:
+            # as a flag's value would be: 2 and 2.0 label a row alike
+            values[key] = float(value)
     return values
 
 

@@ -13,7 +13,7 @@ from .errors import AssemblyError, ConfigurationError, GeometryError
 from .fem_scheme import nodal_interior_values
 from .geometry import (AXES, NODE_GHOST, NODE_INACTIVE, NODE_INTERIOR, NONFINITE,
                        GhostProjections, _neighbor_any, _shortest_crossing,
-                       classify, project_ghosts)
+                       classify, project_ghosts, raise_first)
 
 DIAGONALS = np.array([(1, 1), (1, -1), (-1, 1), (-1, -1)])
 
@@ -96,36 +96,37 @@ def ghost_rows(projections, p, grid, domain, phi_node):
     Returns (owner, ii, jj, coeff, normal): the nonzero entries in row
     order, entry e in row owner[e] of the GhostProjections at node
     (ii[e], jj[e]), and per row the normal its Neumann row uses (NaN for
-    value rows).  Errors are raised for the first offending row.
+    value rows).  The checks run in this order, each raising at its first
+    failing row: the stencil stays on the grid, the offset within the
+    stencil span, diagonal and enlarged stencils on value rows, and the
+    interpolated normal is not degenerate.
     """
     h, n = grid.h, grid.n
     ghost, theta, signs = projections.ghost, projections.theta, projections.signs
     spacing, diagonal, value = projections.spacing, projections.diagonal, projections.dirichlet
     ii, jj, used = _stencil_nodes(projections, p)
-    errors = {}
 
-    def fail(rows, error, message):
-        for k in rows:
-            errors.setdefault(k, error(message(tuple(ghost[k].tolist()), k)))
+    def node(k):
+        return tuple(ghost[k].tolist())
 
-    fail(np.flatnonzero((used & ((ii < 0) | (ii > n) | (jj < 0) | (jj > n))).any(axis=1)),
-         GeometryError, lambda g, k: (f"ghost stencil leaves the grid at node {g}; "
-                                      "the grid is too coarse for this geometry"))
+    raise_first((used & ((ii < 0) | (ii > n) | (jj < 0) | (jj > n))).any(axis=1),
+                lambda k: GeometryError(f"ghost stencil leaves the grid at node {node(k)}; "
+                                        "the grid is too coarse for this geometry"))
     # Primary ghosts carry theta in [0, 1); extended ghosts may sit with
     # their foot up to one extra cell away (theta < 2), still inside the
     # quadratic column and a mild extrapolation for p=1.
-    fail(np.flatnonzero(theta.max(axis=1) >= 2.0), GeometryError, lambda g, k: (
-        f"projection offset {theta[k].max():.3f} outside the stencil span at node {g}"))
+    raise_first(theta.max(axis=1) >= 2.0, lambda k: GeometryError(
+        f"projection offset {theta[k].max():.3f} outside the stencil span at node {node(k)}"))
     lx, lpx = _weights(theta[:, 0], p, h, spacing[:, 0])
     ly, lpy = _weights(theta[:, 1], p, h, spacing[:, 1])
     mx, my = np.divmod(np.arange((p + 1) ** 2), p + 1)
     lx, lpx = np.array(lx)[mx].T, np.array(lpx)[mx].T
     ly, lpy = np.array(ly)[my].T, np.array(lpy)[my].T
-    fail(np.flatnonzero(diagonal & ~value), AssemblyError,
-         lambda g, k: "diagonal stencils carry value rows only")
+    raise_first(diagonal & ~value,
+                lambda k: AssemblyError("diagonal stencils carry value rows only"))
     # Neumann: spacing is never enlarged (mitigation is Dirichlet-only).
-    fail(np.flatnonzero(~value & (spacing != 1).any(axis=1)), AssemblyError,
-         lambda g, k: "Neumann projections must not carry an enlarged stencil")
+    raise_first(~value & (spacing != 1).any(axis=1), lambda k: AssemblyError(
+        "Neumann projections must not carry an enlarged stencil"))
 
     neu = np.flatnonzero(~value)
     if not domain.is_circle:
@@ -138,10 +139,8 @@ def ghost_rows(projections, p, grid, domain, phi_node):
             dpy = dpy + lx[neu, s] * lpy[neu, s] * phi[:, s]
         dp = np.column_stack([signs[neu, 0] * dpx, signs[neu, 1] * dpy])
         norm = np.hypot(dp[:, 0], dp[:, 1])
-        fail(neu[norm < 1e-14], GeometryError,
-             lambda g, k: f"degenerate interpolated normal at ghost {g}")
-    if errors:
-        raise errors[min(errors)]
+        raise_first(norm < 1e-14, lambda k: GeometryError(
+            f"degenerate interpolated normal at ghost {node(neu[k])}"))
     normal = np.full((len(ghost), 2), np.nan)
     # phi grows inward, so the outward normal is the negated direction.
     normal[neu] = (domain.outward_normal(*projections.point[neu].T) if domain.is_circle
@@ -221,15 +220,10 @@ def _extended_projections(nodes, domain, grid, tol_factor, active, p):
     step = math.sqrt(2.0) * h
     td, best_d, finite_d = _shortest_crossing(
         domain, gx, gy, owner, d, DIAGONALS / math.sqrt(2.0), 2.0 * step, tol_factor * h)
-    finite &= finite_d
-    bad = ~finite | (diagonal & np.isnan(td))
-    if bad.any():
-        k = bad.argmax()
-        if not finite[k]:
-            raise GeometryError(NONFINITE.format(i[k], j[k]))
-        raise GeometryError(
-            f"no usable boundary projection for extended ghost ({i[k]}, {j[k]}); "
-            "the grid is too coarse for this geometry")
+    raise_first(~(finite & finite_d), lambda k: GeometryError(NONFINITE.format(i[k], j[k])))
+    raise_first(diagonal & np.isnan(td), lambda k: GeometryError(
+        f"no usable boundary projection for extended ghost ({i[k]}, {j[k]}); "
+        "the grid is too coarse for this geometry"))
 
     e, ed = AXES[best], DIAGONALS[best_d]
     g = np.column_stack([gx, gy])
@@ -280,37 +274,26 @@ def assemble_fd(grid, domain, case, bc, p=2, tol_factor=1e-4):
     mitigate_ill_conditioning(primary, h)
 
     # Stencils may reach exterior nodes beyond the ghost layer: activate them
-    # with boundary rows of their own (one extension layer only).
+    # with boundary rows of their own (one extension layer only).  Off-grid
+    # entries are never new: ghost_rows rejects their stencils.
     active = role != NODE_INACTIVE
-    owner, si, sj, on_grid = _stencil_entries(primary, p, n)
+    _, si, sj, on_grid = _stencil_entries(primary, p, n)
     new = on_grid & ~active[si, sj]
-    bad = ~on_grid | (new & ~_neighbor_any(active, True)[si, sj])
-    stop = int(bad.argmax()) if bad.any() else len(bad)
-    ids = (si * (n + 1) + sj)[:stop][new[:stop]]
+    raise_first(new & ~_neighbor_any(active, True)[si, sj], lambda k: GeometryError(
+        f"stencil node ({si[k]}, {sj[k]}) lies beyond one layer of the "
+        "active set; the grid is too coarse for this geometry"))
+    ids = (si * (n + 1) + sj)[new]
     ids = ids[np.sort(np.unique(ids, return_index=True)[1])]
     # Extended ghosts are pinned by value interpolation at their own foot
     # regardless of the boundary-condition region: their row only closes the
     # system, and manufactured data supplies u there.
     extended = _extended_projections(np.column_stack(np.divmod(ids, n + 1)),
                                      domain, grid, tol_factor, active, p)
-    if stop < len(bad):
-        if not on_grid[stop]:
-            ghost = tuple(primary.ghost[owner[stop]].tolist())
-            raise GeometryError(f"ghost stencil leaves the grid at node {ghost}; "
-                                "the grid is too coarse for this geometry")
-        raise GeometryError(
-            f"stencil node ({si[stop]}, {sj[stop]}) lies beyond one layer of the "
-            "active set; the grid is too coarse for this geometry")
     active.flat[ids] = True
     owner, si, sj, on_grid = _stencil_entries(extended, p, n)
-    bad = ~on_grid | ~active[si, sj]
-    if bad.any():
-        k = bad.argmax()
-        ghost = tuple(extended.ghost[owner[k]].tolist())
-        if not on_grid[k]:
-            raise GeometryError(f"ghost stencil leaves the grid at node {ghost}")
-        raise GeometryError(f"extended ghost {ghost} needs a second extension "
-                            "layer; the grid is too coarse for this geometry")
+    raise_first(on_grid & ~active[si, sj], lambda k: GeometryError(
+        f"extended ghost {tuple(extended.ghost[owner[k]].tolist())} needs a second "
+        "extension layer; the grid is too coarse for this geometry"))
     ghosts = primary + extended
 
     # rows in lexicographic node order; int32, the CSR matrix's index type:

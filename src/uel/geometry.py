@@ -378,6 +378,12 @@ AXES = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
 NONFINITE = "phi is not finite along a projection ray from node ({}, {})"
 
 
+def raise_first(bad, make_error):
+    """Raise make_error(k) for the first row k where the mask bad is set."""
+    if bad.any():
+        raise make_error(int(bad.argmax()))
+
+
 def _bisect_rays(domain, ox, oy, dx, dy, t_max, tol):
     """First zero of phi along each ray (ox, oy) + t (dx, dy), t in
     (0, t_max]: all rays are presampled at once at t = t_max k / 64 for
@@ -448,9 +454,11 @@ def project_ghosts(nodes, domain, grid, tol_factor=1e-4):
     Raises
     ------
     GeometryError
-        For the first node, in order, that is interior, has no defined
-        outward normal, has a non-finite phi along one of its rays, or from
-        which neither the normal ray nor any axis segment crosses Gamma.
+        From the first check that fails, at its first node in order.  The
+        checks run in this order: a node is interior, phi is not finite at
+        a node, a node has no defined outward normal, phi is not finite
+        along a normal ray or an axis segment, neither of them crosses
+        Gamma, or the offset leaves [0, 1).
     ConfigurationError
         If tol_factor * h is not finite and positive.
     """
@@ -458,44 +466,39 @@ def project_ghosts(nodes, domain, grid, tol_factor=1e-4):
     h = grid.h
     tol = tol_factor * h
     gx, gy = grid.xs[nodes[:, 0]], grid.xs[nodes[:, 1]]
-    live = np.ones(len(nodes), dtype=bool)
-    errors = {}
 
-    def fail(rows, message):
-        for k in rows[live[rows]]:
-            errors[k] = GeometryError(message(*nodes[k], k))
-        live[rows] = False
+    def node(k):
+        return f"node ({nodes[k, 0]}, {nodes[k, 1]})"
 
-    nonfinite = NONFINITE.format
+    def nonfinite(k):
+        return GeometryError(NONFINITE.format(*nodes[k]))
+
     phi_g = domain.phi(gx, gy)
-    fail(np.flatnonzero(phi_g > 0.0),
-         lambda i, j, k: f"node ({i}, {j}) is interior; only exterior nodes project")
-    fail(np.flatnonzero(~np.isfinite(phi_g)), nonfinite)
-    normal = np.zeros((len(nodes), 2))
-    rows = np.flatnonzero(live)
-    normal[rows], ok = domain._normals(gx[rows], gy[rows])
-    fail(rows[~ok], lambda i, j, k: domain._undefined_normal(gx[k], gy[k]))
+    raise_first(phi_g > 0.0, lambda k: GeometryError(
+        f"{node(k)} is interior; only exterior nodes project"))
+    raise_first(~np.isfinite(phi_g), nonfinite)
+    normal, ok = domain._normals(gx, gy)
+    raise_first(~ok, lambda k: GeometryError(domain._undefined_normal(gx[k], gy[k])))
 
     nu = np.zeros(len(nodes))  # phi(G) == 0: B = G
-    ray = np.flatnonzero(live & (phi_g != 0.0))
+    ray = np.flatnonzero(phi_g != 0.0)
     nu[ray], finite = _bisect_rays(domain, gx[ray], gy[ray], -normal[ray, 0],
                                    -normal[ray, 1], 2.0 * math.sqrt(2.0) * h, tol)
-    fail(ray[~finite], nonfinite)
+    raise_first(~finite, lambda k: nonfinite(ray[k]))
     bx, by = gx - normal[:, 0] * nu, gy - normal[:, 1] * nu
     # foot beyond the unit offset, or no crossing: fall back to the axes
-    axis = np.flatnonzero(live & (np.isnan(nu) | (np.abs(bx - gx) >= h)
-                                  | (np.abs(by - gy) >= h)))
+    axis = np.flatnonzero(np.isnan(nu) | (np.abs(bx - gx) >= h) | (np.abs(by - gy) >= h))
     probe = domain.phi(gx[axis, None] + AXES[:, 0] * h, gy[axis, None] + AXES[:, 1] * h)
-    fail(axis[~np.isfinite(probe).all(axis=1)], nonfinite)
+    raise_first(~np.isfinite(probe).all(axis=1), lambda k: nonfinite(axis[k]))
     # a neighbour on Gamma up to round-off (phi(G + h e) == 0 although the
     # classification saw phi > 0 at the grid node) still brackets a crossing
     owner, d = np.nonzero(probe >= 0.0)
     t, best, finite = _shortest_crossing(domain, gx[axis], gy[axis], owner, d,
                                          AXES, h, tol)
-    fail(axis[~finite], nonfinite)
-    fail(axis[np.isnan(t)], lambda i, j, k: (
+    raise_first(~finite, lambda k: nonfinite(axis[k]))
+    raise_first(np.isnan(t), lambda k: GeometryError(
         "no boundary crossing along the normal ray or the axis segments "
-        f"from node ({i}, {j})"))
+        f"from {node(axis[k])}"))
     bx[axis] = gx[axis] + AXES[best, 0] * t
     by[axis] = gy[axis] + AXES[best, 1] * t
 
@@ -505,11 +508,9 @@ def project_ghosts(nodes, domain, grid, tol_factor=1e-4):
     on = (sx == 0.0) & (sy == 0.0)
     sx[on], sy[on] = np.sign(-normal[on, 0]), np.sign(-normal[on, 1])
     theta = np.column_stack([np.abs(bx - gx), np.abs(by - gy)]) / h
-    fail(np.flatnonzero((theta >= 1.0).any(axis=1)), lambda i, j, k: (
-        f"projection offset outside [0,1) at node ({i}, {j}): "
+    raise_first((theta >= 1.0).any(axis=1), lambda k: GeometryError(
+        f"projection offset outside [0,1) at {node(k)}: "
         f"theta=({theta[k, 0]:.3f}, {theta[k, 1]:.3f})"))
-    if errors:
-        raise errors[min(errors)]
     m = len(nodes)
     return GhostProjections(nodes, np.column_stack([bx, by]), theta,
                             np.column_stack([sx, sy]).astype(int), np.ones(m, dtype=bool),

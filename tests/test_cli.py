@@ -122,6 +122,39 @@ def test_bad_config_file_is_a_configuration_error(tmp_path, capsys, payload, nam
     assert err.startswith("error: ") and named in err
 
 
+def test_constant_case_fails_before_assembly(monkeypatch, capsys):
+    # its gradient is zero, so err_g's reference norm is zero on every grid
+    import uel.cli as cli
+
+    def assemble(*args, **kwargs):
+        raise AssertionError("a grid was assembled")
+
+    monkeypatch.setattr(cli, "assemble_fd", assemble)
+    monkeypatch.setattr(cli, "assemble_fem", assemble)
+    for scheme in ("fd", "fem"):
+        assert main(["--domain", "circle", "--scheme", scheme, "--grids", "16",
+                     "--case", "constant"]) == 1
+        err = capsys.readouterr().err
+        assert "unknown case 'constant'" in err and "zero gradient" in err
+
+
+def test_config_file_int_for_a_float_field_labels_rows_as_the_flag_does(tmp_path):
+    # a JSON 2 for alpha is read as 2.0, so the rows and the config echo
+    # match those of --alpha 2
+    cfgfile = tmp_path / "exp.json"
+    cfgfile.write_text(json.dumps({"domain": "circle", "scheme": "fem", "alpha": 2,
+                                   "omega": 1, "grids": [8, 16]}))
+    common = ["--no-timings", "--format", "both"]
+    assert main(["--config", str(cfgfile), "--output", str(tmp_path / "file")] + common) == 0
+    assert main(["--domain", "circle", "--scheme", "fem", "--alpha", "2", "--omega", "1",
+                 "--grids", "8,16", "--output", str(tmp_path / "flag")] + common) == 0
+    assert (tmp_path / "file.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+    file, flag = (json.loads((tmp_path / f"{stem}.json").read_text())["config"]
+                  for stem in ("file", "flag"))
+    assert {**file, "output": None} == {**flag, "output": None}
+    assert json.dumps(file["omega"]) == "1.0"
+
+
 def small_config(tmp_path, **kw):
     base = dict(domain="circle", scheme="fd", p=2, grids=(8, 16),
                 solver="direct", output=str(tmp_path / "report"),
@@ -143,7 +176,8 @@ FEM = dict(scheme="fem", p=None, alpha=2.0, solver="cg", precond="jacobi")
     pytest.param(dict(FEM, precond=None), "solver=cg requires --precond", id="cg-precond"),
     pytest.param(dict(solver="cg", precond="jacobi"), "solver=cg needs a symmetric system",
                  id="fd-cg"),
-    pytest.param(dict(grids=(16, 9)), "grid sizes must be even and >= 4, got 9", id="grids")])
+    pytest.param(dict(grids=(16, 9)), "grid sizes must be even and >= 4, got 9", id="grids"),
+    pytest.param(dict(case="constant"), "unknown case 'constant'", id="constant")])
 def test_run_rejects_an_unknown_solver_before_assembly(tmp_path, monkeypatch, changed, named):
     # a configuration built in code keeps the rules parse_config's keeps:
     # an invalid one fails when built, before any grid or report

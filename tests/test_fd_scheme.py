@@ -256,11 +256,22 @@ def test_ghost_row_rhs_is_boundary_data():
 
 @pytest.mark.parametrize("p", (1, 2))
 def test_ghost_rows_rejects_a_stencil_off_the_grid(p):
-    # assemble_fd checks the stencils before it calls ghost_rows; a direct
-    # caller gets ghost_rows' own check: from (0, 5) the stencil runs to i < 0
+    # from (0, 5) the stencil runs to i < 0
     grid, domain = Grid(10), half_plane(0.3)
     with pytest.raises(GeometryError, match=r"ghost stencil leaves the grid at node \(0, 5\)"):
         one_row(make_proj((0.5, 0.0), signs=(-1, 0), ghost=(0, 5)), p, grid, domain)
+
+
+def test_assemble_fd_rejects_a_stencil_off_the_grid():
+    # Omega = {x < -0.95} on N=20: the ghosts sit in the column i = 1 and
+    # their stencils point toward the frame, i = 1, 0, -1 for p=2;
+    # assemble_fd leaves this check to ghost_rows
+    grid, domain, case = Grid(20), half_plane(-0.95), make_case("paper_sin")
+    bc = make_bc_spec("hp", "dirichlet")
+    with pytest.raises(GeometryError, match=r"ghost stencil leaves the grid at node \(1, 0\)"):
+        assemble_fd(grid, domain, case, bc, p=2)
+    system = assemble_fd(grid, domain, case, bc, p=1)
+    assert set(system.ghosts.ghost[:, 0].tolist()) == {1}
 
 
 @settings(derandomize=True, deadline=None, max_examples=15)

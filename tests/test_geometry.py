@@ -267,10 +267,11 @@ def test_projection_bisection_stops_at_adjacent_floats():
     assert np.abs(foot_distances(1e-20) - foot_distances(1e-12)).max() <= 1e-12 * grid.h
 
 
-def test_projection_errors_follow_node_order():
+def test_projection_errors_follow_check_order():
     # Omega = {x > 0.55} on N=20: the column x = 0.5 is all ghosts.  phi is
     # NaN at node A = (15, 5) and grad(phi) vanishes at node B = (15, 10);
-    # the error of whichever comes first in the node array is raised.
+    # the phi check runs before the normal check, so A's error is raised
+    # whichever node comes first in the node array.
     grid = Grid(20)
     xa, ya = grid.node(15, 5)
     xb, yb = grid.node(15, 10)
@@ -288,10 +289,9 @@ def test_projection_errors_follow_node_order():
     nonfinite = re.escape("phi is not finite along a projection ray from node (15, 5)")
     with pytest.raises(GeometryError, match=vanishing):
         project_ghosts([(15, 10)], d, grid)
-    with pytest.raises(GeometryError, match=vanishing):
-        project_ghosts([(15, 8), (15, 10), (15, 5)], d, grid)
-    with pytest.raises(GeometryError, match=nonfinite):
-        project_ghosts([(15, 8), (15, 5), (15, 10)], d, grid)
+    for order in ([(15, 8), (15, 10), (15, 5)], [(15, 8), (15, 5), (15, 10)]):
+        with pytest.raises(GeometryError, match=nonfinite):
+            project_ghosts(order, d, grid)
 
 
 def test_non_finite_gradient_leaves_the_normal_undefined():
