@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
-from conftest import ELLIPSES, ellipse_domain, omega_h_area, segment_lengths
-from uel import Grid, make_bc_spec, make_domain
+from conftest import (ELLIPSES, SHIFTS, ellipse_domain, omega_h_area, segment_lengths,
+                      shifted)
+from uel import Grid, assemble_fd, assemble_fem, make_bc_spec, make_case, make_domain
 from uel.analysis import fitted_order
 from uel.errors import ConfigurationError, GeometryError
 from uel.geometry import (CELL_CUT, CELL_INSIDE, CELL_OUTSIDE, CELL_SNAPPED,
@@ -648,3 +650,34 @@ def test_bc_spec_regions():
     assert not leaf.is_dirichlet(0.0, 0.5)  # strict x < 0
     with pytest.raises(ConfigurationError):
         make_bc_spec("circle", "robin")
+
+
+# ----------------------------------------------------------------------
+# shifted built-in domains
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("name, shift", [(name, SHIFTS[2 * k + m])
+                                         for k, name in enumerate(DOMAINS) for m in (0, 1)])
+@pytest.mark.parametrize("bc_kind", ("dirichlet", "mixed"))
+def test_shifted_domains_assemble(name, shift, bc_kind):
+    # two shifts per built-in domain (the circle's second one has extended
+    # ghosts at N=40, p=2): every FD and FEM system assembles into a
+    # canonical int32 CSR matrix, the FD feet lie on Gamma within the
+    # bisection tolerance, and Gamma_h of FEM is closed, every segment end
+    # shared with another segment up to round-off
+    domain, case, bc = shifted(name, *shift), make_case("paper_sin"), make_bc_spec(name, bc_kind)
+    for n in (40, 80, 160):
+        grid = Grid(n)
+        fd = [assemble_fd(grid, domain, case, bc, p=p) for p in (1, 2)]
+        fem = [assemble_fem(grid, domain, case, bc, alpha=alpha) for alpha in (1.5, 2.0)]
+        for system in fd + fem:
+            assert system.matrix.has_canonical_format
+            assert system.matrix.indices.dtype == system.matrix.indptr.dtype == np.int32
+        for system in fd:
+            x, y = system.ghosts.point.T
+            assert (np.abs(domain.phi(x, y)) <= 1e-4 * grid.h
+                    * np.hypot(*domain.grad_phi(x, y))).all()
+        for system in fem:
+            ends = np.concatenate([system.band.p0, system.band.p1])
+            shared = cKDTree(ends).query_ball_point(ends, 1e-12 * grid.h, return_length=True)
+            assert (shared >= 2).all() and (shared % 2 == 0).all()

@@ -22,8 +22,11 @@ ellipse 1 - (x/0.5)^2 - (y/0.3)^2 and the slab x < -0.95 at N=20 (whose
 p=2 stencils leave the grid, so the ghost layer's error text is pinned
 too), each with both boundary-condition splits and p in {1, 2}.  FEM: the
 built-in domains and the same 40 ellipses, with both splits and alpha in
-{1.5, 2}.  The whole census takes
-well under two minutes on one core.
+{1.5, 2}.  Both schemes also assemble the built-in domains moved off the
+grid by three seeded shifts in U(-0.05, 0.05)^2 (the first three of the
+test suite's SHIFTS) at N in {40, 80, 160}: the centred circle has no
+extended ghost at any N, the circle moved by the second shift has two at
+N=40 with p=2.  The whole census takes well under two minutes on one core.
 """
 
 import dataclasses
@@ -38,6 +41,8 @@ from uel.geometry import DOMAIN_NAMES, LevelSetDomain
 
 GRIDS = (8, 12, 16, 24, 32, 40, 64, 80, 160, 320)
 ELLIPSE_GRIDS = (16, 24, 40, 64)
+SHIFTED_GRIDS = (40, 80, 160)
+SHIFTS = [tuple(s) for s in np.random.default_rng(5).uniform(-0.05, 0.05, (3, 2)).tolist()]
 BCS = ("dirichlet", "mixed")
 SEED = 2024
 
@@ -50,6 +55,16 @@ def ellipse(cx, cy, a, b):
         return -2.0 * (x - cx) / a ** 2, -2.0 * (y - cy) / b ** 2
 
     return LevelSetDomain("ellipse", phi, grad)
+
+
+def shifted(name, dx, dy):
+    """make_domain(name) moved by (dx, dy), a circle's centre along."""
+    base = make_domain(name)
+    centre = base.circle_center
+    return dataclasses.replace(
+        base, phi=lambda x, y: base.phi(x - dx, y - dy),
+        grad_phi=lambda x, y: base.grad_phi(x - dx, y - dy),
+        circle_center=None if centre is None else (centre[0] + dx, centre[1] + dy))
 
 
 def slab(c):
@@ -102,13 +117,19 @@ def setups():
             + [(f"ellipse{d!r}", ellipse(*d), ELLIPSE_GRIDS) for d in draws])
 
 
+def shifted_setups():
+    """(name, domain, grids) of the shifted built-in domains."""
+    return [(f"shifted{(name, *s)!r}", shifted(name, *s), SHIFTED_GRIDS)
+            for name in DOMAIN_NAMES for s in SHIFTS]
+
+
 def fd_systems():
     case = make_case("paper_sin")
     centred = ("ellipse(0.0, 0.0, 0.5, 0.3)", ellipse(0.0, 0.0, 0.5, 0.3), (20, 40, 80))
     edge = ("slab(-0.95)", slab(-0.95), (20,))
-    for name, domain, grids in setups() + [centred, edge]:
+    for name, domain, grids in setups() + [centred, edge] + shifted_setups():
         for kind in BCS:
-            bc = make_bc_spec(name, kind)
+            bc = make_bc_spec(domain.name, kind)
             for p in (1, 2):
                 for n in grids:
                     record({"scheme": "fd", "domain": name, "bc": kind, "p": p, "n": n},
@@ -118,9 +139,9 @@ def fd_systems():
 
 def fem_systems():
     case = make_case("paper_sin")
-    for name, domain, grids in setups():
+    for name, domain, grids in setups() + shifted_setups():
         for kind in BCS:
-            bc = make_bc_spec(name, kind)
+            bc = make_bc_spec(domain.name, kind)
             for alpha in (1.5, 2.0):
                 for n in grids:
                     record({"scheme": "fem", "domain": name, "bc": kind, "alpha": alpha,
