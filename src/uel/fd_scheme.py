@@ -10,12 +10,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import AssemblyError, ConfigurationError, GeometryError
-from .fem_scheme import nodal_interior_values
+from .fem_scheme import nodal_interior_values, stencil_csr
 from .geometry import (AXES, NODE_GHOST, NODE_INACTIVE, NODE_INTERIOR, NONFINITE,
                        GhostProjections, _neighbor_any, _shortest_crossing,
                        classify, project_ghosts, raise_first)
 
 DIAGONALS = np.array([(1, 1), (1, -1), (-1, 1), (-1, -1)])
+# the 5-point stencil's node offsets in lexicographic order, so that a
+# row's columns come out sorted
+FIVE_POINT = [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)]
 
 
 def _weights(theta, p, h, spacing):
@@ -235,14 +238,6 @@ def _extended_projections(nodes, domain, grid, tol_factor, active, p):
                             np.ones_like(signs), diagonal)
 
 
-def _concatenate_and_clear(parts):
-    """np.concatenate(parts), emptying the list so that the parts it held
-    alone are freed."""
-    whole = np.concatenate(parts)
-    parts.clear()
-    return whole
-
-
 def assemble_fd(grid, domain, case, bc, p=2, tol_factor=1e-4):
     """Assemble the ghost-point finite-difference system for a manufactured
     case and boundary-condition split.
@@ -296,60 +291,40 @@ def assemble_fd(grid, domain, case, bc, p=2, tol_factor=1e-4):
         "extension layer; the grid is too coarse for this geometry"))
     ghosts = primary + extended
 
-    # rows in lexicographic node order; int32, the CSR matrix's index type:
-    # the row and column gathers below come out int32, so a COO entry takes
-    # 16 bytes instead of 24
+    # rows in lexicographic node order; int32, the CSR matrix's index type
     n_rows = np.count_nonzero(active)
     index = np.full((n + 1, n + 1), -1, dtype=np.int32)
     index[active] = np.arange(n_rows)
-
-    rows_parts, cols_parts, vals_parts = [], [], []
     rhs = np.zeros(n_rows)
-    inv_h2 = 1.0 / (h * h)
     xs = grid.xs
 
-    ii, jj = np.nonzero(role == NODE_INTERIOR)
-    on_frame = (ii == 0) | (ii == n) | (jj == 0) | (jj == n)
-
-    # Interior 5-point rows (vectorized).
-    ic, jc = ii[~on_frame], jj[~on_frame]
-    if len(ic):
-        r = index[ic, jc]
-        cols_parts.append(np.concatenate([r, index[ic + 1, jc], index[ic - 1, jc],
-                                          index[ic, jc + 1], index[ic, jc - 1]]))
-        if cols_parts[-1].min() < 0:
-            raise AssemblyError("interior node with an inactive neighbor; "
-                                "classification invariant violated")
-        rows_parts.append(np.tile(r, 5))
-        stamp = np.array([4.0, -1.0, -1.0, -1.0, -1.0]) * inv_h2
-        vals_parts.append(np.repeat(stamp, len(ic)))
-        rhs[r] = case.f(xs[ic], xs[jc])
-
     # Interior nodes on the grid frame only occur when Omega touches the box
-    # (e.g. phi == 1 on all of R): pin them to the boundary data.
-    if_, jf = ii[on_frame], jj[on_frame]
-    if len(if_):
-        r = index[if_, jf]
-        rows_parts.append(r)
-        cols_parts.append(r)
-        vals_parts.append(np.ones(len(r)))
-        rhs[r] = case.u(xs[if_], xs[jf])
+    # (e.g. phi == 1 on all of R): pin them to the boundary data.  The others
+    # carry the 5-point stencil.
+    interior = role == NODE_INTERIOR
+    frame = np.zeros_like(interior)
+    frame[[0, -1], :] = frame[:, [0, -1]] = True
+    ii, jj = np.nonzero(interior & ~frame)
+    rhs[index[ii, jj]] = case.f(xs[ii], xs[jj])
+    ii, jj = np.nonzero(interior & frame)
+    r = index[ii, jj]
+    rhs[r] = case.u(xs[ii], xs[jj])
+    pinned = (r, r, np.ones(len(r)))
 
     # Ghost rows (including extended ghosts), with g_D = u at value rows and
     # g_N = grad(u) . n at derivative rows, n the row's own normal.
     owner, si, sj, coeff, normal = ghost_rows(ghosts, p, grid, domain, cls.phi_node)
     r = index[ghosts.ghost[:, 0], ghosts.ghost[:, 1]]
-    rows_parts.append(r[owner])
-    cols_parts.append(index[si, sj])
-    vals_parts.append(coeff)
     point, value = ghosts.point, ghosts.dirichlet
     rhs[r[value]] = case.u(point[value, 0], point[value, 1])
     ux, uy = case.grad_u(point[~value, 0], point[~value, 1])
     rhs[r[~value]] = ux * normal[~value, 0] + uy * normal[~value, 1]
 
-    rows, cols, vals = (_concatenate_and_clear(parts)
-                        for parts in (rows_parts, cols_parts, vals_parts))
-    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n_rows, n_rows)).tocsr()
+    keep = np.repeat((interior & ~frame)[active][:, None], len(FIVE_POINT), axis=1)
+    slot = np.tile(np.arange(len(FIVE_POINT), dtype=np.uint8), (n_rows, 1))
+    matrix = stencil_csr(index, FIVE_POINT, keep, slot,
+                         np.array([-1.0, -1.0, 4.0, -1.0, -1.0]) * (1.0 / (h * h)),
+                         [pinned, (r[owner], index[si, sj], coeff)])
     return FdSystem(matrix, rhs, index, ghosts, cls, grid)
 
 

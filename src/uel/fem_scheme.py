@@ -269,50 +269,60 @@ def _csr(rows, blocks, n_rows):
     return sp.coo_matrix((d, (r, c)), shape=(n_rows, n_rows)).tocsr()
 
 
-def _stiffness_and_band(index, nodes, inside, band_entries):
-    """A as canonical CSR: the full-cell stencil of every node, followed in
-    each (row, col) by the band entries (rows, cols, data), summed in their
-    given order; exact zeros are dropped.
+def stencil_csr(index, offsets, keep, code, table, extra):
+    """A canonical CSR matrix over the active nodes of index (-1 where
+    inactive), numbered lexicographically.  Row r holds table[code[r, k]]
+    at the node offsets[k] away from its own wherever keep[r, k] (keep,
+    code: (M, K), code uint8), followed in each (row, col) by the extra COO
+    entries, a list of (rows, cols, data) parts, summed in their given
+    order; exact zeros are dropped.
 
-    The stencil entries come out sorted by (row, col), as the nodes are
-    numbered lexicographically; the few band entries are stably sorted and
-    slotted in behind them, so every row is in order and sum_duplicates
-    adds each entry's terms left to right."""
-    counts = _stencil_counts(inside, nodes)
-    keep = counts > 0
-    n1 = index.shape[0]
-    padded = np.full((n1 + 2, n1 + 2), -1, dtype=index.dtype)
-    padded[1:-1, 1:-1] = index
-    i, j = nodes[:, 0] + 1, nodes[:, 1] + 1
-    cols = np.stack([padded[i + di, j + dj] for di, dj in STENCIL], axis=-1)
-    del padded, i, j
+    The offsets are in lexicographic order, so each row's stencil entries
+    come out sorted; the few extra entries are stably sorted and slotted in
+    behind them, so every row is in order and sum_duplicates adds each
+    entry's terms left to right.  A kept stencil node that is inactive
+    raises AssemblyError."""
+    n_rows, n_cols = keep.shape
+    n2 = index.shape[0] + 2
+    padded = np.full(n2 * n2, -1, dtype=index.dtype)
+    padded.reshape(n2, n2)[1:-1, 1:-1] = index
+    at = np.flatnonzero(padded >= 0)
+    cols = np.empty(keep.shape, dtype=index.dtype)
+    for k, (di, dj) in enumerate(offsets):
+        cols[:, k] = padded[at + (di * n2 + dj)]
+    del padded, at
 
-    rows_b, cols_b, data_b = (np.concatenate(part) for part in zip(*band_entries))
-    n_rows = len(nodes)
+    rows_b, cols_b, data_b = (np.concatenate(part) for part in zip(*extra))
     order = np.argsort(rows_b.astype(np.int64) * n_rows + cols_b, kind="stable")
     rows_b, cols_b, data_b = rows_b[order], cols_b[order], data_b[order]
-    # each band entry goes behind the stencil entries of its row with
-    # col <= its col, and behind the band entries sorted before it
-    before = np.count_nonzero(keep[rows_b] & (cols[rows_b] <= cols_b[:, None]), axis=1)
-    row_len = np.count_nonzero(keep, axis=1)
-    start = np.cumsum(row_len) - row_len
-    slot = start[rows_b] + before + np.arange(len(rows_b))
-
+    # row lengths column by column: a count along the short axis is several
+    # times slower
     indptr = np.zeros(n_rows + 1, dtype=np.int32)
-    np.cumsum(row_len + np.bincount(rows_b, minlength=n_rows), out=indptr[1:])
+    for k in range(n_cols):
+        indptr[1:] += keep[:, k]
+    np.add.at(indptr, rows_b + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    # each extra entry goes behind the stencil entries of its row with
+    # col <= its col, and behind the extra entries sorted before it
+    before = np.count_nonzero(keep[rows_b] & (cols[rows_b] <= cols_b[:, None]), axis=1)
+    slot = (indptr[rows_b] + before + np.arange(len(rows_b))
+            - np.searchsorted(rows_b, rows_b))
+    del before
+
     stencil = np.ones(indptr[-1], dtype=bool)
     stencil[slot] = False
     indices = np.empty(indptr[-1], dtype=np.int32)
     indices[stencil] = cols[keep]
-    indices[slot] = cols_b
     del cols
-    # STENCIL_SUMS[o, k] sits at flat position 5 * o + k
-    counts += np.arange(0, 45, 5, dtype=np.uint8)
-    code = np.zeros(indptr[-1], dtype=np.uint8)
-    code[stencil] = counts[keep]
-    del counts, keep, stencil
-    data = STENCIL_SUMS.ravel()[code]
-    del code
+    indices[slot] = cols_b
+    if indices.min(initial=0) < 0:
+        raise AssemblyError("interior node with an inactive neighbor; "
+                            "classification invariant violated")
+    flat = np.zeros(indptr[-1], dtype=np.uint8)
+    flat[stencil] = code[keep]
+    del stencil
+    data = table[flat]
+    del flat
     data[slot] = data_b
     A = sp.csr_matrix((data, indices, indptr), shape=(n_rows, n_rows))
     A.sum_duplicates()
@@ -414,7 +424,11 @@ def assemble_fem(grid, domain, case, bc, alpha=2.0, classification=None):
     S_T = (D + D.T).tocsr()
     band_entries = [_block_entries(band_rows[cut], S_cut)] + [
         (m.row, m.col, m.data) for m in ((-S_T).tocoo(), (lam * P).tocoo())]
-    A = _stiffness_and_band(index, nodes, inside, band_entries)
+    counts = _stencil_counts(inside, nodes)
+    keep = counts > 0
+    # STENCIL_SUMS[o, k] sits at flat position 5 * o + k
+    counts += np.arange(0, 45, 5, dtype=np.uint8)
+    A = stencil_csr(index, STENCIL, keep, counts, STENCIL_SUMS.ravel(), band_entries)
     return FemSystem(A, rhs, index, cls, band, grid)
 
 

@@ -10,10 +10,11 @@ from conftest import (ELLIPSES, csr_bytes, ellipse_domain, full_square_domain,
 from uel import Grid, assemble_fd, make_bc_spec, make_case, make_domain, solve_direct
 from uel.analysis import fitted_order
 from uel.cli import solution_errors
-from uel.errors import ConfigurationError, GeometryError
+from uel import fd_scheme
+from uel.errors import AssemblyError, ConfigurationError, GeometryError
 from uel.fd_scheme import (_stencil_nodes, _weights, fd_gradient, ghost_rows,
                            mitigate_ill_conditioning)
-from uel.geometry import (NODE_GHOST, NODE_INTERIOR, GhostProjections,
+from uel.geometry import (NODE_GHOST, NODE_INACTIVE, NODE_INTERIOR, GhostProjections,
                           LevelSetDomain, classify, project_ghosts)
 
 
@@ -371,14 +372,39 @@ def test_assemble_circle_n4_size():
 
 
 def test_assembly_peak_memory_is_a_small_multiple_of_the_matrix():
-    # int32 COO parts, each list freed once concatenated: circle, mixed BC,
-    # p=2, N=160 peaks at 3.8x the CSR matrix's bytes (6.1x with int64 parts
-    # concatenated while all alive)
+    # the 5-point stencils and the frame and ghost rows are written into the
+    # CSR arrays directly: circle, mixed BC, p=2, N=160 peaks at 2.4x the
+    # CSR matrix's bytes (3.6x through int32 COO parts and tocsr)
     args = (Grid(160), make_domain("circle"), make_case("paper_sin"),
             make_bc_spec("circle", "mixed"))
     system, peak = traced_peak(lambda: assemble_fd(*args, p=2))
     assert system.index.dtype == system.matrix.indices.dtype == np.int32
-    assert peak <= 4.5 * csr_bytes(system.matrix)
+    assert system.matrix.has_canonical_format
+    assert peak <= 3.5 * csr_bytes(system.matrix)
+
+
+def test_domain_without_nodes_assembles_an_empty_system():
+    nothing = LevelSetDomain("nothing", lambda x, y: -1.0 + 0.0 * x,
+                             lambda x, y: (0.0 * x, 0.0 * y))
+    system = assemble_fd(Grid(8), nothing, make_case("paper_sin"),
+                         make_bc_spec("nothing", "dirichlet"), p=2)
+    assert system.matrix.shape == (0, 0) and system.rhs.shape == (0,)
+
+
+def test_interior_node_with_an_inactive_neighbor_raises(monkeypatch):
+    # a classification that breaks its invariant: the circle's centre node
+    # is marked inactive, so its four interior neighbours' stencils reach it
+    real = fd_scheme.classify
+
+    def classify(grid, domain, neighborhood):
+        cls = real(grid, domain, neighborhood)
+        cls.node_role[grid.n // 2, grid.n // 2] = NODE_INACTIVE
+        return cls
+
+    monkeypatch.setattr(fd_scheme, "classify", classify)
+    with pytest.raises(AssemblyError, match="interior node with an inactive neighbor"):
+        assemble_fd(Grid(16), make_domain("circle"), make_case("paper_sin"),
+                    make_bc_spec("circle", "dirichlet"), p=2)
 
 
 def test_full_square_recovers_classical_five_point():
