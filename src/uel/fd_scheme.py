@@ -302,11 +302,11 @@ def assemble_fd(grid, domain, case, bc, p=2, tol_factor=1e-4):
     # (e.g. phi == 1 on all of R): pin them to the boundary data.  The others
     # carry the 5-point stencil.
     interior = role == NODE_INTERIOR
-    frame = np.zeros_like(interior)
-    frame[[0, -1], :] = frame[:, [0, -1]] = True
-    ii, jj = np.nonzero(interior & ~frame)
+    stencil = np.zeros_like(interior)
+    stencil[1:-1, 1:-1] = interior[1:-1, 1:-1]
+    ii, jj = np.nonzero(stencil)
     rhs[index[ii, jj]] = case.f(xs[ii], xs[jj])
-    ii, jj = np.nonzero(interior & frame)
+    ii, jj = np.nonzero(interior & ~stencil)
     r = index[ii, jj]
     rhs[r] = case.u(xs[ii], xs[jj])
     pinned = (r, r, np.ones(len(r)))
@@ -320,7 +320,7 @@ def assemble_fd(grid, domain, case, bc, p=2, tol_factor=1e-4):
     ux, uy = case.grad_u(point[~value, 0], point[~value, 1])
     rhs[r[~value]] = ux * normal[~value, 0] + uy * normal[~value, 1]
 
-    keep = np.repeat((interior & ~frame)[active][:, None], len(FIVE_POINT), axis=1)
+    keep = np.repeat(stencil[active][:, None], len(FIVE_POINT), axis=1)
     slot = np.tile(np.arange(len(FIVE_POINT), dtype=np.uint8), (n_rows, 1))
     matrix = stencil_csr(index, FIVE_POINT, keep, slot,
                          np.array([-1.0, -1.0, 4.0, -1.0, -1.0]) * (1.0 / (h * h)),

@@ -303,11 +303,12 @@ def stencil_csr(index, offsets, keep, code, table, extra):
     np.add.at(indptr, rows_b + 1, 1)
     np.cumsum(indptr, out=indptr)
     # each extra entry goes behind the stencil entries of its row with
-    # col <= its col, and behind the extra entries sorted before it
+    # col <= its col, and behind the extra entries of its row sorted
+    # before it (indptr counts both kinds)
     before = np.count_nonzero(keep[rows_b] & (cols[rows_b] <= cols_b[:, None]), axis=1)
     slot = (indptr[rows_b] + before + np.arange(len(rows_b))
             - np.searchsorted(rows_b, rows_b))
-    del before
+    del rows_b, before
 
     stencil = np.ones(indptr[-1], dtype=bool)
     stencil[slot] = False
@@ -318,11 +319,11 @@ def stencil_csr(index, offsets, keep, code, table, extra):
     if indices.min(initial=0) < 0:
         raise AssemblyError("interior node with an inactive neighbor; "
                             "classification invariant violated")
-    flat = np.zeros(indptr[-1], dtype=np.uint8)
-    flat[stencil] = code[keep]
+    entry_code = np.zeros(indptr[-1], dtype=np.uint8)
+    entry_code[stencil] = code[keep]
     del stencil
-    data = table[flat]
-    del flat
+    data = table[entry_code]
+    del entry_code
     data[slot] = data_b
     A = sp.csr_matrix((data, indices, indptr), shape=(n_rows, n_rows))
     A.sum_duplicates()
