@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from conftest import (ELLIPSES, csr_bytes, ellipse_domain, full_square_domain,
                       run_fd, traced_peak)
-from uel import Grid, assemble_fd, make_bc_spec, make_case, make_domain, solve_direct
+from uel import (Grid, assemble_fd, fd_scheme, make_bc_spec, make_case, make_domain,
+                 solve_direct)
 from uel.analysis import fitted_order
 from uel.cli import solution_errors
-from uel import fd_scheme
 from uel.errors import AssemblyError, ConfigurationError, GeometryError
 from uel.fd_scheme import (_stencil_nodes, _weights, fd_gradient, ghost_rows,
                            mitigate_ill_conditioning)

@@ -259,7 +259,7 @@ def test_matrix_symmetry_on_random_ellipses(cx, cy, a, b, n):
 def test_assembly_peak_memory_is_a_small_multiple_of_the_matrix():
     # the full cells enter as one 9-point stencil entry per node and
     # neighbour, merged with the band entries into the CSR arrays
-    # directly: circle, mixed BC, alpha=2, N=160 peaks at 3.0x the CSR
+    # directly: circle, mixed BC, alpha=2, N=160 peaks at 2.9x the CSR
     # matrix's bytes (11x with 16 int64 COO entries per cell and three
     # CSR sums)
     args = (Grid(160), make_domain("circle"), make_case("paper_sin"),
