@@ -1,6 +1,5 @@
 """Shared helpers for the uel test suite."""
 
-import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -36,18 +35,6 @@ def ellipse_domain(cx, cy, a, b):
 
 # seeded offsets of the shifted built-in domains, U(-0.05, 0.05)^2
 SHIFTS = [tuple(s) for s in np.random.default_rng(5).uniform(-0.05, 0.05, (12, 2)).tolist()]
-
-
-def shifted(name, dx, dy):
-    """make_domain(name) moved by (dx, dy): phi and its gradient read at
-    (x - dx, y - dy), and a circle's centre moved along, so that circles
-    keep their exact normals."""
-    base = make_domain(name)
-    centre = base.circle_center
-    return dataclasses.replace(
-        base, phi=lambda x, y: base.phi(x - dx, y - dy),
-        grad_phi=lambda x, y: base.grad_phi(x - dx, y - dy),
-        circle_center=None if centre is None else (centre[0] + dx, centre[1] + dy))
 
 
 def omega_h_area(classification, band):

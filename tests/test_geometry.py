@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from conftest import (ELLIPSES, SHIFTS, ellipse_domain, omega_h_area, segment_lengths,
-                      shifted)
+from conftest import ELLIPSES, SHIFTS, ellipse_domain, omega_h_area, segment_lengths
 from uel import Grid, assemble_fd, assemble_fem, make_bc_spec, make_case, make_domain
 from uel.analysis import fitted_order
 from uel.errors import ConfigurationError, GeometryError
 from uel.geometry import (CELL_CUT, CELL_INSIDE, CELL_OUTSIDE, CELL_SNAPPED,
-                          NODE_GHOST, NODE_INACTIVE, NODE_INTERIOR,
+                          NODE_GHOST, NODE_INACTIVE, NODE_INTERIOR, SHAPE_OFFSET,
                           LevelSetDomain, _band, _march, classify,
                           extract_cut_cells, project_ghosts,
                           project_to_boundary, snap_small_cells)
@@ -23,8 +22,7 @@ DOMAINS = ("circle", "leaf", "flower", "hourglass")
 
 # A point inside each built-in domain (the hourglass one sits on its pinch).
 SEEDS = {"circle": (0.0, 0.0), "leaf": (0.0, 0.0),
-         "flower": (0.03 * math.sqrt(3.0), 0.04 * math.sqrt(2.0)),
-         "hourglass": (0.03 * math.sqrt(3.0), 0.04 * math.sqrt(2.0))}
+         "flower": SHAPE_OFFSET, "hourglass": SHAPE_OFFSET}
 
 
 def role_count(cls, role):
@@ -656,6 +654,21 @@ def test_bc_spec_regions():
 # shifted built-in domains
 # ----------------------------------------------------------------------
 
+@pytest.mark.parametrize("name", DOMAINS)
+def test_shifted_reads_the_domain_at_the_moved_point(name):
+    base = make_domain(name)
+    x, y = np.random.default_rng(11).uniform(-1.0, 1.0, (2, 200))
+    for dx, dy in SHIFTS[:3]:
+        domain = base.shifted(dx, dy)
+        assert domain.name == base.name
+        assert np.array_equal(domain.phi(x, y), base.phi(x - dx, y - dy))
+        assert np.array_equal(domain.grad_phi(x, y), base.grad_phi(x - dx, y - dy))
+        if name == "circle":
+            assert domain.is_circle and domain.circle_center == (dx, dy)
+        else:
+            assert not domain.is_circle
+
+
 @pytest.mark.parametrize("name, shift", [(name, SHIFTS[2 * k + m])
                                          for k, name in enumerate(DOMAINS) for m in (0, 1)])
 @pytest.mark.parametrize("bc_kind", ("dirichlet", "mixed"))
@@ -663,9 +676,12 @@ def test_shifted_domains_assemble(name, shift, bc_kind):
     # two shifts per built-in domain (the circle's second one has extended
     # ghosts at N=40, p=2): every FD and FEM system assembles into a
     # canonical int32 CSR matrix, the FD feet lie on Gamma within the
-    # bisection tolerance, and Gamma_h of FEM is closed, every segment end
-    # shared with another segment up to round-off
-    domain, case, bc = shifted(name, *shift), make_case("paper_sin"), make_bc_spec(name, bc_kind)
+    # bisection tolerance, Gamma_h of FEM is closed, every segment end
+    # shared with another segment up to round-off, and area(Omega_h), raw
+    # and snapped at alpha=2, is that of the centred domain within the
+    # ellipse test's 4 h^2 (1.3 h^2 at most over 12 shifts)
+    centred = make_domain(name)
+    domain, case, bc = centred.shifted(*shift), make_case("paper_sin"), make_bc_spec(name, bc_kind)
     for n in (40, 80, 160):
         grid = Grid(n)
         fd = [assemble_fd(grid, domain, case, bc, p=p) for p in (1, 2)]
@@ -681,3 +697,8 @@ def test_shifted_domains_assemble(name, shift, bc_kind):
             ends = np.concatenate([system.band.p0, system.band.p1])
             shared = cKDTree(ends).query_ball_point(ends, 1e-12 * grid.h, return_length=True)
             assert (shared >= 2).all() and (shared % 2 == 0).all()
+        raw, centred_raw = classify(grid, domain, "eight"), classify(grid, centred, "eight")
+        centred_snapped = snap_small_cells(centred_raw, grid, centred, 2.0)
+        for area, cls in ((omega_h_area(raw, extract_cut_cells(raw)), centred_raw),
+                          (omega_h_area(fem[1].classification, fem[1].band), centred_snapped)):
+            assert abs(area - omega_h_area(cls, extract_cut_cells(cls))) <= 4.0 * grid.h ** 2

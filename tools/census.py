@@ -24,9 +24,11 @@ too), each with both boundary-condition splits and p in {1, 2}.  FEM: the
 built-in domains and the same 40 ellipses, with both splits and alpha in
 {1.5, 2}.  Both schemes also assemble the built-in domains moved off the
 grid by three seeded shifts in U(-0.05, 0.05)^2 (the first three of the
-test suite's SHIFTS) at N in {40, 80, 160}: the centred circle has no
-extended ghost at any N, the circle moved by the second shift has two at
-N=40 with p=2.  The whole census takes well under two minutes on one core.
+test suite's SHIFTS, applied by `LevelSetDomain.shifted`) at N in
+{40, 80, 160}: the centred circle has no extended ghost at any N, the
+circle moved by the second shift has two at N=40 with p=2.  The whole
+census takes about ten seconds on one core; `tests/test_census.py` checks
+its shifts and the lines `record` prints.
 """
 
 import dataclasses
@@ -55,16 +57,6 @@ def ellipse(cx, cy, a, b):
         return -2.0 * (x - cx) / a ** 2, -2.0 * (y - cy) / b ** 2
 
     return LevelSetDomain("ellipse", phi, grad)
-
-
-def shifted(name, dx, dy):
-    """make_domain(name) moved by (dx, dy), a circle's centre along."""
-    base = make_domain(name)
-    centre = base.circle_center
-    return dataclasses.replace(
-        base, phi=lambda x, y: base.phi(x - dx, y - dy),
-        grad_phi=lambda x, y: base.grad_phi(x - dx, y - dy),
-        circle_center=None if centre is None else (centre[0] + dx, centre[1] + dy))
 
 
 def slab(c):
@@ -119,7 +111,7 @@ def setups():
 
 def shifted_setups():
     """(name, domain, grids) of the shifted built-in domains."""
-    return [(f"shifted{(name, *s)!r}", shifted(name, *s), SHIFTED_GRIDS)
+    return [(f"shifted{(name, *s)!r}", make_domain(name).shifted(*s), SHIFTED_GRIDS)
             for name in DOMAIN_NAMES for s in SHIFTS]
 
 
