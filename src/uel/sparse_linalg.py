@@ -18,7 +18,9 @@ relative residual above ``_REFINED_RESIDUAL_MAX`` is discarded for the
 next one: the same factor in double precision, then COLAMD with partial
 pivoting; the factor's note names each one rejected.  ``solve_direct``
 hands its factor on in ``SolveReport.factor``, and ``estimate_cond2``
-takes it instead of factoring A again.
+takes it instead of factoring A again.  The SSOR preconditioner of CG
+makes two no-fill factors of triangles of A instead, and runs both of its
+sweeps as SuperLU's transposed solve (``_ssor_apply``).
 """
 
 import time
@@ -43,11 +45,12 @@ _REFINE_STEPS_MAX = 10
 # the benchmark's FD and FEM matrices every width gives the same fill, and
 # narrower panels take less workspace.  With panels of 1, _factor at FD
 # circle N=640 takes 1.15 s (1.08-1.40 over 5 repeats) and 183.9 MiB, with 2
-# 1.15 s (1.08-1.29) and 186.3 MiB; on the other matrices, and for the SSOR
-# sweep's factor (70.5 MiB at FEM flower N=320 either way), 1 times within
+# 1.15 s (1.08-1.29) and 186.3 MiB; on the other matrices 1 times within
 # the spread of 2's repeats (tools/lu_panel.py --panels 1,2 --repeats 5,
-# 2 vCPUs, one BLAS thread).  Earlier runs gave 191 MiB with 4, and 229 MiB
-# and the slowest factor with 20.
+# 2 vCPUs, one BLAS thread).  The two factors of the SSOR sweeps take
+# 0.016 s and 75.0 MiB at FEM flower N=320 with 1, 0.015 s and 75.5 MiB
+# with 2 (--repeats 3).  Earlier runs gave 191 MiB with 4, and 229 MiB and
+# the slowest factor with 20.
 PANEL_SIZE = 1
 
 _NO_PIVOT = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
@@ -224,17 +227,33 @@ def _jacobi_apply(A):
 
 
 def _ssor_apply(A, omega):
+    """The SSOR preconditioner r -> (2-w)/w (D/w + L^T)^-1 D (D/w + L)^-1 r
+    of A = L + D + L^T, as a function of r.
+
+    Both sweeps are SuperLU's transposed solve, about twice as fast as its
+    plain one on these triangles.  back factors D/w + L, so back^-T is the
+    backward sweep; fwd factors J (D/w + L^T) J, J reversing the index
+    order, so the forward sweep is (D/w + L)^-1 r = J fwd^-T J r.  Without
+    ordering or pivoting the factor of a triangle has no fill and no column
+    updates, so both sweeps are bit-identical at any PANEL_SIZE."""
     if not 0.0 < omega < 2.0:
         raise ConfigurationError(f"SOR relaxation factor must be in (0, 2), got {omega}")
     d = A.diagonal()
     if np.any(d <= 0.0):
         raise SolverError("SSOR preconditioner: CG needs a positive diagonal")
-    # without ordering or pivoting the factor has no fill: it is the sweep
-    sweep = _splu(sp.csc_matrix(sp.tril(A, -1) + sp.diags(d / omega)),
-                  permc_spec="NATURAL", diag_pivot_thresh=0.0,
-                  options={"SymmetricMode": True})
+    lower = sp.tril(A, -1, format="csr") + sp.diags(d / omega)
+    lower.sort_indices()
+    n, nnz = A.shape[0], lower.nnz
+    # the CSC arrays of J (D/w + L^T) J are the CSR arrays of J (D/w + L) J:
+    # those of D/w + L read backwards
+    flipped = sp.csc_matrix((lower.data[::-1].copy(), n - 1 - lower.indices[::-1],
+                             nnz - lower.indptr[::-1]), shape=A.shape)
+    back, fwd = (_splu(M, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+                 for M in (lower.tocsc(), flipped))
     scale = (2.0 - omega) / omega
-    return lambda r: scale * sweep.solve(d * sweep.solve(r), trans="T")
+    return lambda r: scale * back.solve(d * fwd.solve(r[::-1], trans="T")[::-1],
+                                        trans="T")
 
 
 def solve_cg(A, b, preconditioner="none", tol=1e-12, maxit=10000, omega=1.5):
@@ -242,9 +261,12 @@ def solve_cg(A, b, preconditioner="none", tol=1e-12, maxit=10000, omega=1.5):
     systems.
 
     preconditioner is "none", "jacobi" or "sor"; the last two need a
-    positive diagonal.  The SSOR sweep is one no-pivot SuperLU factor of
-    D/omega + L with panels of PANEL_SIZE columns, applied forward and then
-    transposed, so it stays SPD.
+    positive diagonal.  The SSOR sweeps are SuperLU's transposed solves
+    with two no-fill, no-pivot factors made with panels of PANEL_SIZE
+    columns: one of D/omega + L for the backward sweep and one of D/omega
+    + L^T in reversed index order for the forward sweep (_ssor_apply), so
+    the preconditioner (2-omega)/omega (D/omega + L^T)^-1 D (D/omega + L)^-1
+    stays SPD.
     Iterations start from zero.
     A non-converged run returns a report with converged=False rather than
     raising; a tol that is not finite and positive raises ConfigurationError.

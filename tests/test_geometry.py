@@ -101,6 +101,74 @@ def test_gradient_nonzero_near_boundary(name):
         assert math.hypot(gx, gy) > 1e-8
 
 
+def printed_hourglass(x, y):
+    """The centred hourglass's (phi, dphi/dx, dphi/dy) in the printed **
+    form, and the sums of the absolute values of their terms, which bound
+    their round-off."""
+    ax, ay = np.abs(x), np.abs(y)
+    values = (-(256.0 * y ** 4 - 16.0 * x ** 4 - 128.0 * y ** 2 + 36.0 * x ** 2),
+              -(-64.0 * x ** 3 + 72.0 * x), -(1024.0 * y ** 3 - 256.0 * y))
+    scales = (256.0 * y ** 4 + 16.0 * x ** 4 + 128.0 * y ** 2 + 36.0 * x ** 2,
+              64.0 * ax ** 3 + 72.0 * ax, 1024.0 * ay ** 3 + 256.0 * ay)
+    return values, scales
+
+
+def printed_flower(x, y):
+    """The centred flower's (phi, dphi/dx, dphi/dy) in the printed ** form,
+    min(-(R - 0.52 - w) / (5 R^5), 0.66 - R) with w = R^5 sin(5t), and the
+    sums of the absolute values of their terms."""
+    ax, ay = np.abs(x), np.abs(y)
+    r = np.sqrt(x * x + y * y)
+    rs = np.where(r == 0.0, 1.0, r)
+    a = r - 0.52 - (y ** 5 + 5.0 * x ** 4 * y - 10.0 * x ** 2 * y ** 3)
+    a_scale = r + 0.52 + ay ** 5 + 5.0 * ax ** 4 * ay + 10.0 * ax ** 2 * ay ** 3
+    da = (x / rs - (20.0 * x ** 3 * y - 20.0 * x * y ** 3),
+          y / rs - (5.0 * y ** 4 + 5.0 * x ** 4 - 30.0 * x ** 2 * y ** 2))
+    da_scale = (ax / rs + 20.0 * ax ** 3 * ay + 20.0 * ax * ay ** 3,
+                ay / rs + 5.0 * ay ** 4 + 5.0 * ax ** 4 + 30.0 * ax ** 2 * ay ** 2)
+    b = 5.0 * rs ** 5
+    db = (25.0 * rs ** 3 * x, 25.0 * rs ** 3 * y)
+    raw = np.where(r == 0.0, -np.inf, a / b)
+    petal = -raw <= 0.66 - r
+    values = (np.minimum(-raw, 0.66 - r),
+              *(np.where(petal, -(dak * b - a * dbk) / (b * b), -xk / rs)
+                for dak, dbk, xk in zip(da, db, (x, y))))
+    scales = (np.where(petal, a_scale / b, 0.66 + r),
+              *(np.where(petal, (sk * b + a_scale * np.abs(dbk)) / (b * b), 1.0)
+                for sk, dbk in zip(da_scale, db)))
+    return values, scales
+
+
+PRINTED = {"flower": printed_flower, "hourglass": printed_hourglass}
+
+
+@pytest.mark.parametrize("name", sorted(PRINTED))
+def test_level_sets_match_the_printed_powers(name):
+    # make_domain evaluates the printed powers as products: phi and
+    # grad_phi stay within a few ulps of the ** form, relative to the sum
+    # of the terms' magnitudes (3.7 at most over 500,000 points), the
+    # centre R = 0 included, and every node and cell keeps its role
+    domain = make_domain(name)
+    dx, dy = SHAPE_OFFSET
+    x, y = np.random.default_rng(13).uniform(-1.0, 1.0, (2, 20000))
+    x, y = np.append(x, dx), np.append(y, dy)
+    values, scales = PRINTED[name](x - dx, y - dy)
+    for got, value, scale in zip((domain.phi(x, y), *domain.grad_phi(x, y)),
+                                 values, scales):
+        differs = got != value
+        assert np.isfinite(got).all() and got[-1] == value[-1]
+        assert (np.abs(got - value)[differs]
+                <= 8.0 * np.finfo(float).eps * scale[differs]).all()
+    printed = LevelSetDomain(name, lambda x, y: PRINTED[name](x, y)[0][0],
+                             lambda x, y: PRINTED[name](x, y)[0][1:]).shifted(dx, dy)
+    for n in (80, 160, 320):
+        for neighborhood in ("four", "eight"):
+            got = classify(Grid(n), domain, neighborhood)
+            want = classify(Grid(n), printed, neighborhood)
+            assert np.array_equal(got.node_role, want.node_role)
+            assert np.array_equal(got.cell_role, want.cell_role)
+
+
 # ----------------------------------------------------------------------
 # classification
 # ----------------------------------------------------------------------
@@ -164,6 +232,19 @@ def test_normal_at_circle_points():
     d = make_domain("circle")
     assert np.allclose(d.outward_normal(0.8, 0.0), [1.0, 0.0], atol=1e-14)
     assert np.allclose(d.outward_normal(0.0, -0.5), [0.0, -1.0], atol=1e-14)
+
+
+@pytest.mark.parametrize("shift", [(0.0, 0.0)] + SHIFTS)
+def test_circle_normal_is_the_level_set_normal(shift):
+    # the exact radial normals read circle_center, not phi: on Gamma of the
+    # centred and the shifted circles they must be -grad(phi)/|grad(phi)|
+    domain = make_domain("circle").shifted(*shift)
+    t = np.linspace(0.0, 2.0 * np.pi, 97)
+    x, y = shift[0] + 0.8 * np.cos(t), shift[1] + 0.8 * np.sin(t)
+    assert np.abs(domain.phi(x, y)).max() <= 1e-15
+    g = -np.column_stack(domain.grad_phi(x, y))
+    expected = g / np.hypot(g[:, 0], g[:, 1])[:, None]
+    assert np.abs(domain.outward_normal(x, y) - expected).max() <= 1e-12
 
 
 def test_normal_at_half_plane_follows_gradient():

@@ -215,8 +215,9 @@ def test_values_outside_float32_go_straight_to_double(value, monkeypatch):
 
 
 def test_every_factor_uses_the_narrow_panels(monkeypatch):
-    # the direct solve, the condition estimate's own factor and the SSOR
-    # sweep all reach SuperLU with panels of PANEL_SIZE, not its default 20
+    # the direct solve, the condition estimate's own factor and the two
+    # factors of the SSOR sweeps all reach SuperLU with panels of
+    # PANEL_SIZE, not its default 20
     _, fd, fem, _ = paper_systems("flower", "mixed", 40)
     kwargs = []
     real = sparse_linalg.spla.splu
@@ -229,7 +230,7 @@ def test_every_factor_uses_the_narrow_panels(monkeypatch):
     solve_direct(*fd)
     estimate_cond2(fem[0])
     assert solve_cg(*fem, preconditioner="sor")[1].converged
-    assert [options.get("panel_size") for options in kwargs] == [PANEL_SIZE] * 3
+    assert [options.get("panel_size") for options in kwargs] == [PANEL_SIZE] * 4
 
 
 def test_fits_single_checks_every_block():
@@ -350,11 +351,26 @@ def test_ssor_apply_matches_dense_sweep_and_is_symmetric():
         assert np.linalg.norm(apply(r) - ref) <= 1e-13 * np.linalg.norm(ref)
         xMy, yMx = x @ apply(y), y @ apply(x)
         assert abs(xMy - yMx) <= 1e-12 * max(abs(xMy), abs(yMx))
-        # the stored factor of D/w + L did no pivoting and made no fill
-        sweep = inspect.getclosurevars(apply).nonlocals["sweep"]
-        assert np.array_equal(sweep.perm_r, np.arange(n))
-        assert np.array_equal(sweep.perm_c, np.arange(n))
-        assert sweep.L.nnz + sweep.U.nnz == (sp.tril(A, -1).nnz + n) + n
+        # the stored factors of D/w + L and of J (D/w + L^T) J did no
+        # pivoting and made no fill
+        for name in ("back", "fwd"):
+            sweep = inspect.getclosurevars(apply).nonlocals[name]
+            assert np.array_equal(sweep.perm_r, np.arange(n))
+            assert np.array_equal(sweep.perm_c, np.arange(n))
+            assert sweep.L.nnz + sweep.U.nnz == (sp.tril(A, -1).nnz + n) + n
+
+
+def test_ssor_cg_takes_the_dense_sweeps_iterations(monkeypatch):
+    # CG with the sparse SSOR sweeps and with dense_ssor's triangular
+    # solves take the same steps on the FEM flower system
+    _, fem, _, _, _ = run_fem("flower", "paper_sin", "mixed", 80, alpha=1.5)
+    x, report = solve_cg(fem.matrix, fem.rhs, "sor")
+    monkeypatch.setattr(sparse_linalg, "_ssor_apply",
+                        lambda A, omega: lambda r: dense_ssor(A, omega, r))
+    x_dense, report_dense = solve_cg(fem.matrix, fem.rhs, "sor")
+    assert report.converged and report_dense.converged
+    assert report.iterations == report_dense.iterations
+    assert np.linalg.norm(x - x_dense) <= 1e-10 * np.linalg.norm(x_dense)
 
 
 def test_ssor_sweep_is_bit_identical_at_any_panel_width(monkeypatch):

@@ -11,8 +11,10 @@ single-threaded BLAS, so its `ru_maxrss` is the peak of that one factor.
 Each matrix also gets a baseline sample: one float64 no-pivot MMD `splu`
 with panels of `PANEL_SIZE` of A^T, the CSC reading of A's CSR arrays that
 `_factor` factors, without a solve.  Each FEM matrix also gets one sample
-per panel size of the SSOR sweep, `sparse_linalg._ssor_apply(A, 1.5)`:
-the no-fill factor of D/omega + L that `solve_cg(..., "sor")` makes.
+per panel size of the SSOR sweeps, `sparse_linalg._ssor_apply(A, 1.5)`:
+the two no-fill factors that `solve_cg(..., "sor")` makes, of D/omega + L
+for the backward sweep and of J (D/omega + L^T) J, J reversing the index
+order, for the forward sweep.
 Linux carries a parent's peak RSS into the children it starts, so the
 driving interpreter imports neither numpy nor `uel`: the assembly runs in
 a child too.
@@ -22,9 +24,10 @@ size: the median `_factor` seconds (the factor and its refined solve), the
 median peak RSS in MiB, the fill nnz(L) + nnz(U), the factor's precision,
 its refinement steps and the fallback note if the first factor tried was
 rejected; then the baseline's median seconds, peak RSS and fill; then, for
-a FEM matrix, one line per panel size with the sweep's median seconds,
-peak RSS and fill.  Each median of seconds is followed by the range over
-the repeats, in parentheses.  20 is SuperLU's default panel size.
+a FEM matrix, one line per panel size with the median seconds and peak RSS
+of making both sweep factors, and the fill of each (backward + forward).
+Each median of seconds is followed by the range over the repeats, in
+parentheses.  20 is SuperLU's default panel size.
 """
 
 import argparse
@@ -62,7 +65,8 @@ def save_system(index, path):
 def factor_once(path, panel):
     """One sample: load the system, factor it, print a JSON line.  panel
     "f64" is the baseline: a float64 no-pivot MMD splu of A^T with
-    PANEL_SIZE; panel "ssor<k>" is the SSOR sweep with panels of k."""
+    PANEL_SIZE; panel "ssor<k>" is the two SSOR sweep factors with panels
+    of k."""
     import inspect
     import numpy as np
     import scipy.sparse as sp
@@ -72,18 +76,19 @@ def factor_once(path, panel):
     t0 = time.perf_counter()
     if panel == "f64":
         lu = sparse_linalg._splu(A.T, **sparse_linalg._NO_PIVOT)
-        factor = sparse_linalg.LUFactor(lu)
+        factors = [sparse_linalg.LUFactor(lu)]
     elif panel.startswith("ssor"):
         sparse_linalg.PANEL_SIZE = int(panel[4:])
-        apply = sparse_linalg._ssor_apply(A, 1.5)
-        factor = sparse_linalg.LUFactor(inspect.getclosurevars(apply).nonlocals["sweep"])
+        sweeps = inspect.getclosurevars(sparse_linalg._ssor_apply(A, 1.5)).nonlocals
+        factors = [sparse_linalg.LUFactor(sweeps[name]) for name in ("back", "fwd")]
     else:
         sparse_linalg.PANEL_SIZE = int(panel)
-        factor = sparse_linalg._factor(A, b)[0]
+        factors = [sparse_linalg._factor(A, b)[0]]
     seconds = time.perf_counter() - t0
+    factor = factors[0]
     print(json.dumps({"seconds": seconds,
                       "rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-                      "fill": int(factor.lu.L.nnz + factor.lu.U.nnz),
+                      "fill": "+".join(str(f.lu.L.nnz + f.lu.U.nnz) for f in factors),
                       "dtype": np.dtype(factor.dtype).name,
                       "refinements": factor.refinements,
                       "note": factor.note}))
@@ -137,7 +142,7 @@ def main():
                           f"rss_mib={rss:.1f}  fill={s[0]['fill']}", flush=True)
                     continue
                 if panel.startswith("ssor"):
-                    print(f"{label:28s} SSOR sweep panel={int(panel[4:]):2d}  "
+                    print(f"{label:28s} SSOR sweeps panel={int(panel[4:]):2d}  "
                           f"sweep_s={seconds}  rss_mib={rss:.1f}  "
                           f"fill={s[0]['fill']}", flush=True)
                     continue
