@@ -90,10 +90,11 @@ def ghost_rows(projections, p, grid, domain, phi_node):
 
     Dirichlet: tensor Lagrange interpolation of u at B (along the diagonal
     line through G for diagonal projections).  Neumann: the interpolated
-    gradient at B dotted with the boundary normal, from the same derivative
-    stencil applied to the nodal level-set values, or the exact radial
-    direction on circles.  The Neumann data g_N(B, normal) should use the
-    returned normal, so data and operator stay consistent where the
+    gradient at B dotted with the boundary normal.  That normal comes from
+    the same derivative stencil applied to the nodal level-set values, or,
+    on a domain with analytic_neumann_normal set (the circle),
+    domain.outward_normal at B.  The Neumann data g_N(B, normal) should use
+    the returned normal, so data and operator stay consistent where the
     level-set normal is ambiguous (domain corners).
 
     Returns (owner, ii, jj, coeff, normal): the nonzero entries in row
@@ -132,7 +133,10 @@ def ghost_rows(projections, p, grid, domain, phi_node):
         "Neumann projections must not carry an enlarged stencil"))
 
     neu = np.flatnonzero(~value)
-    if not domain.is_circle:
+    normal = np.full((len(ghost), 2), np.nan)
+    if domain.analytic_neumann_normal:
+        normal[neu] = domain.outward_normal(*projections.point[neu].T)
+    else:
         # the level-set gradient from the derivative stencil, summed in
         # stencil order (unused slots add exact zeros)
         phi = np.where(used, phi_node[np.clip(ii, 0, n), np.clip(jj, 0, n)], 0.0)[neu]
@@ -144,10 +148,8 @@ def ghost_rows(projections, p, grid, domain, phi_node):
         norm = np.hypot(dp[:, 0], dp[:, 1])
         raise_first(norm < 1e-14, lambda k: GeometryError(
             f"degenerate interpolated normal at ghost {node(neu[k])}"))
-    normal = np.full((len(ghost), 2), np.nan)
-    # phi grows inward, so the outward normal is the negated direction.
-    normal[neu] = (domain.outward_normal(*projections.point[neu].T) if domain.is_circle
-                   else -dp / norm[:, None])
+        # phi grows inward, so the outward normal is the negated direction.
+        normal[neu] = -dp / norm[:, None]
 
     coeff = np.where(diagonal[:, None], lx, lx * ly)
     nb, sx, sy = normal[neu], signs[neu, :1], signs[neu, 1:]

@@ -37,7 +37,8 @@ class LevelSetDomain:
     """Analytic level-set description of a domain Omega inside R = [-1,1]^2.
 
     phi is positive inside Omega, negative outside and zero on the boundary
-    Gamma.  phi and grad_phi accept scalars or numpy arrays.
+    Gamma.  phi and grad_phi accept scalars or numpy arrays, and every
+    normal of the domain comes from grad_phi.
 
     Parameters
     ----------
@@ -47,47 +48,36 @@ class LevelSetDomain:
         Level-set function phi(x, y).
     grad_phi : callable
         Analytic gradient (x, y) -> (dphi_dx, dphi_dy).
-    circle_center : tuple
-        Set for circular domains only; enables exact normals.
+    analytic_neumann_normal : bool
+        Whether the FD Neumann rows (fd_scheme.ghost_rows) take
+        outward_normal at the foot point rather than the normal
+        interpolated from the nodal phi; make_domain sets it for the circle.
     """
 
     name: str
     phi: callable
     grad_phi: callable
-    circle_center: tuple = None
-
-    @property
-    def is_circle(self):
-        return self.circle_center is not None
+    analytic_neumann_normal: bool = False
 
     def shifted(self, dx, dy):
         """This domain moved by (dx, dy): phi and grad_phi read at
-        (x - dx, y - dy), the name kept, and a circle's centre moved along,
-        so that circles keep their exact normals."""
-        centre = self.circle_center
-        return replace(
-            self, phi=lambda x, y: self.phi(x - dx, y - dy),
-            grad_phi=lambda x, y: self.grad_phi(x - dx, y - dy),
-            circle_center=None if centre is None else (centre[0] + dx, centre[1] + dy))
+        (x - dx, y - dy), the name and the Neumann-normal rule kept."""
+        return replace(self, phi=lambda x, y: self.phi(x - dx, y - dy),
+                       grad_phi=lambda x, y: self.grad_phi(x - dx, y - dy))
 
     def _normals(self, x, y):
         """Outward unit normals at the points of the 1-D arrays x, y, as an
         (m, 2) array that is zero where the normal is undefined, and the
         mask of the points where it is defined."""
-        if self.is_circle:
-            d = np.column_stack([x - self.circle_center[0], y - self.circle_center[1]])
-        else:
-            d = -np.column_stack(self.grad_phi(x, y))
+        d = -np.column_stack(self.grad_phi(x, y))
         norm = np.hypot(d[:, 0], d[:, 1])
         # a NaN or infinite gradient leaves the normal undefined too
-        ok = norm != 0.0 if self.is_circle else (norm >= 1e-14) & np.isfinite(norm)
+        ok = (norm >= 1e-14) & np.isfinite(norm)
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(ok[:, None], d / norm[:, None], 0.0), ok
 
     def _undefined_normal(self, x, y):
         """Why the normal at the point (x, y) is undefined."""
-        if self.is_circle:
-            return f"normal undefined at the center of circle {self.name!r}"
         gx, gy = self.grad_phi(np.array([x]), np.array([y]))
         if np.isfinite(gx).all() and np.isfinite(gy).all():
             return f"vanishing level-set gradient at ({x}, {y}) on domain {self.name!r}"
@@ -98,10 +88,10 @@ class LevelSetDomain:
         arrays of one shape, as an array of shape np.shape(x) + (2,).
 
         With the positive-inside convention the gradient of phi points into
-        Omega, so the outward direction is -grad(phi)/|grad(phi)|.  Circles
-        use the exact radial formula.  A scalar point is evaluated as a
-        1-element array: numpy rounds some powers of 0-d values differently,
-        and a point must get the same normal alone as in a batch.
+        Omega, so the outward direction is -grad(phi)/|grad(phi)|.  A scalar
+        point is evaluated as a 1-element array: numpy rounds some powers of
+        0-d values differently, and a point must get the same normal alone
+        as in a batch.
 
         Raises GeometryError for the first point where the normal is
         undefined.
@@ -135,7 +125,7 @@ def make_domain(name):
             r = np.where(r == 0.0, 1.0, r)
             return -x / r, -y / r
 
-        return LevelSetDomain("circle", phi, grad, circle_center=(0.0, 0.0))
+        return LevelSetDomain("circle", phi, grad, analytic_neumann_normal=True)
 
     if name == "leaf":
         # Two disks of radius 0.7 centered at (+-0.25 cos(pi/4), 0); Omega is

@@ -1,5 +1,7 @@
 """Shared helpers for the uel test suite."""
 
+import importlib.util
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -22,15 +24,17 @@ ELLIPSES = dict(cx=st.floats(-0.2, 0.2), cy=st.floats(-0.2, 0.2),
                 a=st.floats(0.3, 0.7), b=st.floats(0.3, 0.7))
 
 
-def ellipse_domain(cx, cy, a, b):
-    """Off-grid ellipse with centre (cx, cy) and semi-axes a, b."""
-    def phi(x, y):
-        return 1.0 - ((x - cx) / a) ** 2 - ((y - cy) / b) ** 2
+def load_census():
+    """tools/census.py as a module (tools/ is not a package)."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "tools" / "census.py"
+    spec = importlib.util.spec_from_file_location("census", path)
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    return census
 
-    def grad(x, y):
-        return -2.0 * (x - cx) / a ** 2, -2.0 * (y - cy) / b ** 2
 
-    return LevelSetDomain("ellipse", phi, grad)
+# the census draws its ellipses from the same builder
+ellipse_domain = load_census().ellipse
 
 
 # seeded offsets of the shifted built-in domains, U(-0.05, 0.05)^2

@@ -1,21 +1,10 @@
-import importlib.util
 import json
-import pathlib
 import re
 from dataclasses import fields
 
-from conftest import SHIFTS
+from conftest import SHIFTS, load_census
 from uel import Grid, assemble_fd, assemble_fem, make_bc_spec, make_case, make_domain
 from uel.geometry import BoundaryBand, GhostProjections
-
-CENSUS = pathlib.Path(__file__).resolve().parents[1] / "tools" / "census.py"
-
-
-def load_census():
-    spec = importlib.util.spec_from_file_location("census", CENSUS)
-    census = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(census)
-    return census
 
 
 def test_census_records_systems_and_errors(capsys):

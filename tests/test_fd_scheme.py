@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (ELLIPSES, csr_bytes, ellipse_domain, full_square_domain,
+from conftest import (ELLIPSES, SHIFTS, csr_bytes, ellipse_domain, full_square_domain,
                       run_fd, traced_peak)
 from uel import (Grid, assemble_fd, fd_scheme, make_bc_spec, make_case, make_domain,
                  solve_direct)
@@ -238,8 +238,8 @@ def test_ghost_row_sums():
 
 
 def test_ghost_row_rhs_is_boundary_data():
-    # value rows carry u(B), derivative rows grad(u)(B) . n with the circle's
-    # exact radial normal, which is the normal the circle rows use
+    # value rows carry u(B), derivative rows grad(u)(B) . n with the normal
+    # the circle's rows use: its level-set normal at B, radial up to round-off
     case = make_case("paper_sin")
     system = assemble_fd(Grid(20), make_domain("circle"), case,
                          make_bc_spec("circle", "mixed"), p=2)
@@ -253,6 +253,45 @@ def test_ghost_row_rhs_is_boundary_data():
             gx, gy = case.grad_u(*point)
             assert rhs == pytest.approx(gx * nb[0] + gy * nb[1], rel=1e-12, abs=1e-14)
     assert set(ghosts.dirichlet.tolist()) == {True, False}
+
+
+def neumann_normals(system, domain):
+    """The normals ghost_rows gives a p=2 system's Neumann rows, and their
+    feet."""
+    ghosts = system.ghosts
+    normal = ghost_rows(ghosts, 2, system.grid, domain, system.classification.phi_node)[-1]
+    return normal[~ghosts.dirichlet], ghosts.point[~ghosts.dirichlet]
+
+
+def test_neumann_rows_of_any_circle_use_its_level_set_normal():
+    # a circle of radius 0.55 about c, built by hand with the analytic
+    # Neumann-normal rule: its feet lie on Gamma and its Neumann normals,
+    # taken from grad(phi) alone, are radial about c.  The shifted built-in
+    # circles keep the rule (outward_normal at the feet, bit for bit); a
+    # shifted flower interpolates its normals from the nodal phi.
+    c = np.array([0.3, -0.2])
+
+    def phi(x, y):
+        return 0.55 - np.hypot(x - c[0], y - c[1])
+
+    def grad(x, y):
+        r = np.hypot(x - c[0], y - c[1])
+        return -(x - c[0]) / r, -(y - c[1]) / r
+
+    domain = LevelSetDomain("off-origin circle", phi, grad, analytic_neumann_normal=True)
+    grid, case, bc = Grid(40), make_case("paper_sin"), make_bc_spec("circle", "mixed")
+    system = assemble_fd(grid, domain, case, bc, p=2)
+    assert np.abs(phi(*system.ghosts.point.T)).max() <= 1e-4 * grid.h
+    normal, feet = neumann_normals(system, domain)
+    radial = (feet - c) / np.hypot(*(feet - c).T)[:, None]
+    assert len(normal) and np.abs(normal - radial).max() <= 1e-12
+    for name, shifts in (("circle", SHIFTS), ("flower", SHIFTS[:1])):
+        for shift in shifts:
+            moved = make_domain(name).shifted(*shift)
+            normal, feet = neumann_normals(assemble_fd(grid, moved, case, bc, p=2), moved)
+            assert len(normal)
+            assert (normal.tobytes() == moved.outward_normal(*feet.T).tobytes()) == \
+                (name == "circle")
 
 
 @pytest.mark.parametrize("p", (1, 2))
@@ -565,8 +604,9 @@ def row_bytes(record, k):
 
 def check_batched_projections(domain, n):
     """Project all ghosts at once and compare each with its one-node call,
-    byte for byte, and likewise each ghost's outward normal; on the circle,
-    check that Neumann rows use outward_normal at their foot points.  Check
+    byte for byte, and likewise each ghost's outward normal; on a domain
+    with analytic_neumann_normal set, check that Neumann rows use
+    outward_normal at their foot points.  Check
     that phi changes sign within tol_factor*h of every foot point along its
     ray from G (the inward normal where the foot is G), for the ghosts and
     the extended ghosts of the p=2 system.  Returns the number of
@@ -581,7 +621,7 @@ def check_batched_projections(domain, n):
     normals = domain.outward_normal(grid.xs[ghosts[:, 0]], grid.xs[ghosts[:, 1]])
     assert normals.tobytes() == b"".join(
         domain.outward_normal(*grid.node(*g)).tobytes() for g in ghosts)
-    if domain.is_circle:
+    if domain.analytic_neumann_normal:
         record.dirichlet[:] = False
         normal = ghost_rows(record, 2, grid, domain, cls.phi_node)[-1]
         assert normal.tobytes() == domain.outward_normal(*record.point.T).tobytes()

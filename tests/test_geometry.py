@@ -236,8 +236,8 @@ def test_normal_at_circle_points():
 
 @pytest.mark.parametrize("shift", [(0.0, 0.0)] + SHIFTS)
 def test_circle_normal_is_the_level_set_normal(shift):
-    # the exact radial normals read circle_center, not phi: on Gamma of the
-    # centred and the shifted circles they must be -grad(phi)/|grad(phi)|
+    # on Gamma of the centred and the shifted circles, whose Neumann rows
+    # take outward_normal at their feet, the normal is -grad(phi)/|grad(phi)|
     domain = make_domain("circle").shifted(*shift)
     t = np.linspace(0.0, 2.0 * np.pi, 97)
     x, y = shift[0] + 0.8 * np.cos(t), shift[1] + 0.8 * np.sin(t)
@@ -262,6 +262,13 @@ def test_normal_degenerate_gradient_raises():
         d.outward_normal(0.1, 0.1)
 
 
+def test_circle_normal_undefined_at_its_centre():
+    # the circle's gradient vanishes at its centre, like any level set's
+    with pytest.raises(GeometryError, match=re.escape(
+            "vanishing level-set gradient at (0.0, 0.0) on domain 'circle'")):
+        make_domain("circle").outward_normal(0.0, 0.0)
+
+
 # ----------------------------------------------------------------------
 # boundary projection
 # ----------------------------------------------------------------------
@@ -274,7 +281,7 @@ def small_circle(radius):
         r = np.maximum(np.sqrt(x * x + y * y), 1e-300)
         return -x / r, -y / r
 
-    return LevelSetDomain("c", phi, grad, circle_center=(0.0, 0.0))
+    return LevelSetDomain("c", phi, grad, analytic_neumann_normal=True)
 
 
 def test_projection_radial_example():
@@ -744,10 +751,7 @@ def test_shifted_reads_the_domain_at_the_moved_point(name):
         assert domain.name == base.name
         assert np.array_equal(domain.phi(x, y), base.phi(x - dx, y - dy))
         assert np.array_equal(domain.grad_phi(x, y), base.grad_phi(x - dx, y - dy))
-        if name == "circle":
-            assert domain.is_circle and domain.circle_center == (dx, dy)
-        else:
-            assert not domain.is_circle
+        assert domain.analytic_neumann_normal == (name == "circle")
 
 
 @pytest.mark.parametrize("name, shift", [(name, SHIFTS[2 * k + m])

@@ -28,7 +28,8 @@ test suite's SHIFTS, applied by `LevelSetDomain.shifted`) at N in
 {40, 80, 160}: the centred circle has no extended ghost at any N, the
 circle moved by the second shift has two at N=40 with p=2.  The whole
 census takes about ten seconds on one core; `tests/test_census.py` checks
-its shifts and the lines `record` prints.
+its shifts and the lines `record` prints, and the test suite builds its
+random ellipses with `ellipse`.
 """
 
 import dataclasses
@@ -50,6 +51,7 @@ SEED = 2024
 
 
 def ellipse(cx, cy, a, b):
+    """Off-grid ellipse with centre (cx, cy) and semi-axes a, b."""
     def phi(x, y):
         return 1.0 - ((x - cx) / a) ** 2 - ((y - cy) / b) ** 2
 
