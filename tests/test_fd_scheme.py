@@ -606,12 +606,12 @@ def check_batched_projections(domain, n):
     """Project all ghosts at once and compare each with its one-node call,
     byte for byte, and likewise each ghost's outward normal; on a domain
     with analytic_neumann_normal set, check that Neumann rows use
-    outward_normal at their foot points.  Check
-    that phi changes sign within tol_factor*h of every foot point along its
-    ray from G (the inward normal where the foot is G), for the ghosts and
-    the extended ghosts of the p=2 system.  Returns the number of
-    axis-fallback and diagonal routes: an axis foot lies along one axis from
-    G although the outward normal at G is along neither."""
+    outward_normal at their foot points.  Check that phi changes sign
+    within tol_factor*h of every foot point along its ray from G (the
+    inward normal where the foot is G), for the ghosts and the extended
+    ghosts of the p=2 system.  Returns the number of axis-fallback and
+    diagonal routes: an axis foot lies along one axis from G although the
+    outward normal at G is along neither."""
     grid = Grid(n)
     cls = classify(grid, domain, "four")
     ghosts = np.argwhere(cls.node_role == NODE_GHOST)

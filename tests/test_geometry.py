@@ -263,7 +263,8 @@ def test_normal_degenerate_gradient_raises():
 
 
 def test_circle_normal_undefined_at_its_centre():
-    # the circle's gradient vanishes at its centre, like any level set's
+    # grad(phi) of the circle is zero at its centre: the normal there is
+    # undefined, with the message of any vanishing level-set gradient
     with pytest.raises(GeometryError, match=re.escape(
             "vanishing level-set gradient at (0.0, 0.0) on domain 'circle'")):
         make_domain("circle").outward_normal(0.0, 0.0)
