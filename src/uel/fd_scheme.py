@@ -85,17 +85,16 @@ def _stencil_entries(projections, p, n):
     return owner, np.clip(ii, 0, n), np.clip(jj, 0, n), on_grid
 
 
-def ghost_rows(projections, p, grid, domain, phi_node):
+def ghost_rows(projections, p, grid, phi_node):
     """Boundary-condition rows of the ghost nodes, as COO entries.
 
     Dirichlet: tensor Lagrange interpolation of u at B (along the diagonal
     line through G for diagonal projections).  Neumann: the interpolated
-    gradient at B dotted with the boundary normal.  That normal comes from
-    the same derivative stencil applied to the nodal level-set values, or,
-    on a domain with analytic_neumann_normal set (the circle),
-    domain.outward_normal at B.  The Neumann data g_N(B, normal) should use
-    the returned normal, so data and operator stay consistent where the
-    level-set normal is ambiguous (domain corners).
+    gradient at B dotted with the boundary normal, which the same derivative
+    stencil interpolates from the nodal level-set values phi_node on every
+    domain.  The Neumann data g_N(B, normal) should use the returned
+    normal, so data and operator stay consistent where the level-set normal
+    is ambiguous (domain corners).
 
     Returns (owner, ii, jj, coeff, normal): the nonzero entries in row
     order, entry e in row owner[e] of the GhostProjections at node
@@ -132,24 +131,21 @@ def ghost_rows(projections, p, grid, domain, phi_node):
     raise_first(~value & (spacing != 1).any(axis=1), lambda k: AssemblyError(
         "Neumann projections must not carry an enlarged stencil"))
 
+    # the level-set gradient from the derivative stencil, summed in stencil
+    # order (unused slots add exact zeros)
     neu = np.flatnonzero(~value)
+    phi = np.where(used, phi_node[np.clip(ii, 0, n), np.clip(jj, 0, n)], 0.0)[neu]
+    dpx = dpy = 0.0
+    for s in range(len(mx)):
+        dpx = dpx + lpx[neu, s] * ly[neu, s] * phi[:, s]
+        dpy = dpy + lx[neu, s] * lpy[neu, s] * phi[:, s]
+    dp = np.column_stack([signs[neu, 0] * dpx, signs[neu, 1] * dpy])
+    norm = np.hypot(dp[:, 0], dp[:, 1])
+    raise_first(norm < 1e-14, lambda k: GeometryError(
+        f"degenerate interpolated normal at ghost {node(neu[k])}"))
+    # phi grows inward, so the outward normal is the negated direction.
     normal = np.full((len(ghost), 2), np.nan)
-    if domain.analytic_neumann_normal:
-        normal[neu] = domain.outward_normal(*projections.point[neu].T)
-    else:
-        # the level-set gradient from the derivative stencil, summed in
-        # stencil order (unused slots add exact zeros)
-        phi = np.where(used, phi_node[np.clip(ii, 0, n), np.clip(jj, 0, n)], 0.0)[neu]
-        dpx = dpy = 0.0
-        for s in range(len(mx)):
-            dpx = dpx + lpx[neu, s] * ly[neu, s] * phi[:, s]
-            dpy = dpy + lx[neu, s] * lpy[neu, s] * phi[:, s]
-        dp = np.column_stack([signs[neu, 0] * dpx, signs[neu, 1] * dpy])
-        norm = np.hypot(dp[:, 0], dp[:, 1])
-        raise_first(norm < 1e-14, lambda k: GeometryError(
-            f"degenerate interpolated normal at ghost {node(neu[k])}"))
-        # phi grows inward, so the outward normal is the negated direction.
-        normal[neu] = -dp / norm[:, None]
+    normal[neu] = -dp / norm[:, None]
 
     coeff = np.where(diagonal[:, None], lx, lx * ly)
     nb, sx, sy = normal[neu], signs[neu, :1], signs[neu, 1:]
@@ -315,7 +311,7 @@ def assemble_fd(grid, domain, case, bc, p=2, tol_factor=1e-4):
 
     # Ghost rows (including extended ghosts), with g_D = u at value rows and
     # g_N = grad(u) . n at derivative rows, n the row's own normal.
-    owner, si, sj, coeff, normal = ghost_rows(ghosts, p, grid, domain, cls.phi_node)
+    owner, si, sj, coeff, normal = ghost_rows(ghosts, p, grid, cls.phi_node)
     r = index[ghosts.ghost[:, 0], ghosts.ghost[:, 1]]
     point, value = ghosts.point, ghosts.dirichlet
     rhs[r[value]] = case.u(point[value, 0], point[value, 1])

@@ -37,8 +37,9 @@ class LevelSetDomain:
     """Analytic level-set description of a domain Omega inside R = [-1,1]^2.
 
     phi is positive inside Omega, negative outside and zero on the boundary
-    Gamma.  phi and grad_phi accept scalars or numpy arrays, and every
-    normal of the domain comes from grad_phi.
+    Gamma.  phi and grad_phi accept scalars or numpy arrays.  A domain
+    carries nothing but its level set: outward_normal comes from grad_phi,
+    and the FD Neumann rows interpolate theirs from the nodal phi.
 
     Parameters
     ----------
@@ -48,20 +49,15 @@ class LevelSetDomain:
         Level-set function phi(x, y).
     grad_phi : callable
         Analytic gradient (x, y) -> (dphi_dx, dphi_dy).
-    analytic_neumann_normal : bool
-        Whether the FD Neumann rows (fd_scheme.ghost_rows) take
-        outward_normal at the foot point rather than the normal
-        interpolated from the nodal phi; make_domain sets it for the circle.
     """
 
     name: str
     phi: callable
     grad_phi: callable
-    analytic_neumann_normal: bool = False
 
     def shifted(self, dx, dy):
         """This domain moved by (dx, dy): phi and grad_phi read at
-        (x - dx, y - dy), the name and the Neumann-normal rule kept."""
+        (x - dx, y - dy), the name kept."""
         return replace(self, phi=lambda x, y: self.phi(x - dx, y - dy),
                        grad_phi=lambda x, y: self.grad_phi(x - dx, y - dy))
 
@@ -125,7 +121,7 @@ def make_domain(name):
             r = np.where(r == 0.0, 1.0, r)
             return -x / r, -y / r
 
-        return LevelSetDomain("circle", phi, grad, analytic_neumann_normal=True)
+        return LevelSetDomain("circle", phi, grad)
 
     if name == "leaf":
         # Two disks of radius 0.7 centered at (+-0.25 cos(pi/4), 0); Omega is

@@ -234,19 +234,6 @@ def test_normal_at_circle_points():
     assert np.allclose(d.outward_normal(0.0, -0.5), [0.0, -1.0], atol=1e-14)
 
 
-@pytest.mark.parametrize("shift", [(0.0, 0.0)] + SHIFTS)
-def test_circle_normal_is_the_level_set_normal(shift):
-    # on Gamma of the centred and the shifted circles, whose Neumann rows
-    # take outward_normal at their feet, the normal is -grad(phi)/|grad(phi)|
-    domain = make_domain("circle").shifted(*shift)
-    t = np.linspace(0.0, 2.0 * np.pi, 97)
-    x, y = shift[0] + 0.8 * np.cos(t), shift[1] + 0.8 * np.sin(t)
-    assert np.abs(domain.phi(x, y)).max() <= 1e-15
-    g = -np.column_stack(domain.grad_phi(x, y))
-    expected = g / np.hypot(g[:, 0], g[:, 1])[:, None]
-    assert np.abs(domain.outward_normal(x, y) - expected).max() <= 1e-12
-
-
 def test_normal_at_half_plane_follows_gradient():
     # Omega = {x > 0}: phi grows inward, so the outward normal is
     # -grad(phi)/|grad(phi)|
@@ -282,7 +269,7 @@ def small_circle(radius):
         r = np.maximum(np.sqrt(x * x + y * y), 1e-300)
         return -x / r, -y / r
 
-    return LevelSetDomain("c", phi, grad, analytic_neumann_normal=True)
+    return LevelSetDomain("c", phi, grad)
 
 
 def test_projection_radial_example():
@@ -752,7 +739,14 @@ def test_shifted_reads_the_domain_at_the_moved_point(name):
         assert domain.name == base.name
         assert np.array_equal(domain.phi(x, y), base.phi(x - dx, y - dy))
         assert np.array_equal(domain.grad_phi(x, y), base.grad_phi(x - dx, y - dy))
-        assert domain.analytic_neumann_normal == (name == "circle")
+    # a domain carries nothing but its level set
+    assert [f.name for f in fields(LevelSetDomain)] == ["name", "phi", "grad_phi"]
+    if name == "circle":
+        # the circles drawn about the moved centres lie on Gamma
+        t = np.linspace(0.0, 2.0 * np.pi, 97)
+        for dx, dy in [(0.0, 0.0)] + SHIFTS:
+            x, y = dx + 0.8 * np.cos(t), dy + 0.8 * np.sin(t)
+            assert np.abs(base.shifted(dx, dy).phi(x, y)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("name, shift", [(name, SHIFTS[2 * k + m])
